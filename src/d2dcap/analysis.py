@@ -11,6 +11,11 @@ Profile indexing: profiles are enumerated mixed-radix over the active
 players' channels with the lowest active player index as the least
 significant digit; passive channels stay fixed.  Index k therefore decodes
 as a_active[j] = (k // num_channels**j) % num_channels.
+
+A weakly memoized table per game holds the profiles and their normalized
+potentials, all that brute force and Gibbs read, plus the neighbour index
+of every single-player switch and the exact utilities, filled when a kernel
+or the resistances first need them.  Dense kernels refuse > 4096 profiles.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,35 +59,76 @@ __all__ = [
 ]
 
 _SPACE_GUARD = 10 ** 6
+_DENSE_GUARD = 4096  # an n x n float64 kernel at this size is 128 MiB
 _TREE_STATE_CAP = 8
-
-
-def _require_deterministic(game: CapGame) -> None:
-    if game.mode != "deterministic":
-        raise ValueError("exact analysis requires a deterministic-mode game")
 
 
 # ----------------------------------------------------------------------
 # profile space
 
 
+def _profile_count(game: CapGame, guard: int, what: str) -> int:
+    """Profile-space size; raises above ``guard``, before enumerating."""
+    size = game.num_channels ** len(game.active_players)
+    if size > guard:
+        raise ValueError(f"{what} of size {size} exceeds the {guard} guard")
+    return size
+
+
 def enumerate_profiles(game: CapGame) -> list[AssignmentProfile]:
     """All valid profiles, mixed-radix order (see module docstring)."""
     base = game.initial_profile()
     active = game.active_players
-    size = game.num_channels ** len(active)
-    if size > _SPACE_GUARD:
-        raise ValueError(f"profile space of size {size} exceeds the "
-                         f"{_SPACE_GUARD} guard")
-    out = []
-    for k in range(size):
-        ch = base.channels.copy()
-        rem = k
-        for player in active:
-            ch[player] = rem % game.num_channels
-            rem //= game.num_channels
-        out.append(AssignmentProfile(channels=ch, passive=base.passive))
-    return out
+    size = _profile_count(game, _SPACE_GUARD, "profile space")
+    radix = game.num_channels ** np.arange(len(active))
+    channels = np.tile(base.channels, (size, 1))
+    channels[:, active] = np.arange(size)[:, None] // radix % game.num_channels
+    return [AssignmentProfile(channels=ch, passive=base.passive)
+            for ch in channels]
+
+
+class _ProfileTable:
+    """One game's profile space; holds no reference to the game (weak memo)."""
+
+    def __init__(self, game: CapGame):
+        self.profiles = enumerate_profiles(game)
+        self.keys = [p.key() for p in self.profiles]
+        self.phi = np.array([game.normalized_potential(p)
+                             for p in self.profiles])
+        # filled by _moves on first use: (n, active, channels), (n, active)
+        self.neighbour = self.utility = None
+
+
+_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _table(game: CapGame) -> _ProfileTable:
+    if game.mode != "deterministic":
+        raise ValueError("exact analysis requires a deterministic-mode game")
+    if game not in _TABLES:
+        _TABLES[game] = _ProfileTable(game)
+    return _TABLES[game]
+
+
+def _moves(game: CapGame):
+    """(keys, from, to, utility drop): index arrays over every single-active-
+    player switch, ordered by profile, then player, then channel."""
+    table = _table(game)
+    if table.utility is None:
+        # mixed radix: player j's digit is k // radix[j] % c; switching it
+        # to channel c' moves profile k by (c' - digit) * radix[j]
+        c = game.num_channels
+        k = np.arange(len(table.keys))[:, None, None]
+        radix = c ** np.arange(len(game.active_players))[:, None]
+        table.neighbour = k + radix * (np.arange(c) - k // radix % c)
+        table.utility = np.array(
+            [[game.utility_exact(p, i) for i in game.active_players]
+             for p in table.profiles], dtype=np.float64)
+    nb = table.neighbour
+    frm, player, chan = np.nonzero(nb != np.arange(len(nb))[:, None, None])
+    to = nb[frm, player, chan]
+    return table.keys, frm, to, \
+        table.utility[frm, player] - table.utility[to, player]
 
 
 @dataclass
@@ -101,14 +148,13 @@ def brute_force_optimum(game: CapGame, tie_tol: float = 1e-12
                         ) -> BruteForceResult:
     """Scan every profile; ties within ``tie_tol`` of the best normalized
     sum rate are all returned."""
-    _require_deterministic(game)
-    profiles = enumerate_profiles(game)
-    values = np.array([game.normalized_potential(p) for p in profiles])
-    best = float(values.max())
-    winners = [p for p, v in zip(profiles, values) if best - v <= tie_tol]
+    table = _table(game)
+    best = float(table.phi.max())
+    winners = [p for p, v in zip(table.profiles, table.phi)
+               if best - v <= tie_tol]
     return BruteForceResult(profiles=winners, phi_star=best * game.phi_max,
                             normalized_phi_star=best,
-                            num_evaluated=len(profiles))
+                            num_evaluated=len(table.profiles))
 
 
 # ----------------------------------------------------------------------
@@ -152,41 +198,19 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     accept with probability 1/(1 + exp(dU/tau)).  The diagonal absorbs
     everything else, including self-trials.
     """
-    _require_deterministic(game)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    profiles = enumerate_profiles(game)
-    index = {p.key(): k for k, p in enumerate(profiles)}
+    n = _profile_count(game, _DENSE_GUARD, "dense kernel")
     n_active = len(game.active_players)
     if n_active == 0:
         raise ValueError("at least one active player is required")
     pick = 1.0 / (n_active * game.num_channels)
-
-    util_cache: dict = {}
-
-    def util(profile: AssignmentProfile, player: int) -> float:
-        key = (profile.key(), player)
-        val = util_cache.get(key)
-        if val is None:
-            val = game.utility_exact(profile, player)
-            util_cache[key] = val
-        return val
-
-    n = len(profiles)
+    keys, frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
-    for ia, prof in enumerate(profiles):
-        for player in game.active_players:
-            current = int(prof.channels[player])
-            for c in range(game.num_channels):
-                if c == current:
-                    continue
-                target = prof.with_channel(player, c)
-                ib = index[target.key()]
-                delta = util(prof, player) - util(target, player)
-                mat[ia, ib] = pick * acceptance_probability(delta, tau)
-        mat[ia, ia] = 1.0 - mat[ia].sum()
-    return TransitionKernel(states=[p.key() for p in profiles], matrix=mat,
-                            tau=tau)
+    mat[frm, to] = [pick * acceptance_probability(d, tau)
+                    for d in drop.tolist()]
+    np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
+    return TransitionKernel(states=list(keys), matrix=mat, tau=tau)
 
 
 # ----------------------------------------------------------------------
@@ -261,15 +285,13 @@ def gibbs_distribution(game: CapGame, tau: float) -> StationaryDistribution:
     This closed form is the exact stationary law of the one-slot kernel:
     proposals are symmetric and the acceptance ratio gives detailed balance.
     """
-    _require_deterministic(game)
     if not tau > 0:
         raise ValueError("tau must be positive")
-    profiles = enumerate_profiles(game)
-    phi = np.array([game.normalized_potential(p) for p in profiles])
-    x = phi / tau
+    table = _table(game)
+    x = table.phi / tau
     x -= x.max()
     w = np.exp(x)
-    return StationaryDistribution(states=[p.key() for p in profiles],
+    return StationaryDistribution(states=list(table.keys),
                                   probs=w / w.sum(), tau=tau, method="gibbs")
 
 
@@ -277,8 +299,12 @@ def _in_trees(n: int, root: int):
     """Yield parent maps of spanning trees directed toward ``root``.
 
     A parent map assigns every non-root node its next hop; acyclic maps are
-    exactly the in-trees.  Enumeration is factorial, hence the state cap.
+    exactly the in-trees.  Enumeration is factorial, hence the state cap,
+    which raises on the first iteration.
     """
+    if n > _TREE_STATE_CAP:
+        raise ValueError(f"tree enumeration capped at {_TREE_STATE_CAP} "
+                         f"states, got {n}")
     nodes = [v for v in range(n) if v != root]
     choices = [[p for p in range(n) if p != v] for v in nodes]
     for combo in itertools.product(*choices):
@@ -297,7 +323,6 @@ def _in_trees(n: int, root: int):
                 break
         if ok:
             yield parent
-    return
 
 
 def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
@@ -308,9 +333,6 @@ def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
     8 states.
     """
     n = kernel.num_states
-    if n > _TREE_STATE_CAP:
-        raise ValueError(f"tree enumeration capped at {_TREE_STATE_CAP} "
-                         f"states, got {n}")
     p = kernel.matrix
     weights = np.zeros(n)
     for root in range(n):
@@ -344,15 +366,13 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> list:
     count).  Warns when a selected state's mass is not non-decreasing along
     the grid (grid likely too coarse).  Returns AssignmentProfiles.
     """
-    _require_deterministic(game)
     taus = [float(t) for t in tau_grid]
     if len(taus) < 1:
         raise ValueError("tau_grid must be non-empty")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be strictly decreasing")
-    optimum = brute_force_optimum(game)
-    threshold = 0.5 / len(optimum.profiles)
-    profiles = enumerate_profiles(game)
+    threshold = 0.5 / len(brute_force_optimum(game).profiles)
+    profiles = _table(game).profiles
     masses = np.stack([gibbs_distribution(game, t).probs for t in taus])
     last = masses[-1]
     selected = [k for k in range(len(profiles)) if last[k] >= threshold]
@@ -377,19 +397,9 @@ def transition_resistance(delta: float) -> float:
 def edge_resistances(game: CapGame) -> dict:
     """Resistance of every single-coordinate transition, keyed by
     (from_key, to_key)."""
-    _require_deterministic(game)
-    out = {}
-    for prof in enumerate_profiles(game):
-        for player in game.active_players:
-            current = int(prof.channels[player])
-            for c in range(game.num_channels):
-                if c == current:
-                    continue
-                target = prof.with_channel(player, c)
-                delta = game.utility_exact(prof, player) \
-                    - game.utility_exact(target, player)
-                out[(prof.key(), target.key())] = transition_resistance(delta)
-    return out
+    keys, frm, to, drop = _moves(game)
+    return {(keys[a], keys[b]): transition_resistance(d)
+            for a, b, d in zip(frm.tolist(), to.tolist(), drop.tolist())}
 
 
 def game_resistance_kernel(game: CapGame):
@@ -397,16 +407,11 @@ def game_resistance_kernel(game: CapGame):
 
     Non-adjacent pairs get resistance +inf and adjacency False.
     """
-    profiles = enumerate_profiles(game)
-    keys = [p.key() for p in profiles]
-    index = {k: i for i, k in enumerate(keys)}
-    n = len(keys)
+    n = _profile_count(game, _DENSE_GUARD, "dense kernel")
+    keys, frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
-    adj = np.zeros((n, n), dtype=bool)
-    for (ka, kb), r in edge_resistances(game).items():
-        res[index[ka], index[kb]] = r
-        adj[index[ka], index[kb]] = True
-    return keys, res, adj
+    res[frm, to] = np.maximum(drop, 0.0)  # transition_resistance, elementwise
+    return list(keys), res, np.isfinite(res)
 
 
 @dataclass
@@ -431,9 +436,6 @@ def min_resistance_tree_check(resistances: np.ndarray,
     n = res.shape[0]
     if res.shape != (n, n):
         raise ValueError("resistance matrix must be square")
-    if n > _TREE_STATE_CAP:
-        raise ValueError(f"tree enumeration capped at {_TREE_STATE_CAP} "
-                         f"states, got {n}")
     adj = np.isfinite(res) if adjacency is None else np.asarray(adjacency)
 
     best = math.inf
@@ -451,11 +453,8 @@ def min_resistance_tree_check(resistances: np.ndarray,
     if not min_trees:
         raise ValueError("no spanning in-tree exists on the given adjacency")
 
-    passes = True
-    for _, parent in min_trees:
-        if not any(res[v, pa] <= zero_tol for v, pa in parent.items()):
-            passes = False
-            break
+    passes = all(any(res[v, pa] <= zero_tol for v, pa in parent.items())
+                 for _, parent in min_trees)
     w_root, w_parent = min_trees[0]
     edges = [(v, pa, float(res[v, pa])) for v, pa in sorted(w_parent.items())]
     roots = sorted({r for r, _ in min_trees})

@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import typing
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -42,6 +43,10 @@ _SCHEDULES = ("fixed", "log_decreasing")
 _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
+
+# value types a config field of each declared type accepts
+_ACCEPTED_TYPES = {int: (int,), float: (int, float), bool: (bool,),
+                   str: (str,)}
 
 
 @dataclass
@@ -151,7 +156,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        known = {f.name: f for f in dataclasses.fields(cls)}
+        known = typing.get_type_hints(cls)
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -164,9 +169,16 @@ class ExperimentConfig:
             if key not in known:
                 raise ValueError(f"unknown config key {key!r} on line {lineno}")
             try:
-                kwargs[key] = ast.literal_eval(value)
+                parsed = ast.literal_eval(value)
             except (ValueError, SyntaxError):
-                kwargs[key] = value  # bare string
+                parsed = value  # bare string
+            want = known[key]
+            # bool is an int subclass, but only bool fields take True/False
+            if not isinstance(parsed, _ACCEPTED_TYPES[want]) \
+                    or (isinstance(parsed, bool) and want is not bool):
+                raise ValueError(f"config key {key!r} on line {lineno} "
+                                 f"expects {want.__name__}, got {value!r}")
+            kwargs[key] = parsed
         return cls(**kwargs)
 
     def to_file(self, path) -> None:
@@ -262,22 +274,19 @@ def _point_result(config: ExperimentConfig, param: str = "",
     reals = config.realizations
     window = max(1, horizon - int(math.floor(horizon * 0.75)))
 
-    shared_topo = config.topology(0) if config.shared_topology else None
-    optimum_cache: dict = {}
+    def optimum_for(topo: Topology) -> analysis.BruteForceResult:
+        return analysis.brute_force_optimum(
+            config.game(topo, mode="deterministic"))
 
-    def optimum_for(topo: Topology):
-        key = id(topo)
-        if key not in optimum_cache:
-            optimum_cache[key] = analysis.brute_force_optimum(
-                config.game(topo, mode="deterministic"))
-        return optimum_cache[key]
+    shared_topo = config.topology(0) if config.shared_topology else None
+    shared_opt = None
+    if shared_topo is not None and config.track_optimum:
+        shared_opt = optimum_for(shared_topo)
 
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
     occupancies = np.zeros(reals) if config.track_optimum else None
     final_profiles = None
-    phi_star = None
-    opt_keys: tuple | None = None
 
     for k in range(reals):
         topo = shared_topo if shared_topo is not None else config.topology(k)
@@ -294,11 +303,8 @@ def _point_result(config: ExperimentConfig, param: str = "",
         final_profiles[k] = traj.profiles[-1] if horizon else \
             traj.initial_channels
         if config.track_optimum:
-            opt = optimum_for(topo)
+            opt = shared_opt if shared_opt is not None else optimum_for(topo)
             occupancies[k] = traj.occupancy(opt.keys())
-            if shared_topo is not None:
-                phi_star = opt.phi_star
-                opt_keys = tuple(sorted(opt.keys()))
 
     se = float(finals.std(ddof=1) / math.sqrt(reals)) if reals > 1 else 0.0
     return PointResult(
@@ -310,7 +316,9 @@ def _point_result(config: ExperimentConfig, param: str = "",
         final_window_mean=float(finals.mean()), final_window_se=se,
         mean_occupancy=float(occupancies.mean())
         if occupancies is not None else None,
-        phi_star=phi_star, optimum_keys=opt_keys)
+        phi_star=None if shared_opt is None else shared_opt.phi_star,
+        optimum_keys=None if shared_opt is None
+        else tuple(sorted(shared_opt.keys())))
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
@@ -470,27 +478,24 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     if not taus:
         raise ValueError("tau_grid must be non-empty")
     game = config.game(config.topology(0), mode="deterministic")
-    profiles = analysis.enumerate_profiles(game)  # size guard runs here
-    states = [p.key() for p in profiles]
-    n = len(states)
-
-    pi_direct = np.zeros((len(taus), n))
-    pi_gibbs = np.zeros((len(taus), n))
-    use_tree = n <= 8
-    pi_tree = np.zeros((len(taus), n)) if use_tree else None
+    direct, gibbs, tree = [], [], []
     direct_failed = []
-    for i, tau in enumerate(taus):
-        kernel = analysis.exact_transition_matrix(game, tau)
+    for tau in taus:
+        kernel = analysis.exact_transition_matrix(game, tau)  # size guards
         try:
-            pi_direct[i] = analysis.stationary_direct(kernel).probs
+            direct.append(analysis.stationary_direct(kernel).probs)
         except ValueError:
             # very cold chains defeat the dense solve's residual contract;
             # the Gibbs form stays exact
-            pi_direct[i] = math.nan
+            direct.append(np.full(kernel.num_states, math.nan))
             direct_failed.append(tau)
-        pi_gibbs[i] = analysis.gibbs_distribution(game, tau).probs
-        if use_tree:
-            pi_tree[i] = analysis.stationary_tree(kernel).probs
+        gibbs.append(analysis.gibbs_distribution(game, tau).probs)
+        if kernel.num_states <= analysis._TREE_STATE_CAP:
+            tree.append(analysis.stationary_tree(kernel).probs)
+    states = kernel.states
+    pi_direct = np.array(direct)
+    pi_gibbs = np.array(gibbs)
+    pi_tree = np.array(tree) if tree else None
 
     optimum = analysis.brute_force_optimum(game)
     opt_keys = tuple(sorted(optimum.keys()))

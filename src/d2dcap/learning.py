@@ -331,8 +331,7 @@ def _propose(state: LearnerState, game: CapGame, rng: np.random.Generator):
 
 
 def blla_step(state: LearnerState, game: CapGame, schedule, noise,
-              xi: float, rng: np.random.Generator,
-              sample_cache: dict | None = None) -> LearnerState:
+              xi: float, rng: np.random.Generator) -> LearnerState:
     """Advance the chain by one slot.
 
     Draw order per slot: player, trial channel, phase I fading, phase II
@@ -344,11 +343,6 @@ def blla_step(state: LearnerState, game: CapGame, schedule, noise,
     tau = schedule.tau_at(t)
     if noise is None:
         n = 1  # exact utilities, nothing to average
-    elif sample_cache is not None:
-        n = sample_cache.get(tau)
-        if n is None:
-            n = noise.required_samples(tau, xi)
-            sample_cache[tau] = n
     else:
         n = noise.required_samples(tau, xi)
 
@@ -427,10 +421,8 @@ def run_blla(game: CapGame, schedule, noise, xi: float, horizon: int,
     evaluation per phase).  Without an explicit initial profile, active
     players start on uniformly random channels drawn from the same stream.
     """
-    cache: dict = {}
     return _run(game, horizon, rng_seed, initial_profile,
-                lambda st, rng: blla_step(st, game, schedule, noise, xi, rng,
-                                          sample_cache=cache))
+                lambda st, rng: blla_step(st, game, schedule, noise, xi, rng))
 
 
 def run_br(game: CapGame, n_samples: int, horizon: int, rng_seed,

@@ -10,8 +10,15 @@ from contextlib import contextmanager
 from functools import lru_cache
 
 import pytest
+from hypothesis import settings
 
 from d2dcap.experiments import ExperimentConfig, run_experiment
+
+# property tests draw the same examples on every run, so Tier-1 stays
+# reproducible; nothing is read from or written to an example database
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=None, max_examples=40)
+settings.load_profile("tier1")
 
 _ACCEPTANCE: dict = {}
 

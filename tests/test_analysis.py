@@ -1,9 +1,14 @@
+import gc
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import d2dcap.analysis as analysis_module
 from d2dcap.analysis import (
     ResistanceExpr,
     ResistanceTerm,
@@ -34,6 +39,27 @@ from d2dcap.learning import acceptance_probability
 from test_game import seeded_game
 
 
+@st.composite
+def small_games(draw):
+    """Seeded deterministic games: at most 3 active players on at most 3
+    channels, with or without one UEC."""
+    num_uec = draw(st.integers(0, 1))
+    num_ued = draw(st.integers(1, 3))
+    num_channels = draw(st.integers(max(1, num_uec), 3))
+    seed = draw(st.integers(0, 2 ** 16))
+    return seeded_game(num_uec, num_ued, num_channels, seed=seed)
+
+
+def single_switches(game):
+    """(from, to, player) for every single-active-player channel switch,
+    by direct profile manipulation."""
+    for a in enumerate_profiles(game):
+        for player in game.active_players:
+            for c in range(game.num_channels):
+                if c != a.channels[player]:
+                    yield a, a.with_channel(player, c), player
+
+
 def random_chain(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(n) * 2.0, size=n)
@@ -59,6 +85,47 @@ def test_enumerate_size_guard():
     game = seeded_game(0, 13, 3, seed=5)  # 3^13 > 1e6
     with pytest.raises(ValueError):
         enumerate_profiles(game)
+
+
+def test_profile_table_is_built_once_per_game():
+    game = seeded_game(1, 3, 3, seed=7)  # 27 profiles, 3 active players
+    calls = {"utility_exact": 0, "potential_exact": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(game, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        setattr(game, name, counted)
+    brute_force_optimum(game)
+    gibbs_distribution(game, 0.1)
+    assert calls == {"utility_exact": 0, "potential_exact": 27}
+    stochastically_stable_states(game, (0.1, 0.05))
+    for tau in (0.1, 0.05):
+        exact_transition_matrix(game, tau)
+    edge_resistances(game)
+    game_resistance_kernel(game)
+    assert calls == {"utility_exact": 27 * 3, "potential_exact": 27}
+
+
+def test_profile_table_goes_with_its_game():
+    game = seeded_game(0, 2, 2, seed=25)
+    exact_transition_matrix(game, 0.1)
+    ref = weakref.ref(game)
+    del game
+    gc.collect()
+    assert ref() is None
+
+
+def test_dense_paths_refuse_before_enumerating(monkeypatch):
+    game = seeded_game(0, 9, 3, seed=5)  # 3^9 profiles: a 3.1 GB kernel
+
+    def no_enumeration(game):
+        raise AssertionError("enumerated despite the dense guard")
+
+    monkeypatch.setattr(analysis_module, "enumerate_profiles", no_enumeration)
+    with pytest.raises(ValueError, match="dense kernel"):
+        exact_transition_matrix(game, 0.1)
+    with pytest.raises(ValueError, match="dense kernel"):
+        game_resistance_kernel(game)
 
 
 def test_brute_force_matches_manual_scan():
@@ -129,6 +196,60 @@ def test_kernel_satisfies_detailed_balance():
             if i != j and m[i, j] > 0:
                 assert pi[i] * m[i, j] == pytest.approx(pi[j] * m[j, i],
                                                         rel=1e-12)
+
+
+@given(game=small_games(),
+       tau=st.sampled_from([1e9, 0.5, 0.1, 0.02, 0.005]))
+def test_kernel_entries_are_the_acceptance_rule(game, tau):
+    kernel = exact_transition_matrix(game, tau)
+    index = {k: i for i, k in enumerate(kernel.states)}
+    pick = 1.0 / (len(game.active_players) * game.num_channels)
+    expected = np.zeros_like(kernel.matrix)
+    for a, b, player in single_switches(game):
+        du = game.utility_exact(a, player) - game.utility_exact(b, player)
+        expected[index[a.key()], index[b.key()]] = \
+            pick * acceptance_probability(du, tau)
+    m = kernel.matrix.copy()
+    diag = np.diag(m).copy()
+    np.fill_diagonal(m, 0.0)
+    assert np.array_equal(m, expected)  # bit for bit, zeros off the moves
+    for i in range(len(diag)):
+        assert diag[i] == 1.0 - m[i].sum()
+
+
+@given(game=small_games())
+def test_resistances_are_positive_parts_of_drops(game):
+    edges = edge_resistances(game)
+    keys, res, adj = game_resistance_kernel(game)
+    index = {k: i for i, k in enumerate(keys)}
+    want_adj = np.zeros_like(adj)
+    for a, b, player in single_switches(game):
+        du = game.utility_exact(a, player) - game.utility_exact(b, player)
+        assert edges[(a.key(), b.key())] == max(0.0, du)
+        assert res[index[a.key()], index[b.key()]] == max(0.0, du)
+        want_adj[index[a.key()], index[b.key()]] = True
+    assert len(edges) == int(want_adj.sum())
+    assert np.array_equal(adj, want_adj)
+    assert np.all(np.isinf(res[~adj]))
+
+
+@given(game=small_games(), tau=st.sampled_from([0.5, 0.05, 0.005]))
+def test_brute_force_and_gibbs_are_potential_scans(game, tau):
+    profiles = enumerate_profiles(game)
+    phi = np.array([game.normalized_potential(p) for p in profiles])
+    best = float(phi.max())
+    result = brute_force_optimum(game)
+    assert result.normalized_phi_star == best
+    assert result.phi_star == best * game.phi_max
+    assert result.num_evaluated == len(profiles)
+    assert result.keys() == {p.key() for p, v in zip(profiles, phi)
+                             if best - v <= 1e-12}
+    x = phi / tau
+    x -= x.max()
+    w = np.exp(x)
+    gibbs = gibbs_distribution(game, tau)
+    assert gibbs.states == [p.key() for p in profiles]
+    assert np.array_equal(gibbs.probs, w / w.sum())
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from d2dcap.cli import main
@@ -93,6 +95,32 @@ def test_bad_config_path_is_reported(capsys):
     rc = main(["run-blla", "--config", "/nonexistent/nowhere.cfg"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_badly_typed_config_value_is_reported(tmp_path, capsys):
+    cfg_path = tmp_path / "typo.cfg"
+    cfg_path.write_text("num_ued = 2\nhorizon = 5OO\n")
+    assert main(["run-blla", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "'horizon' on line 2" in err
+
+
+def test_analyze_stationary_refuses_oversized_dense_kernel(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path / "big.cfg", num_ued=9,
+                                 num_channels=3)
+    t0 = time.perf_counter()
+    rc = main(["analyze-stationary", "--config", cfg_path])
+    assert time.perf_counter() - t0 < 1.0
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    # the largest benchmark instance, 3^6 = 729 profiles, still runs
+    cfg_path = write_tiny_config(tmp_path / "729.cfg", num_ued=6,
+                                 num_channels=3)
+    rc = main(["analyze-stationary", "--config", cfg_path,
+               "--tau-grid", "0.1,0.05"])
+    assert rc == 0
+    assert "states: 729" in capsys.readouterr().out
 
 
 def test_bad_counts_are_reported(tmp_path, capsys):

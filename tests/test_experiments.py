@@ -55,6 +55,21 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_text("just some words\n")
 
 
+def test_config_rejects_badly_typed_values():
+    with pytest.raises(ValueError, match="'horizon' on line 2"):
+        ExperimentConfig.from_text("tau = 0.1\nhorizon = 5OO\n")
+    with pytest.raises(ValueError, match="'realizations'"):
+        ExperimentConfig.from_text("realizations = 2.5\n")
+    with pytest.raises(ValueError, match="'track_optimum'"):
+        ExperimentConfig.from_text("track_optimum = 1\n")
+    with pytest.raises(ValueError, match="'horizon'"):
+        ExperimentConfig.from_text("horizon = True\n")
+    with pytest.raises(ValueError, match="'algorithm'"):
+        ExperimentConfig.from_text("algorithm = 3\n")
+    cfg = ExperimentConfig.from_text("tau = 1\nxi = 1e-4\nhorizon = 50\n")
+    assert (cfg.tau, cfg.xi, cfg.horizon) == (1, 1e-4, 50)
+
+
 def test_config_hash_tracks_content():
     a = tiny_config()
     b = tiny_config(tau=0.06)
@@ -154,11 +169,22 @@ def test_truncated_trajectory_is_an_error(monkeypatch):
 
 
 def test_per_realization_topologies():
-    cfg = tiny_config(shared_topology=False, realizations=2)
+    cfg = tiny_config(shared_topology=False, realizations=3, num_ued=3,
+                      num_channels=3)
     t0 = cfg.topology(0)
     t1 = cfg.topology(1)
     assert not np.array_equal(t0.mean_gain_matrix, t1.mean_gain_matrix)
-    run_experiment(cfg)  # distinct optima per realization must not crash
+    point = run_experiment(cfg).points[0]
+    # each realization is scored against its own topology's optimum
+    occ = []
+    for k in range(3):
+        game = cfg.game(cfg.topology(k), mode="deterministic")
+        traj = run_blla(game, cfg.schedule_obj(), None, cfg.xi, cfg.horizon,
+                        cfg.base_seed + k)
+        occ.append(traj.occupancy(expmod.analysis.brute_force_optimum(
+            game).keys()))
+    assert point.mean_occupancy == float(np.mean(occ))
+    assert point.phi_star is None and point.optimum_keys is None
 
 
 # ----------------------------------------------------------------------
