@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from d2dcap.game import (
     AssignmentProfile,
@@ -221,3 +224,131 @@ def test_monte_carlo_potential_tracks_exact():
 def test_game_mode_guard():
     with pytest.raises(ValueError):
         dense_game(mode="half-noisy")
+
+
+# ----------------------------------------------------------------------
+# the rate kernel against the scalar sinr/rate reference
+
+
+@st.composite
+def kernel_cases(draw):
+    """Random gains spanning both SINR clamps, a profile, an active player
+    and float64 fading over all links."""
+    num_links = draw(st.integers(1, 4))
+    num_uec = draw(st.integers(0, min(1, num_links - 1)))
+    num_channels = draw(st.integers(max(1, num_uec), 3))
+    exps = draw(st.lists(st.floats(-17.0, -10.0), min_size=num_links ** 2,
+                         max_size=num_links ** 2))
+    gains = (10.0 ** np.array(exps)).reshape(num_links, num_links)
+    channels = draw(st.lists(st.integers(0, num_channels - 1),
+                             min_size=num_links, max_size=num_links))
+    channels[:num_uec] = range(num_uec)
+    player = draw(st.integers(num_uec, num_links - 1))
+    fading = draw(st.lists(st.floats(0.01, 10.0), min_size=num_links ** 2,
+                           max_size=num_links ** 2))
+    game = CapGame(manual_topology(gains, num_uec=num_uec),
+                   desk_params(num_channels=num_channels), mode="noisy")
+    prof = AssignmentProfile(channels=channels,
+                             passive=[k < num_uec for k in range(num_links)])
+    fad = FadingRealization(np.array(fading).reshape(num_links, num_links))
+    return game, prof, player, fad
+
+
+@given(case=kernel_cases())
+def test_rate_kernel_matches_scalar_reference(case):
+    game, prof, player, fad = case
+    topo, params = game.topology, game.params
+    channels = np.asarray(prof.channels, dtype=np.int64)
+    members = cochannel_set(prof, int(channels[player]))
+
+    def rate_sum(chans, links, fading):
+        return sum(float(rate(sinr(topo, params, chans, ue, fading),
+                              params.bandwidth_hz)) for ue in links)
+
+    # silencing the player is, for the others, moving it to an empty channel
+    moved = channels.copy()
+    moved[player] = -1
+    with_i = rate_sum(channels, members, fad)
+    without_i = rate_sum(moved, [j for j in members if j != player], fad)
+    got = utility_sample(game, prof, player, fad)
+    assert got == pytest.approx((with_i - without_i) / game.phi_max,
+                                rel=1e-12, abs=1e-15)
+
+    unit = FadingRealization.unit(game.num_players)
+    expect = rate_sum(channels, range(game.num_players), unit)
+    assert game.potential_exact(prof) == pytest.approx(expect, rel=1e-12)
+
+
+# float32 outputs captured from the sampling pipeline; any change to the
+# random stream or to the float32 evaluation order shows here
+GOLDEN_SAMPLES = {
+    1: [0.25000001006353245, 0.25000001006353245, 0.25000001006353245, 0.25000001006353245, 0.25000001006353245],
+    2: [0.25000001006353245, 0.23985321767516837, 0.1430446240002202, 0.25000001006353245, 0.15730511276124556],
+    3: [0.19719372797893783, 0.14984795583593677, 0.1738593303091801, 0.2317714142409148, 0.16568246879369566],
+    4: [0.16310898544551086, 0.18679009661594925, 0.18313255309866697, 0.20308467539481562, 0.16156275679843463],
+}
+GOLDEN_MEANS = {
+    (1, 1): 0.25000001006353245,
+    (1, 5): 0.25000001006353245,
+    (1, 40000): 0.25000001006353245,
+    (2, 1): 0.25000001006353245,
+    (2, 5): 0.2080405949127398,
+    (2, 40000): 0.18590373162685275,
+    (3, 1): 0.24950846061012708,
+    (3, 5): 0.18367097943173302,
+    (3, 40000): 0.19120958744072897,
+    (4, 1): 0.23745148878532302,
+    (4, 5): 0.17953581347067543,
+    (4, 40000): 0.19093379382383927,
+}
+GOLDEN_POTENTIAL = {
+    1: 3244788.418661369,
+    7: 2429757.437432673,
+    40000: 2819203.0235842443,
+}
+GOLDEN_RETAINED = {
+    1: (0.2500000100635324, '0204110ea376a5f7'),
+    2: (0.18590373162685278, '87e577781b66acb4'),
+    3: (0.19120958744072897, 'cc89b7bbe35369df'),
+    4: (0.19093379382383924, '43fb956a14af5b4a'),
+}
+
+
+def golden_game():
+    return seeded_game(0, 4, 4, seed=21, mode="noisy")
+
+
+def golden_profile(m):
+    # player 1 shares its channel with m - 1 others
+    return AssignmentProfile(channels=[[0, 1, 2, 3], [0, 0, 1, 2],
+                                       [0, 0, 0, 1], [0, 0, 0, 0]][m - 1],
+                             passive=[False] * 4)
+
+
+def sfc(seed):
+    return np.random.Generator(np.random.SFC64(seed))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sampled_utilities_match_golden_values(m):
+    game, prof = golden_game(), golden_profile(m)
+    est = utility_mean(game, prof, 1, 5, sfc(100 + m), retain_samples=True)
+    assert est.samples.tolist() == GOLDEN_SAMPLES[m]
+    assert est.mean == GOLDEN_MEANS[m, 5]
+    assert utility_mean(game, prof, 1, 1, sfc(400 + m)).mean \
+        == GOLDEN_MEANS[m, 1]
+    # past one evaluation chunk, with and without retained samples
+    big = utility_mean(game, prof, 1, 40000, sfc(200 + m))
+    assert big.mean == GOLDEN_MEANS[m, 40000]
+    kept = utility_mean(game, prof, 1, 40000, sfc(200 + m),
+                        retain_samples=True)
+    digest = hashlib.sha256(kept.samples.tobytes()).hexdigest()[:16]
+    assert (kept.mean, digest) == GOLDEN_RETAINED[m]
+
+
+def test_noisy_potential_matches_golden_values():
+    game = golden_game()
+    prof = AssignmentProfile(channels=[0, 0, 0, 1], passive=[False] * 4)
+    for num_mc in (1, 7, 40000):
+        got = potential(game, prof, num_mc=num_mc, rng_seed=sfc(300 + num_mc))
+        assert got == GOLDEN_POTENTIAL[num_mc]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from d2dcap.game import CapGame, utility_mean
 from d2dcap.radio import (
     FadingRealization,
     RadioParams,
@@ -11,7 +12,6 @@ from d2dcap.radio import (
     db_to_linear,
     dbm_to_watts,
     desk_params,
-    expected_rate,
     fullscale_params,
     generate_topology,
     linear_to_db,
@@ -188,7 +188,7 @@ def test_expected_rate_matches_quadrature():
     # single link, mid-range SINR so both clamps are in play
     params = desk_params(num_channels=1)
     s = 30.0 * params.noise_power_w / params.tx_power_ue_w
-    topo = manual_topology([[s]])
+    game = CapGame(manual_topology([[s]]), params, mode="noisy")
     lo, hi = params.sinr_min, params.sinr_max
     w = params.bandwidth_hz
 
@@ -203,18 +203,17 @@ def test_expected_rate_matches_quadrature():
     tail = w * math.log2(1.0 + hi) * math.exp(-hi / 30.0)
     oracle = body + tail
     assert err < 1e-6 * oracle
-    mean, se = expected_rate(topo, params, [0], 0, num_mc=20000, rng_seed=5)
+    # a lone link's utility is its own rate over phi_max
+    est = utility_mean(game, game.initial_profile(), 0, 20000, rng_seed=5,
+                       retain_samples=True)
+    mean = est.mean * game.phi_max
+    se = est.samples.std(ddof=1) * game.phi_max / math.sqrt(20000)
     assert se > 0
     assert abs(mean - oracle) <= 4.0 * se + 1e-9 * oracle
 
 
 def test_expected_rate_deterministic_path():
     params = desk_params(num_channels=1)
-    topo = manual_topology([[1e-3]])
-    mean, se = expected_rate(topo, params, [0], 0, num_mc=1, rng_seed=0,
-                             deterministic=True)
-    assert se == 0.0
-    expect = params.bandwidth_hz * math.log2(1.0 + params.sinr_max)
-    assert mean == pytest.approx(expect, rel=1e-12)
-    with pytest.raises(ValueError):
-        expected_rate(topo, params, [0], 0, num_mc=0, rng_seed=0)
+    game = CapGame(manual_topology([[1e-3]]), params, mode="deterministic")
+    value = game.potential_exact(game.initial_profile())
+    assert value == pytest.approx(params.max_rate_per_ue, rel=1e-12)
