@@ -30,9 +30,9 @@ from .learning import (BoundedNoise, FixedTemperature, LearnerState,
                        required_samples_unbounded, run_blla, run_br,
                        unbounded_sample_calc)
 from .radio import (FadingRealization, RadioParams, Topology, db_to_linear,
-                    dbm_to_watts, desk_params, expected_rate,
-                    fullscale_params, generate_topology, linear_to_db,
-                    link_tx_powers, rate, sample_fading_block, sinr,
-                    thermal_noise_watts, watts_to_dbm)
+                    dbm_to_watts, desk_params, fullscale_params,
+                    generate_topology, linear_to_db, link_tx_powers, rate,
+                    sample_fading_block, sinr, thermal_noise_watts,
+                    watts_to_dbm)
 
 __version__ = "0.1.0"

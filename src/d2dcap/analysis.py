@@ -295,18 +295,20 @@ def gibbs_distribution(game: CapGame, tau: float) -> StationaryDistribution:
                                   probs=w / w.sum(), tau=tau, method="gibbs")
 
 
-def _in_trees(n: int, root: int):
+def _in_trees(edges: np.ndarray, root: int):
     """Yield parent maps of spanning trees directed toward ``root``.
 
-    A parent map assigns every non-root node its next hop; acyclic maps are
-    exactly the in-trees.  Enumeration is factorial, hence the state cap,
-    which raises on the first iteration.
+    A parent map assigns every non-root node its next hop along an edge of
+    the boolean matrix ``edges`` (edges[v, p]: v may hop to p); acyclic maps
+    are exactly the in-trees.  Enumeration is factorial, hence the state
+    cap, which raises on the first iteration.
     """
+    n = len(edges)
     if n > _TREE_STATE_CAP:
         raise ValueError(f"tree enumeration capped at {_TREE_STATE_CAP} "
                          f"states, got {n}")
     nodes = [v for v in range(n) if v != root]
-    choices = [[p for p in range(n) if p != v] for v in nodes]
+    choices = [[p for p in range(n) if p != v and edges[v, p]] for v in nodes]
     for combo in itertools.product(*choices):
         parent = dict(zip(nodes, combo))
         ok = True
@@ -337,7 +339,7 @@ def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
     weights = np.zeros(n)
     for root in range(n):
         total = 0.0
-        for parent in _in_trees(n, root):
+        for parent in _in_trees(p > 0, root):
             prod = 1.0
             for v, pa in parent.items():
                 prod *= p[v, pa]
@@ -441,9 +443,7 @@ def min_resistance_tree_check(resistances: np.ndarray,
     best = math.inf
     min_trees = []  # (root, parent map)
     for root in range(n):
-        for parent in _in_trees(n, root):
-            if not all(adj[v, pa] for v, pa in parent.items()):
-                continue
+        for parent in _in_trees(adj, root):
             total = sum(res[v, pa] for v, pa in parent.items())
             if total < best - 1e-12:
                 best = total

@@ -44,10 +44,6 @@ _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
 
-# value types a config field of each declared type accepts
-_ACCEPTED_TYPES = {int: (int,), float: (int, float), bool: (bool,),
-                   str: (str,)}
-
 
 @dataclass
 class ExperimentConfig:
@@ -92,6 +88,8 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            _check_type(f.name, getattr(self, f.name))
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.schedule not in _SCHEDULES:
@@ -156,7 +154,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
-        known = typing.get_type_hints(cls)
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -166,18 +163,13 @@ class ExperimentConfig:
                 raise ValueError(f"config line {lineno} is not key = value: "
                                  f"{raw!r}")
             key, value = (s.strip() for s in line.split("=", 1))
-            if key not in known:
+            if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r} on line {lineno}")
             try:
                 parsed = ast.literal_eval(value)
             except (ValueError, SyntaxError):
                 parsed = value  # bare string
-            want = known[key]
-            # bool is an int subclass, but only bool fields take True/False
-            if not isinstance(parsed, _ACCEPTED_TYPES[want]) \
-                    or (isinstance(parsed, bool) and want is not bool):
-                raise ValueError(f"config key {key!r} on line {lineno} "
-                                 f"expects {want.__name__}, got {value!r}")
+            _check_type(key, parsed, f" on line {lineno}")
             kwargs[key] = parsed
         return cls(**kwargs)
 
@@ -194,6 +186,22 @@ class ExperimentConfig:
         """Stable short digest of the full configuration."""
         canon = "\n".join(sorted(self.to_text().splitlines()))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
+
+
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+# value types a config field of each declared type accepts
+_ACCEPTED_TYPES = {int: (int,), float: (int, float), bool: (bool,),
+                   str: (str,)}
+
+
+def _check_type(key: str, value, where: str = "") -> None:
+    """Raise ValueError unless ``value`` suits config field ``key``."""
+    want = _FIELD_TYPES[key]
+    # bool is an int subclass, but only bool fields take True/False
+    if not isinstance(value, _ACCEPTED_TYPES[want]) \
+            or (isinstance(value, bool) and want is not bool):
+        raise ValueError(f"config key {key!r}{where} expects "
+                         f"{want.__name__}, got {value!r}")
 
 
 # ----------------------------------------------------------------------

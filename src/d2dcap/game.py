@@ -12,6 +12,9 @@ coefficients are frozen to 1 and utilities are exact (float64); this is the
 regime the exact analysis tools operate in.  In ``noisy`` mode utilities are
 sample means over freshly drawn Rayleigh fading; the sampling pipeline runs
 in float32 for throughput, which is far below the estimation noise floor.
+Both modes, utilities and potentials alike, go through one clamped
+SINR -> rate kernel over a fading block: a unit float64 block in
+deterministic mode, float32 draws in noisy mode.
 """
 
 from __future__ import annotations
@@ -35,7 +38,13 @@ __all__ = [
     "verify_potential_identity",
 ]
 
-_LN2 = math.log(2.0)
+# samples per kernel pass, which keeps the kernel's temporaries small; the
+# whole block is still drawn at once, so the random stream does not depend
+# on it.  OpenBLAS (0.3.31) sums a matrix-vector product over more than
+# 16,384 samples in another float32 order than over fewer, so a last pass of
+# half a chunk or less joins the one before: every pass then sums in the
+# order one pass over the whole block would.
+_CHUNK = 32768
 
 
 @dataclass(frozen=True)
@@ -119,14 +128,13 @@ class CapGame:
         powers = link_tx_powers(topology, params)
         self._recv_power = powers[:, None] * topology.mean_gain_matrix \
             if self.num_players else np.zeros((0, 0))
-        self._recv_power32 = self._recv_power.astype(np.float32)
-        self._noise_w = params.noise_power_w
+        self._noise_w = float(params.noise_power_w)
         self._lo = params.sinr_min
         self._hi = params.sinr_max
         # Certified upper bound on any profile's sum rate, bits/s.
         self.phi_max = self.num_players * params.max_rate_per_ue
         # bits/s per unit of natural-log rate sum.
-        self._bits_scale = params.bandwidth_hz / _LN2
+        self._bits_scale = params.bandwidth_hz / math.log(2.0)
         self._util_scale = self._bits_scale / self.phi_max \
             if self.num_players else 0.0
 
@@ -146,40 +154,74 @@ class CapGame:
         return AssignmentProfile(channels=ch, passive=self.passive_mask)
 
     # ------------------------------------------------------------------
-    # exact (frozen-fading) evaluation, float64
+    # the SINR -> rate kernel
 
-    def _channel_rate_list(self, members: np.ndarray,
-                           silenced: int | None = None) -> np.ndarray:
-        """Exact bits/s rates of the member links of one channel.
+    def _rate_kernel(self, members: np.ndarray, f: np.ndarray,
+                     player: int | None = None) -> np.ndarray:
+        """Per-sample natural-log rate sum of one channel's members.
 
-        ``silenced`` removes that link's transmit power from the
-        interference sums (its own rate is not reported).
+        ``f`` is an (m, m, n) fading block: entry [k, j, :] multiplies the
+        mean gain from member k's transmitter to member j's receiver.  With
+        ``player``, returns that member's marginal contribution instead:
+        the rate sum with it transmitting minus the sum over the others with
+        it silenced, the two terms of each receiver adjacent in the running
+        sum.  Arithmetic follows the block's dtype; a unit float64 block
+        gives the exact frozen-fading values.
         """
         m = len(members)
-        if m == 0:
-            return np.zeros(0)
-        w = self._recv_power[np.ix_(members, members)]
-        sig = np.diag(w).copy()
-        wz = w.copy()
-        np.fill_diagonal(wz, 0.0)
-        if silenced is not None:
-            pos = int(np.nonzero(members == silenced)[0][0])
-            wz[pos, :] = 0.0
-            sig[pos] = 0.0  # silenced link reports no rate
-        q = sig / (wz.sum(axis=0) + self._noise_w)
-        np.clip(q, self._lo, self._hi, out=q)
-        rates = self.params.bandwidth_hz * np.log2(1.0 + q)
-        if silenced is not None:
-            rates[pos] = 0.0
-        return rates
+        dtype = f.dtype
+        w = self._recv_power[members[:, None], members].astype(dtype)
+        signal = w.diagonal().copy()[:, None]
+        np.fill_diagonal(w, 0.0)  # w[k, j]: interference weight, k -> j
+        if player is None or m == 1:  # a lone member contributes just its rate
+            stack, rows, rx, sign = w[None], slice(None), np.arange(m), None
+        else:
+            pos = int(np.searchsorted(members, player))
+            silenced = w.copy()
+            silenced[pos, :] = 0.0
+            stack = np.array((w, silenced))
+            # per receiver: its rate with the player, then (except for the
+            # player itself) minus its rate with the player silenced
+            rows = sorted([*range(m), *(m + j for j in range(m) if j != pos)],
+                          key=lambda r: r % m)
+            rx = np.array([r % m for r in rows])
+            sign = np.where(np.array(rows) < m, 1, -1).astype(dtype)[:, None]
+        # receiver-major view; BLAS gets each receiver's weights as a strided
+        # column, whose float32 sums differ from those of a contiguous copy
+        weights = stack.transpose(0, 2, 1)[:, :, None, :]
+
+        n = f.shape[2]
+        out = np.empty(n, dtype=dtype)
+        starts = range(0, max(n - _CHUNK // 2, 1), _CHUNK)
+        for start, stop in zip(starts, [*starts[1:], n]):
+            fc = f[:, :, start:stop]
+            q = np.matmul(weights, fc.transpose(1, 0, 2))
+            q = q.reshape(-1, stop - start)[rows]
+            q += self._noise_w  # python scalars act in the block's dtype
+            np.divide(signal[rx] * fc[rx, rx], q, out=q)
+            np.clip(q, self._lo, self._hi, out=q)
+            np.log1p(q, out=q)
+            if sign is not None:
+                q *= sign
+            # rows add up in order: row by row across samples; a single
+            # sample needs accumulate, since sum pairs up long columns
+            if stop - start == 1:
+                out[start:stop] = np.add.accumulate(q)[-1]
+            else:
+                q.sum(axis=0, out=out[start:stop])
+        return out
+
+    # ------------------------------------------------------------------
+    # exact (frozen-fading) evaluation, float64
 
     def potential_exact(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate over all links, bits/s."""
         total = 0.0
         for c in np.unique(profile.channels):
             members = np.nonzero(profile.channels == c)[0]
-            total += float(self._channel_rate_list(members).sum())
-        return total
+            unit = np.ones((len(members), len(members), 1))
+            total += float(self._rate_kernel(members, unit)[0])
+        return total * self._bits_scale
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate divided by the phi_max bound, in [0, 1]."""
@@ -190,94 +232,9 @@ class CapGame:
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:
         """Exact normalized marginal-contribution utility (deterministic)."""
         members = cochannel_set(profile, int(profile.channels[player]))
-        with_i = self._channel_rate_list(members).sum()
-        without_i = self._channel_rate_list(members, silenced=player).sum()
-        return float((with_i - without_i) / self.phi_max)
-
-    # ------------------------------------------------------------------
-    # sampled evaluation (Rayleigh fading), float32 pipeline
-
-    def _utility_acc(self, members: np.ndarray, player: int,
-                     f: np.ndarray) -> np.ndarray:
-        """Per-sample rate-sum differences (natural-log units, unscaled).
-
-        ``f`` has shape (m, m, n); entry [k, j, :] multiplies the mean gain
-        from member k's transmitter to member j's receiver.  Arithmetic
-        follows the block's dtype.
-        """
-        m = len(members)
-        n = f.shape[2]
-        dtype = f.dtype
-        w = self._recv_power[np.ix_(members, members)].astype(dtype)
-        wz = w.copy()
-        np.fill_diagonal(wz, 0.0)
-        i_pos = int(np.nonzero(members == player)[0][0])
-        wz_wo = wz.copy()
-        wz_wo[i_pos, :] = 0.0  # interference sums with the player silenced
-        p0 = dtype.type(self._noise_w)
-        lo = dtype.type(self._lo)
-        hi = dtype.type(self._hi)
-
-        acc = np.zeros(n, dtype=dtype)
-        for j in range(m):
-            fj = f[:, j, :]                      # (m, n)
-            sig = w[j, j] * fj[j]
-            q = sig / (wz[:, j] @ fj + p0)
-            np.clip(q, lo, hi, out=q)
-            np.log1p(q, out=q)
-            acc += q
-            if j != i_pos:
-                q2 = sig / (wz_wo[:, j] @ fj + p0)
-                np.clip(q2, lo, hi, out=q2)
-                np.log1p(q2, out=q2)
-                acc -= q2
-        return acc
-
-    def _sampled_utilities(self, members: np.ndarray, player: int,
-                           fading_block: np.ndarray) -> np.ndarray:
-        """Per-sample utilities for ``player`` within its co-channel set."""
-        f = np.asarray(fading_block)
-        one = f.ndim == 2
-        if one:
-            f = f[:, :, None]
-        out = self._utility_acc(members, player, f).astype(np.float64) \
+        unit = np.ones((len(members), len(members), 1))
+        return float(self._rate_kernel(members, unit, player)[0]) \
             * self._util_scale
-        return out[0] if one else out
-
-    def _sampled_utility_mean(self, members: np.ndarray, player: int,
-                              n_samples: int, rng: np.random.Generator,
-                              retain: bool = False):
-        """Draw fresh fading and return (mean, samples or None)."""
-        m = len(members)
-        block = sample_fading_block(rng, (m, m, n_samples), np.float32)
-        if retain:
-            samples = self._sampled_utilities(members, player, block)
-            return float(samples.mean()), samples
-        acc = self._utility_acc(members, player, block)
-        mean = float(acc.sum(dtype=np.float64)) / n_samples * self._util_scale
-        return mean, None
-
-    def _sampled_channel_rate_sums(self, members: np.ndarray,
-                                   fading_block: np.ndarray) -> np.ndarray:
-        """Per-sample natural-log rate sums of one channel's members."""
-        m = len(members)
-        f = fading_block
-        n = f.shape[2]
-        dtype = f.dtype
-        w = self._recv_power[np.ix_(members, members)].astype(dtype)
-        wz = w.copy()
-        np.fill_diagonal(wz, 0.0)
-        p0 = dtype.type(self._noise_w)
-        lo = dtype.type(self._lo)
-        hi = dtype.type(self._hi)
-        acc = np.zeros(n, dtype=dtype)
-        for j in range(m):
-            fj = f[:, j, :]
-            q = (w[j, j] * fj[j]) / (wz[:, j] @ fj + p0)
-            np.clip(q, lo, hi, out=q)
-            np.log1p(q, out=q)
-            acc += q
-        return acc
 
 
 # ----------------------------------------------------------------------
@@ -301,7 +258,8 @@ def utility_sample(game: CapGame, profile: AssignmentProfile, player: int,
         raise ValueError("utility is defined for active players only")
     members = cochannel_set(profile, int(profile.channels[player]))
     block = np.asarray(fading.coefficients)[np.ix_(members, members)]
-    return float(game._sampled_utilities(members, player, block))
+    acc = game._rate_kernel(members, block[:, :, None], player)
+    return float(acc.astype(np.float64)[0] * game._util_scale)
 
 
 def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
@@ -320,12 +278,17 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
         value = game.utility_exact(profile, player)
         samples = np.full(n_samples, value) if retain_samples else None
         return UtilityEstimate(mean=value, n_samples=n_samples, samples=samples)
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through
     members = cochannel_set(profile, int(profile.channels[player]))
-    mean, samples = game._sampled_utility_mean(members, player, n_samples,
-                                               rng, retain=retain_samples)
-    return UtilityEstimate(mean=mean, n_samples=n_samples, samples=samples)
+    m = len(members)
+    block = sample_fading_block(rng, (m, m, n_samples), np.float32)
+    acc = game._rate_kernel(members, block, player)
+    if retain_samples:
+        samples = acc.astype(np.float64) * game._util_scale
+        return UtilityEstimate(mean=float(samples.mean()),
+                               n_samples=n_samples, samples=samples)
+    mean = float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
+    return UtilityEstimate(mean=mean, n_samples=n_samples)
 
 
 def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
@@ -339,14 +302,13 @@ def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
         return game.potential_exact(profile)
     if num_mc < 1:
         raise ValueError("num_mc must be >= 1")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through
     total = np.zeros(num_mc, dtype=np.float64)
     for c in np.unique(profile.channels):
         members = np.nonzero(profile.channels == c)[0]
         block = sample_fading_block(rng, (len(members), len(members), num_mc),
                                     np.float32)
-        total += game._sampled_channel_rate_sums(members, block)
+        total += game._rate_kernel(members, block)
     return float(total.mean() * game._bits_scale)
 
 

@@ -15,6 +15,7 @@ trajectory records make visible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -176,8 +177,11 @@ def unbounded_sample_calc(tau: float, xi: float,
                                numerator=numerator, denominator=denominator)
 
 
+@functools.lru_cache(maxsize=256)
 def required_samples_unbounded(tau: float, xi: float,
                                noise: UnboundedMgfNoise) -> int:
+    """Sample count for MGF-specified noise, memoized: a fixed schedule asks
+    for it every slot, and each computation runs a scalar minimization."""
     return unbounded_sample_calc(tau, xi, noise).n
 
 

@@ -30,7 +30,6 @@ __all__ = [
     "link_tx_powers",
     "sinr",
     "rate",
-    "expected_rate",
 ]
 
 # Reference distance floor for the path-loss law, meters.
@@ -245,11 +244,6 @@ class FadingRealization:
         object.__setattr__(self, "coefficients", arr)
 
     @classmethod
-    def draw(cls, num_links: int, rng: np.random.Generator,
-             dtype=np.float64) -> "FadingRealization":
-        return cls(sample_fading_block(rng, (num_links, num_links), dtype))
-
-    @classmethod
     def unit(cls, num_links: int) -> "FadingRealization":
         return cls(np.ones((num_links, num_links)))
 
@@ -339,20 +333,16 @@ def link_tx_powers(topology: Topology, params: RadioParams) -> np.ndarray:
     return p
 
 
-def _channels_of(profile) -> np.ndarray:
-    channels = getattr(profile, "channels", profile)
-    return np.asarray(channels, dtype=np.int64)
-
-
 def sinr(topology: Topology, params: RadioParams, profile, ue: int,
          fading: FadingRealization) -> float:
     """Linear SINR at the receiver of link ``ue`` under the given fading.
 
     Signal power over co-channel interference plus noise, with gains equal
     to mean gain times the fading coefficient, clamped into the configured
-    [sinr_min, sinr_max] interval (linear scale).
+    [sinr_min, sinr_max] interval (linear scale).  With ``rate`` this is the
+    scalar float64 reference for the game's vectorized rate kernel.
     """
-    channels = _channels_of(profile)
+    channels = np.asarray(getattr(profile, "channels", profile), dtype=np.int64)
     g = topology.mean_gain_matrix * np.asarray(fading.coefficients, dtype=float)
     p = link_tx_powers(topology, params)
     members = np.nonzero(channels == channels[ue])[0]
@@ -365,29 +355,3 @@ def sinr(topology: Topology, params: RadioParams, profile, ue: int,
 def rate(sinr_linear, bandwidth_hz):
     """Shannon rate W * log2(1 + SINR), bits/s."""
     return bandwidth_hz * np.log2(1.0 + np.asarray(sinr_linear, dtype=float))
-
-
-def expected_rate(topology: Topology, params: RadioParams, profile, ue: int,
-                  num_mc: int, rng_seed, deterministic: bool = False):
-    """Monte Carlo expected rate of link ``ue`` over fading, bits/s.
-
-    Returns ``(mean, standard_error)``.  With ``deterministic=True`` the
-    fading is frozen to 1 and the single-sample rate is returned with zero
-    standard error.
-    """
-    if num_mc < 1:
-        raise ValueError("num_mc must be >= 1")
-    if deterministic:
-        value = rate(sinr(topology, params, profile, ue,
-                          FadingRealization.unit(topology.num_links)),
-                     params.bandwidth_hz)
-        return float(value), 0.0
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
-    samples = np.empty(num_mc)
-    for k in range(num_mc):
-        fad = FadingRealization.draw(topology.num_links, rng)
-        samples[k] = rate(sinr(topology, params, profile, ue, fad),
-                          params.bandwidth_hz)
-    se = samples.std(ddof=1) / math.sqrt(num_mc) if num_mc > 1 else 0.0
-    return float(samples.mean()), float(se)

@@ -328,8 +328,13 @@ def test_tree_state_cap():
 
 def test_in_tree_enumeration_count():
     # rooted spanning in-trees of the complete digraph: n^(n-2) per root
-    assert sum(1 for _ in _in_trees(4, 0)) == 16
-    assert sum(1 for _ in _in_trees(3, 2)) == 3
+    assert sum(1 for _ in _in_trees(np.ones((4, 4), bool), 0)) == 16
+    assert sum(1 for _ in _in_trees(np.ones((3, 3), bool), 2)) == 3
+    # only real edges are followed: the 3-cube has 384 spanning trees
+    cube = np.array([[bin(a ^ b).count("1") == 1 for b in range(8)]
+                     for a in range(8)])
+    for root in range(8):
+        assert sum(1 for _ in _in_trees(cube, root)) == 384
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_config_rejects_badly_typed_values():
     assert (cfg.tau, cfg.xi, cfg.horizon) == (1, 1e-4, 50)
 
 
+def test_config_built_in_code_is_type_checked():
+    with pytest.raises(ValueError, match="'horizon' expects int"):
+        ExperimentConfig(horizon="5").validate()
+    with pytest.raises(ValueError, match="'shared_topology'"):
+        ExperimentConfig(shared_topology=1).validate()
+    with pytest.raises(ValueError, match="'tau'"):
+        run_experiment(ExperimentConfig(tau="0.1", realizations=1))
+    ExperimentConfig(tau=1, noise_width=2).validate()
+
+
 def test_config_hash_tracks_content():
     a = tiny_config()
     b = tiny_config(tau=0.06)

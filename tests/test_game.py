@@ -282,30 +282,47 @@ def test_rate_kernel_matches_scalar_reference(case):
 # float32 outputs captured from the sampling pipeline; any change to the
 # random stream or to the float32 evaluation order shows here
 GOLDEN_SAMPLES = {
-    1: [0.25000001006353245, 0.25000001006353245, 0.25000001006353245, 0.25000001006353245, 0.25000001006353245],
-    2: [0.25000001006353245, 0.23985321767516837, 0.1430446240002202, 0.25000001006353245, 0.15730511276124556],
-    3: [0.19719372797893783, 0.14984795583593677, 0.1738593303091801, 0.2317714142409148, 0.16568246879369566],
-    4: [0.16310898544551086, 0.18679009661594925, 0.18313255309866697, 0.20308467539481562, 0.16156275679843463],
+    1: [0.25000001006353245, 0.25000001006353245,
+        0.25000001006353245, 0.25000001006353245,
+        0.25000001006353245],
+    2: [0.25000001006353245, 0.23985321767516837,
+        0.1430446240002202, 0.25000001006353245,
+        0.15730511276124556],
+    3: [0.19719372797893783, 0.14984795583593677,
+        0.1738593303091801, 0.2317714142409148,
+        0.16568246879369566],
+    4: [0.16310898544551086, 0.18679009661594925,
+        0.18313255309866697, 0.20308467539481562,
+        0.16156275679843463],
 }
 GOLDEN_MEANS = {
     (1, 1): 0.25000001006353245,
     (1, 5): 0.25000001006353245,
     (1, 40000): 0.25000001006353245,
+    (1, 65537): 0.25000001006353245,
     (2, 1): 0.25000001006353245,
     (2, 5): 0.2080405949127398,
     (2, 40000): 0.18590373162685275,
+    (2, 65537): 0.18574258468097038,
     (3, 1): 0.24950846061012708,
     (3, 5): 0.18367097943173302,
     (3, 40000): 0.19120958744072897,
+    (3, 65537): 0.191289253481363,
     (4, 1): 0.23745148878532302,
     (4, 5): 0.17953581347067543,
     (4, 40000): 0.19093379382383927,
+    (4, 65537): 0.1906126155291029,
 }
 GOLDEN_POTENTIAL = {
     1: 3244788.418661369,
     7: 2429757.437432673,
     40000: 2819203.0235842443,
 }
+# single samples of a six-member channel: eleven rate terms in one sum
+GOLDEN_SINGLE = [-0.08504208084640098, -0.08213127661450444,
+                 -0.12441632097727191, -0.027455226584355077,
+                 -0.02072089262803996, -0.0738670929960109,
+                 -0.08747990347184502, -0.09851052387594338]
 GOLDEN_RETAINED = {
     1: (0.2500000100635324, '0204110ea376a5f7'),
     2: (0.18590373162685278, '87e577781b66acb4'),
@@ -344,6 +361,17 @@ def test_sampled_utilities_match_golden_values(m):
                         retain_samples=True)
     digest = hashlib.sha256(kept.samples.tobytes()).hexdigest()[:16]
     assert (kept.mean, digest) == GOLDEN_RETAINED[m]
+    # two kernel passes
+    assert utility_mean(game, prof, 1, 65537, sfc(500 + m)).mean \
+        == GOLDEN_MEANS[m, 65537]
+
+
+def test_single_sample_utilities_match_golden_values():
+    game = seeded_game(0, 6, 1, seed=21, mode="noisy")
+    prof = game.initial_profile()
+    got = [utility_mean(game, prof, 2, 1, sfc(600 + s)).mean
+           for s in range(8)]
+    assert got == GOLDEN_SINGLE
 
 
 def test_noisy_potential_matches_golden_values():

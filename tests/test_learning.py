@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
+import d2dcap.learning as learning_module
 from d2dcap.game import AssignmentProfile
 from d2dcap.learning import (
     BoundedNoise,
@@ -167,6 +169,24 @@ def test_sample_count_recomputed_each_slot():
         assert traj.tau[k] == sch.tau_at(t)
         assert traj.n_samples[k] == required_samples_bounded(
             sch.tau_at(t), 1e-5, 1.0)
+
+
+def test_gaussian_sample_count_is_computed_once_per_temperature(
+        monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return minimize_scalar(*args, **kwargs)
+
+    monkeypatch.setattr(learning_module, "minimize_scalar", counting)
+    game = seeded_game(0, 2, 2, seed=25, mode="noisy")
+    noise = UnboundedMgfNoise.gaussian(sigma=0.05)
+    traj = run_blla(game, FixedTemperature(0.5), noise, 0.1, horizon=50,
+                    rng_seed=4)
+    assert len(calls) == 1
+    assert np.all(traj.n_samples == required_samples_unbounded(0.5, 0.1,
+                                                               noise))
 
 
 def test_better_response_is_monotone_in_deterministic_mode():
