@@ -29,7 +29,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import AssignmentProfile, CapGame
-from .learning import acceptance_probability
 
 __all__ = [
     "enumerate_profiles",
@@ -61,6 +60,12 @@ __all__ = [
 _SPACE_GUARD = 10 ** 6
 _DENSE_GUARD = 4096  # an n x n float64 kernel at this size is 128 MiB
 _TREE_STATE_CAP = 8
+# states per block of stationary_direct's elimination
+_GTH_BLOCK = 32
+# OpenBLAS 0.3 runs a dgemm of M*N*K <= 2**18 on one thread (65536 times
+# its default GEMM_MULTITHREAD_THRESHOLD of 4), so its bits do not depend
+# on OPENBLAS_NUM_THREADS
+_GTH_PANEL_MNK = 2 ** 18
 
 
 # ----------------------------------------------------------------------
@@ -207,8 +212,8 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     pick = 1.0 / (n_active * game.num_channels)
     keys, frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
-    mat[frm, to] = [pick * acceptance_probability(d, tau)
-                    for d in drop.tolist()]
+    # learning.acceptance_probability, elementwise and to the bit
+    mat[frm, to] = pick * np.exp(-np.logaddexp(0.0, drop / tau))
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
     return TransitionKernel(states=list(keys), matrix=mat, tau=tau)
 
@@ -241,11 +246,24 @@ class StationaryDistribution:
 def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
     """Solve pi P = pi, sum(pi) = 1 by direct elimination.
 
-    Uses state-by-state elimination in the Grassmann-Taksar-Heyman form:
-    every update adds nonnegative quantities, so the result keeps full
-    entrywise relative accuracy even when the chain mixes slowly.  Raises
-    when transition probabilities have decayed below unit roundoff (very
-    small tau); the Gibbs form or the tree method handle those chains.
+    Uses elimination in the Grassmann-Taksar-Heyman form: every update adds
+    nonnegative quantities, so the result keeps full entrywise relative
+    accuracy even when the chain mixes slowly.  Raises when transition
+    probabilities have decayed below unit roundoff (very small tau); the
+    Gibbs form or the tree method handle those chains.
+
+    The elimination is blocked.  States leave from the end in blocks of
+    ``_GTH_BLOCK``; each one is eliminated as in the state-by-state form,
+    but its rank-1 update reaches only the block's own rows and, above
+    them, the block's columns.  The leading ``a[:k0, :k0]`` receives the
+    whole block's updates at once, as one matrix product of nonnegative
+    factors, so every update still only adds.  That product runs in row
+    panels of at most ``_GTH_PANEL_MNK`` multiply-adds (single rows past
+    about 8,200 states, where even one row exceeds it), the size up to which
+    OpenBLAS keeps a product on one thread; larger products are split across
+    threads and their sums, hence the last bits of pi, would depend on the
+    BLAS thread count.  Chains of at most ``_GTH_BLOCK + 1`` states give the
+    same bits as the state-by-state form.
     """
     n = kernel.num_states
     off = kernel.matrix[~np.eye(n, dtype=bool)]
@@ -258,13 +276,21 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
                          "roundoff (tau too small?); use stationary_tree "
                          "or the Gibbs form")
     a = kernel.matrix.astype(np.float64, copy=True)
-    for k in range(n - 1, 0, -1):
-        s = float(a[k, :k].sum())
-        if s <= 0.0:
-            raise ValueError("reducible chain: eliminated state has no "
-                             "path back; use stationary_tree")
-        a[:k, k] /= s
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    for k1 in range(n, 1, -_GTH_BLOCK):
+        k0 = max(k1 - _GTH_BLOCK, 1)  # this block eliminates k1 - 1 .. k0
+        for k in range(k1 - 1, k0 - 1, -1):
+            s = float(a[k, :k].sum())
+            if s <= 0.0:
+                raise ValueError("reducible chain: eliminated state has no "
+                                 "path back; use stationary_tree")
+            a[:k, k] /= s
+            a[k0:k, :k] += np.outer(a[k0:k, k], a[k, :k])
+            a[:k0, k0:k] += np.outer(a[:k0, k], a[k, k0:k])
+        if k0 == 1:
+            break  # a[0, 0] is never read
+        rows = max(1, _GTH_PANEL_MNK // (k0 * _GTH_BLOCK))
+        for r in range(0, k0, rows):
+            a[r:r + rows, :k0] += a[r:r + rows, k0:k1] @ a[k0:k1, :k0]
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):

@@ -183,8 +183,10 @@ class ExperimentConfig:
             return cls.from_text(fh.read())
 
     def config_hash(self) -> str:
-        """Stable short digest of the full configuration."""
-        canon = "\n".join(sorted(self.to_text().splitlines()))
+        """Stable short digest of the configuration.  ``out_dir`` is left
+        out: one config written to two directories stamps one hash."""
+        canon = "\n".join(sorted(line for line in self.to_text().splitlines()
+                                  if not line.startswith("out_dir ")))
         return hashlib.sha256(canon.encode()).hexdigest()[:16]
 
 

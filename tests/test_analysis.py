@@ -1,5 +1,8 @@
 import gc
 import math
+import os
+import subprocess
+import sys
 import warnings
 import weakref
 
@@ -8,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import d2dcap
 import d2dcap.analysis as analysis_module
 from d2dcap.analysis import (
     ResistanceExpr,
@@ -64,6 +68,40 @@ def random_chain(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(n) * 2.0, size=n)
     return TransitionKernel(states=list(range(n)), matrix=m, tau=None)
+
+
+@st.composite
+def sparse_chains(draw):
+    """Irreducible sparse chains: a ring through all states plus random
+    edges, every edge probability log-uniform in [1e-14, 1 / (degree + 1)],
+    the diagonal taking the rest of the row."""
+    n = draw(st.sampled_from([2, 7, 32, 33, 34, 65, 97, 140, 300])
+             | st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    edges = rng.random((n, n)) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+    edges[np.arange(n), (np.arange(n) + 1) % n] = True
+    np.fill_diagonal(edges, False)
+    top = np.log10(1.0 / (edges.sum(axis=1, keepdims=True) + 1.0))
+    m = np.where(edges, 10.0 ** rng.uniform(-14.0, top, (n, n)), 0.0)
+    np.fill_diagonal(m, 1.0 - m.sum(axis=1))
+    return TransitionKernel(states=list(range(n)), matrix=m)
+
+
+def state_by_state_gth(matrix):
+    """The unblocked Grassmann-Taksar-Heyman elimination: one rank-1
+    update of the whole leading block per eliminated state."""
+    n = len(matrix)
+    a = matrix.astype(np.float64, copy=True)
+    for k in range(n - 1, 0, -1):
+        s = float(a[k, :k].sum())
+        assert s > 0.0
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 # ----------------------------------------------------------------------
@@ -281,6 +319,59 @@ def test_direct_solve_refuses_frozen_chains():
     # the Gibbs form still answers there
     pg = gibbs_distribution(game, 0.01)
     assert pg.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+@given(kernel=sparse_chains())
+def test_blocked_direct_solve_matches_state_by_state(kernel):
+    got = stationary_direct(kernel).probs
+    want = state_by_state_gth(kernel.matrix)
+    if kernel.num_states <= 33:  # one block: same arithmetic, same bits
+        assert np.array_equal(got, want)
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-12
+
+
+def test_direct_solve_refuses_reducible_chain_in_a_later_block():
+    # states 40..99 form a closed class: eliminating state 40, in the second
+    # block of 32, finds no path back to 0..39
+    m = random_chain(100, 4).matrix
+    m[40:, :40] = 0.0
+    m /= m.sum(axis=1, keepdims=True)
+    with pytest.raises(ValueError, match="reducible"):
+        stationary_direct(TransitionKernel(states=list(range(100)), matrix=m))
+
+
+def test_direct_solve_refuses_sub_roundoff_chain():
+    m = random_chain(100, 5).matrix
+    m[70, 70] += m[70, 3] - 1e-16
+    m[70, 3] = 1e-16
+    with pytest.raises(ValueError, match="below unit roundoff"):
+        stationary_direct(TransitionKernel(states=list(range(100)), matrix=m))
+
+
+_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from d2dcap.analysis import TransitionKernel, stationary_direct
+m = np.random.default_rng(7).random((601, 601))
+m /= m.sum(axis=1, keepdims=True)
+pi = stationary_direct(TransitionKernel(states=list(range(601)), matrix=m))
+print(hashlib.sha256(pi.probs.tobytes()).hexdigest())
+"""
+
+
+def test_direct_solve_bits_do_not_depend_on_blas_threads():
+    # 601 states: the larger deferred products are split into panels, one
+    # of them down to a single row
+    src = os.path.dirname(os.path.dirname(d2dcap.__file__))
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _DIGEST_SCRIPT], env=env,
+                             capture_output=True, text=True, timeout=120,
+                             check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_gibbs_two_point_ratio():

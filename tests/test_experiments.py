@@ -132,6 +132,21 @@ def test_experiment_is_reproducible_byte_for_byte(tmp_path):
     assert first == second
 
 
+def test_output_directory_stays_out_of_the_tables(tmp_path):
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    results = [run_experiment(tiny_config(out_dir=str(d))) for d in dirs]
+    assert results[0].config_hash == results[1].config_hash
+    first, second = ({p.name: p.read_bytes() for p in d.iterdir()}
+                     for d in dirs)
+    assert first.keys() == second.keys()
+    for name in first.keys() - {"config.txt"}:
+        assert first[name] == second[name], name
+    lines = [f["config.txt"].decode().splitlines() for f in (first, second)]
+    assert len(lines[0]) == len(lines[1])
+    differing = [x for x, y in zip(*lines) if x != y]
+    assert [x.split(" = ")[0] for x in differing] == ["out_dir"]
+
+
 def test_output_files_and_provenance(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path))
     result = run_experiment(cfg)
