@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import hashlib
+import logging
 import math
 import os
+import time
 import typing
 from dataclasses import dataclass, replace
 
@@ -43,6 +46,8 @@ _SCHEDULES = ("fixed", "log_decreasing")
 _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -277,44 +282,103 @@ def _run_one(config: ExperimentConfig, topology: Topology,
     return run_br(game, config.br_samples, config.horizon, seed)
 
 
-def _point_result(config: ExperimentConfig, param: str = "",
-                  value=None) -> PointResult:
+class _Record(typing.NamedTuple):
+    """What the aggregate keeps of one realization."""
+
+    sum_rate: np.ndarray       # (T,) per-slot sum rate
+    final_window_mean: float
+    final_channels: np.ndarray  # (L,) channel vector after the last slot
+    occupancy: float | None    # of the optimal set, if tracked
+    wall_s: float
+
+
+def _realization(config: ExperimentConfig, topology: Topology | None,
+                 optimum_keys, k: int) -> _Record:
+    """Run realization ``k``.  ``topology`` None draws the realization's
+    own layout, and with ``optimum_keys`` None a tracked optimum is that
+    layout's brute-force optimum."""
+    t0 = time.perf_counter()
+    topo = topology if topology is not None else config.topology(k)
+    seed = config.base_seed + k
+    traj = _run_one(config, topo, seed)
+    if traj.horizon != config.horizon:
+        raise RuntimeError(f"realization {k} (seed {seed}) returned "
+                           f"{traj.horizon} slots, expected {config.horizon}")
+    occupancy = None
+    if config.track_optimum:
+        keys = optimum_keys if optimum_keys is not None else \
+            analysis.brute_force_optimum(
+                config.game(topo, mode="deterministic")).keys()
+        occupancy = traj.occupancy(keys)
+    return _Record(traj.sum_rate, traj.final_window_mean_sum_rate(),
+                   traj.profiles[-1], occupancy, time.perf_counter() - t0)
+
+
+def _pool_size(jobs: int | None, realizations: int) -> int:
+    """Worker count: ``jobs``, by default the usable CPUs, capped at the
+    realization count; 1 where the platform cannot fork."""
+    if jobs is None:
+        try:
+            jobs = len(os.sched_getaffinity(0))
+        except AttributeError:  # no affinity call on this platform
+            jobs = os.cpu_count() or 1
+    elif jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    return min(jobs, realizations) if hasattr(os, "fork") else 1
+
+
+def _map_in_order(fn, n: int, jobs: int):
+    """Yield ``fn(0), ..., fn(n - 1)`` in index order; with ``jobs`` > 1
+    the calls run in a pool of forked workers, which see this process's
+    modules as they are.  A worker that dies raises BrokenProcessPool
+    here, where a ``multiprocessing.Pool`` would wait for it forever."""
+    if jobs == 1:
+        yield from map(fn, range(n))
+        return
+    # not imported at module level: they slow every import of the package
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(
+            jobs, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield from pool.map(fn, range(n))
+
+
+def _point_result(config: ExperimentConfig, param: str = "", value=None,
+                  *, jobs: int | None = None) -> PointResult:
     config.validate()
     horizon = config.horizon
     reals = config.realizations
+    jobs = _pool_size(jobs, reals)
     window = max(1, horizon - int(math.floor(horizon * 0.75)))
-
-    def optimum_for(topo: Topology) -> analysis.BruteForceResult:
-        return analysis.brute_force_optimum(
-            config.game(topo, mode="deterministic"))
 
     shared_topo = config.topology(0) if config.shared_topology else None
     shared_opt = None
-    if shared_topo is not None and config.track_optimum:
-        shared_opt = optimum_for(shared_topo)
+    if config.track_optimum:
+        # the profile-space size does not depend on the layout, so an
+        # oversized one is refused before any realization runs
+        topo = shared_topo if shared_topo is not None \
+            else config.topology(0)
+        game = config.game(topo, mode="deterministic")
+        analysis._profile_count(game, analysis._SPACE_GUARD, "profile space")
+        if shared_topo is not None:
+            shared_opt = analysis.brute_force_optimum(game)
 
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
     occupancies = np.zeros(reals) if config.track_optimum else None
-    final_profiles = None
+    final_profiles = []
 
-    for k in range(reals):
-        topo = shared_topo if shared_topo is not None else config.topology(k)
-        seed = config.base_seed + k
-        traj = _run_one(config, topo, seed)
-        if traj.horizon != horizon:
-            raise RuntimeError(f"realization {k} (seed {seed}) returned "
-                               f"{traj.horizon} slots, expected {horizon}")
-        trace_sum += traj.sum_rate
-        finals[k] = traj.final_window_mean_sum_rate()
-        if final_profiles is None:
-            final_profiles = np.zeros((reals, len(traj.initial_channels)),
-                                      dtype=np.int16)
-        final_profiles[k] = traj.profiles[-1] if horizon else \
-            traj.initial_channels
-        if config.track_optimum:
-            opt = shared_opt if shared_opt is not None else optimum_for(topo)
-            occupancies[k] = traj.occupancy(opt.keys())
+    run = functools.partial(_realization, config, shared_topo,
+                            None if shared_opt is None else shared_opt.keys())
+    for k, rec in enumerate(_map_in_order(run, reals, jobs)):
+        trace_sum += rec.sum_rate
+        finals[k] = rec.final_window_mean
+        final_profiles.append(rec.final_channels)
+        if occupancies is not None:
+            occupancies[k] = rec.occupancy
+        _log.info("realization %d/%d (seed %d) done in %.3f s", k + 1, reals,
+                  config.base_seed + k, rec.wall_s)
 
     se = float(finals.std(ddof=1) / math.sqrt(reals)) if reals > 1 else 0.0
     return PointResult(
@@ -322,7 +386,8 @@ def _point_result(config: ExperimentConfig, param: str = "",
         config_hash=config.config_hash(),
         seed_range=(config.base_seed, config.base_seed + reals - 1),
         window_slots=window, mean_trace=trace_sum / reals,
-        per_realization_final=finals, final_profiles=final_profiles,
+        per_realization_final=finals,
+        final_profiles=np.array(final_profiles, dtype=np.int16),
         final_window_mean=float(finals.mean()), final_window_se=se,
         mean_occupancy=float(occupancies.mean())
         if occupancies is not None else None,
@@ -331,12 +396,15 @@ def _point_result(config: ExperimentConfig, param: str = "",
         else tuple(sorted(shared_opt.keys())))
 
 
-def run_experiment(config: ExperimentConfig) -> SweepResult:
+def run_experiment(config: ExperimentConfig, *,
+                   jobs: int | None = None) -> SweepResult:
     """Run ``config.realizations`` seeded trajectories and aggregate them.
 
     Writes the standard tables under ``config.out_dir`` when that is set.
+    ``jobs`` worker processes run the realizations (default: the usable
+    CPUs); the tables are byte-identical for every worker count.
     """
-    point = _point_result(config)
+    point = _point_result(config, jobs=jobs)
     result = SweepResult(points=[point], base_config=replace(config),
                          config_hash=config.config_hash())
     if config.out_dir:
@@ -344,8 +412,8 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     return result
 
 
-def _sweep(config: ExperimentConfig, param: str, values,
-           make_config) -> SweepResult:
+def _sweep(config: ExperimentConfig, param: str, values, make_config,
+           jobs: int | None) -> SweepResult:
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -353,7 +421,7 @@ def _sweep(config: ExperimentConfig, param: str, values,
     for v in values:
         cfg = make_config(v)
         cfg.out_dir = ""  # points share the sweep's output directory
-        points.append(_point_result(cfg, param=param, value=v))
+        points.append(_point_result(cfg, param=param, value=v, jobs=jobs))
     result = SweepResult(points=points, base_config=replace(config),
                          config_hash=config.config_hash())
     if config.out_dir:
@@ -361,24 +429,28 @@ def _sweep(config: ExperimentConfig, param: str, values,
     return result
 
 
-def sweep_channels(config: ExperimentConfig, channel_counts) -> SweepResult:
+def sweep_channels(config: ExperimentConfig, channel_counts, *,
+                   jobs: int | None = None) -> SweepResult:
     """One point per channel count; realization k reuses seed base+k at
-    every point, so point differences are attributable to the count."""
+    every point, so point differences are attributable to the count.
+    ``jobs`` as in run_experiment."""
     for c in channel_counts:
         if c < config.num_uec:
             raise ValueError(f"channel count {c} is below num_uec="
                              f"{config.num_uec}")
     return _sweep(config, "channels", channel_counts,
-                  lambda c: replace(config, num_channels=int(c)))
+                  lambda c: replace(config, num_channels=int(c)), jobs)
 
 
-def sweep_ues(config: ExperimentConfig, ued_counts) -> SweepResult:
-    """One point per D2D pair count, paired seeds as in sweep_channels."""
+def sweep_ues(config: ExperimentConfig, ued_counts, *,
+              jobs: int | None = None) -> SweepResult:
+    """One point per D2D pair count, paired seeds and ``jobs`` as in
+    sweep_channels."""
     for c in ued_counts:
         if c < 0:
             raise ValueError("UED counts must be non-negative")
     return _sweep(config, "ueds", ued_counts,
-                  lambda c: replace(config, num_ued=int(c)))
+                  lambda c: replace(config, num_ued=int(c)), jobs)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import d2dcap
+import d2dcap.experiments as expmod
 from d2dcap.cli import main
 from d2dcap.experiments import ExperimentConfig
 
@@ -128,6 +133,61 @@ def test_bad_counts_are_reported(tmp_path, capsys):
     rc = main(["sweep-channels", "--config", cfg_path, "--counts", "2,x"])
     assert rc == 2
     assert "comma-separated integers" in capsys.readouterr().err
+
+
+def test_jobs_flag_gives_the_serial_tables(tmp_path, capsys):
+    cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=3)
+    out_dir = tmp_path / "tables"
+    tables = []
+    for jobs in ("1", "2"):
+        assert main(["run-blla", "--config", cfg_path, "--out", str(out_dir),
+                     "--jobs", jobs]) == 0
+        tables.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
+    assert tables[0] == tables[1]
+    outs = capsys.readouterr().out.splitlines()
+    assert outs[:len(outs) // 2] == outs[len(outs) // 2:]
+
+
+def test_one_realization_runs_without_a_pool(tmp_path):
+    # the pool's modules stay unimported, so they cost nothing at start-up
+    cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=1)
+    code = ("import sys; from d2dcap.cli import main; "
+            f"assert main(['run-blla', '--config', {cfg_path!r}]) == 0; "
+            "assert 'multiprocessing' not in sys.modules")
+    src = os.path.dirname(os.path.dirname(d2dcap.__file__))
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env=dict(os.environ, PYTHONPATH=src),
+                   stdout=subprocess.DEVNULL, timeout=60)
+
+
+def test_worker_error_is_reported(tmp_path, capsys, monkeypatch):
+    cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=3)
+    real_run_one = expmod._run_one
+
+    def failing(config, topology, seed):
+        if seed == config.base_seed + 1:
+            raise ValueError("realization 1 failed")
+        return real_run_one(config, topology, seed)
+
+    monkeypatch.setattr(expmod, "_run_one", failing)
+    rc = main(["run-blla", "--config", cfg_path, "--jobs", "2"])
+    assert rc == 2
+    assert "realization 1 failed" in capsys.readouterr().err
+
+
+def test_bad_job_count_is_rejected_before_any_work(tmp_path, capsys,
+                                                   monkeypatch):
+    monkeypatch.setattr(expmod, "_run_one", None)  # any call would fail
+    cfg_path = write_tiny_config(tmp_path / "tiny.cfg")
+    out_dir = tmp_path / "tables"
+    for command in ("run-blla", "run-br", "sweep-channels", "sweep-ues"):
+        for jobs in ("0", "-1", "two"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", cfg_path, "--out", str(out_dir),
+                      "--jobs", jobs])
+            assert exc.value.code == 2
+            assert "expected a positive integer" in capsys.readouterr().err
+            assert not out_dir.exists()
 
 
 def test_unknown_preset_rejected_by_parser():

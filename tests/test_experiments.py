@@ -1,5 +1,11 @@
 import filecmp
+import logging
 import math
+import os
+import shutil
+import subprocess
+import sys
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -210,6 +216,160 @@ def test_per_realization_topologies():
             game).keys()))
     assert point.mean_occupancy == float(np.mean(occ))
     assert point.phi_star is None and point.optimum_keys is None
+
+
+def test_oversized_profile_space_is_refused_before_any_realization(
+        monkeypatch):
+    # 3^13 = 1,594,323 profiles; the size does not depend on the layout
+    cfg = tiny_config(num_ued=13, num_channels=3, shared_topology=False,
+                      track_optimum=True, realizations=2)
+    calls = []
+
+    def spy(config, topology, seed):
+        calls.append(seed)
+        raise AssertionError("a realization ran")
+
+    monkeypatch.setattr(expmod, "_run_one", spy)
+    with pytest.raises(ValueError, match="profile space of size 1594323"):
+        run_experiment(cfg)
+    assert calls == []
+
+
+# ----------------------------------------------------------------------
+# parallel realizations
+
+
+def _tables(run, out_dir):
+    """Bytes of every file ``run(out_dir)`` emits, keyed by name."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    run(str(out_dir))
+    return {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(shared_topology=False, num_ued=3, num_channels=3),
+    dict(algorithm="br", br_samples=3),
+], ids=["blla-shared", "blla-unshared", "br"])
+def test_tables_do_not_depend_on_the_job_count(tmp_path, overrides):
+    cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=5,
+                      **overrides)
+    tables = [_tables(lambda d: run_experiment(replace(cfg, out_dir=d),
+                                               jobs=jobs), tmp_path / "out")
+              for jobs in (1, 2, 3)]
+    assert len(tables[0]) == 5
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
+
+
+def test_sweep_tables_do_not_depend_on_the_job_count(tmp_path):
+    cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=3,
+                      horizon=20)
+    tables = [_tables(lambda d: sweep_channels(replace(cfg, out_dir=d),
+                                               (2, 3), jobs=jobs),
+                      tmp_path / "out")
+              for jobs in (1, 2, 3)]
+    assert "channels_3_final_profiles.csv" in tables[0]
+    assert tables[1] == tables[0]
+    assert tables[2] == tables[0]
+
+
+def test_late_first_realization_is_still_reduced_first(monkeypatch):
+    cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=4,
+                      shared_topology=False, num_ued=3, num_channels=3)
+    serial = run_experiment(cfg, jobs=1).points[0]
+    real_run_one = expmod._run_one
+
+    def first_finishes_last(config, topology, seed):
+        time.sleep(0.3 if seed == config.base_seed else 0.0)
+        return real_run_one(config, topology, seed)
+
+    monkeypatch.setattr(expmod, "_run_one", first_finishes_last)
+    pooled = run_experiment(cfg, jobs=3).points[0]
+    assert np.array_equal(pooled.mean_trace, serial.mean_trace)
+    assert np.array_equal(pooled.per_realization_final,
+                          serial.per_realization_final)
+    assert np.array_equal(pooled.final_profiles, serial.final_profiles)
+    assert pooled.mean_occupancy == serial.mean_occupancy
+
+
+def test_job_count_is_checked_before_any_work(monkeypatch):
+    monkeypatch.setattr(expmod, "_run_one", None)  # any call would fail
+    for jobs in (0, -1):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            run_experiment(tiny_config(), jobs=jobs)
+
+
+def test_default_job_count_is_the_usable_cpus_capped(monkeypatch):
+    monkeypatch.setattr(expmod.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                        raising=False)
+    assert expmod._pool_size(None, 100) == 3
+    assert expmod._pool_size(None, 2) == 2
+    assert expmod._pool_size(5, 100) == 5
+    monkeypatch.delattr(expmod.os, "sched_getaffinity")
+    monkeypatch.setattr(expmod.os, "cpu_count", lambda: 4)
+    assert expmod._pool_size(None, 100) == 4
+    monkeypatch.delattr(expmod.os, "fork")
+    assert expmod._pool_size(None, 100) == 1
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    cfg = tiny_config(realizations=3)
+    real_run_one = expmod._run_one
+
+    def failing(config, topology, seed):
+        if seed == cfg.base_seed + 1:
+            raise ValueError("realization 1 failed")
+        return real_run_one(config, topology, seed)
+
+    # forked workers inherit the patched module
+    monkeypatch.setattr(expmod, "_run_one", failing)
+    with pytest.raises(ValueError, match="realization 1 failed"):
+        run_experiment(cfg, jobs=2)
+
+
+_DYING_WORKER = """
+import os
+import d2dcap.experiments as expmod
+from concurrent.futures.process import BrokenProcessPool
+
+real_run_one = expmod._run_one
+
+def dying(config, topology, seed):
+    if seed == config.base_seed + 1:
+        os._exit(1)
+    return real_run_one(config, topology, seed)
+
+expmod._run_one = dying
+cfg = expmod.ExperimentConfig(num_uec=0, num_ued=2, num_channels=2,
+                              noise_model="none", horizon=40, realizations=3)
+try:
+    expmod.run_experiment(cfg, jobs=2)
+except BrokenProcessPool:
+    print("broken pool reported")
+"""
+
+
+def test_dead_worker_is_an_error_not_a_hang():
+    # in a subprocess, so that a hang fails the timeout, not the suite
+    src = os.path.dirname(os.path.dirname(expmod.__file__))
+    done = subprocess.run([sys.executable, "-c", _DYING_WORKER],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "broken pool reported", done.stderr
+
+
+def test_progress_is_logged_in_realization_order(caplog, capsys):
+    cfg = tiny_config(realizations=3)
+    with caplog.at_level(logging.INFO, logger="d2dcap.experiments"):
+        run_experiment(cfg, jobs=2)
+    messages = [r.getMessage() for r in caplog.records
+                if r.name == "d2dcap.experiments"]
+    assert [m.split(" done in ")[0] for m in messages] == [
+        "realization 1/3 (seed 100)", "realization 2/3 (seed 101)",
+        "realization 3/3 (seed 102)"]
+    assert all(m.endswith(" s") for m in messages)
+    assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------
