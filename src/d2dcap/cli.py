@@ -56,19 +56,6 @@ def _add_common(sp) -> None:
                     help="override the realization count")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return int(text)
-
-
-def _add_jobs(sp) -> None:
-    sp.add_argument("--jobs", type=_positive_int, metavar="N",
-                    help="worker processes for the realizations (default: "
-                         "the usable CPUs); tables do not depend on it")
-
-
 def _parse_counts(text: str) -> list:
     try:
         return [int(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -93,7 +80,7 @@ def _cmd_run(args, algorithm: str) -> int:
     config = replace(_resolve_config(args), algorithm=algorithm)
     if algorithm == "br" and args.br_samples is not None:
         config = replace(config, br_samples=args.br_samples)
-    result = run_experiment(config, jobs=args.jobs)
+    result = run_experiment(config)
     _print_points(result)
     if config.out_dir:
         print(f"tables written to {config.out_dir}")
@@ -102,8 +89,7 @@ def _cmd_run(args, algorithm: str) -> int:
 
 def _cmd_sweep_channels(args) -> int:
     config = _resolve_config(args)
-    result = sweep_channels(config, _parse_counts(args.counts),
-                            jobs=args.jobs)
+    result = sweep_channels(config, _parse_counts(args.counts))
     _print_points(result)
     if config.out_dir:
         print(f"tables written to {config.out_dir}")
@@ -112,7 +98,7 @@ def _cmd_sweep_channels(args) -> int:
 
 def _cmd_sweep_ues(args) -> int:
     config = _resolve_config(args)
-    result = sweep_ues(config, _parse_counts(args.counts), jobs=args.jobs)
+    result = sweep_ues(config, _parse_counts(args.counts))
     _print_points(result)
     if config.out_dir:
         print(f"tables written to {config.out_dir}")
@@ -171,26 +157,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("run-blla", help="run BLLA trajectories and aggregate")
     _add_common(sp)
-    _add_jobs(sp)
     sp.set_defaults(func=lambda a: _cmd_run(a, "blla"))
 
     sp = sub.add_parser("run-br", help="run the better-response baseline")
     _add_common(sp)
-    _add_jobs(sp)
     sp.add_argument("--br-samples", type=int,
                     help="samples per utility estimate (default from config)")
     sp.set_defaults(func=lambda a: _cmd_run(a, "br"))
 
     sp = sub.add_parser("sweep-channels", help="sweep the channel count")
     _add_common(sp)
-    _add_jobs(sp)
     sp.add_argument("--counts", default="2,3,4",
                     help="comma-separated channel counts (default 2,3,4)")
     sp.set_defaults(func=_cmd_sweep_channels)
 
     sp = sub.add_parser("sweep-ues", help="sweep the number of D2D pairs")
     _add_common(sp)
-    _add_jobs(sp)
     sp.add_argument("--counts", default="2,4,8",
                     help="comma-separated UED counts (default 2,4,8)")
     sp.set_defaults(func=_cmd_sweep_ues)

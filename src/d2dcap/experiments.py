@@ -10,6 +10,7 @@ environment-dependent content.
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -314,26 +315,26 @@ def _realization(config: ExperimentConfig, topology: Topology | None,
                    traj.profiles[-1], occupancy, time.perf_counter() - t0)
 
 
-def _pool_size(jobs: int | None, realizations: int) -> int:
-    """Worker count: ``jobs``, by default the usable CPUs, capped at the
-    realization count; 1 where the platform cannot fork."""
-    if jobs is None:
-        try:
-            jobs = len(os.sched_getaffinity(0))
-        except AttributeError:  # no affinity call on this platform
-            jobs = os.cpu_count() or 1
-    elif jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    return min(jobs, realizations) if hasattr(os, "fork") else 1
+def _pool_size(realizations: int) -> int:
+    """Worker count: the usable CPUs, capped at the realization count; 1
+    where the platform cannot fork."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, realizations) if hasattr(os, "fork") else 1
 
 
-def _map_in_order(fn, n: int, jobs: int):
-    """Yield ``fn(0), ..., fn(n - 1)`` in index order; with ``jobs`` > 1
-    the calls run in a pool of forked workers, which see this process's
-    modules as they are.  A worker that dies raises BrokenProcessPool
-    here, where a ``multiprocessing.Pool`` would wait for it forever."""
-    if jobs == 1:
-        yield from map(fn, range(n))
+@contextlib.contextmanager
+def _realization_pool(realizations: int):
+    """Yield a pool of forked workers for ``realizations`` runs, or None
+    where one process is enough.  The workers are forked at the first
+    submission and see this process's modules as they are then.  A worker
+    that dies raises BrokenProcessPool, where a ``multiprocessing.Pool``
+    would wait for it forever."""
+    jobs = _pool_size(realizations)
+    if jobs <= 1:
+        yield None
         return
     # not imported at module level: they slow every import of the package
     import multiprocessing
@@ -341,28 +342,30 @@ def _map_in_order(fn, n: int, jobs: int):
 
     with ProcessPoolExecutor(
             jobs, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield from pool.map(fn, range(n))
+        yield pool
 
 
 def _point_result(config: ExperimentConfig, param: str = "", value=None,
-                  *, jobs: int | None = None) -> PointResult:
+                  pool=None) -> PointResult:
+    """Aggregate ``config.realizations`` runs, in ``pool`` if one is given;
+    the records are reduced in realization order either way."""
     config.validate()
     horizon = config.horizon
     reals = config.realizations
-    jobs = _pool_size(jobs, reals)
     window = max(1, horizon - int(math.floor(horizon * 0.75)))
 
     shared_topo = config.topology(0) if config.shared_topology else None
     shared_opt = None
     if config.track_optimum:
-        # the profile-space size does not depend on the layout, so an
-        # oversized one is refused before any realization runs
-        topo = shared_topo if shared_topo is not None \
-            else config.topology(0)
-        game = config.game(topo, mode="deterministic")
-        analysis._profile_count(game, analysis._SPACE_GUARD, "profile space")
         if shared_topo is not None:
-            shared_opt = analysis.brute_force_optimum(game)
+            shared_opt = analysis.brute_force_optimum(
+                config.game(shared_topo, mode="deterministic"))
+        else:
+            # the profile-space size does not depend on the layout, so an
+            # oversized one is refused before any realization runs
+            analysis._profile_count(
+                config.game(config.topology(0), mode="deterministic"),
+                analysis._SPACE_GUARD, "profile space")
 
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
@@ -371,7 +374,9 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
 
     run = functools.partial(_realization, config, shared_topo,
                             None if shared_opt is None else shared_opt.keys())
-    for k, rec in enumerate(_map_in_order(run, reals, jobs)):
+    records = map(run, range(reals)) if pool is None \
+        else pool.map(run, range(reals))
+    for k, rec in enumerate(records):
         trace_sum += rec.sum_rate
         finals[k] = rec.final_window_mean
         final_profiles.append(rec.final_channels)
@@ -396,15 +401,15 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
         else tuple(sorted(shared_opt.keys())))
 
 
-def run_experiment(config: ExperimentConfig, *,
-                   jobs: int | None = None) -> SweepResult:
+def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Run ``config.realizations`` seeded trajectories and aggregate them.
 
     Writes the standard tables under ``config.out_dir`` when that is set.
-    ``jobs`` worker processes run the realizations (default: the usable
-    CPUs); the tables are byte-identical for every worker count.
+    The realizations run in forked workers, one per usable CPU; the tables
+    are byte-identical for every worker count.
     """
-    point = _point_result(config, jobs=jobs)
+    with _realization_pool(config.realizations) as pool:
+        point = _point_result(config, pool=pool)
     result = SweepResult(points=[point], base_config=replace(config),
                          config_hash=config.config_hash())
     if config.out_dir:
@@ -412,16 +417,17 @@ def run_experiment(config: ExperimentConfig, *,
     return result
 
 
-def _sweep(config: ExperimentConfig, param: str, values, make_config,
-           jobs: int | None) -> SweepResult:
+def _sweep(config: ExperimentConfig, param: str, values,
+           make_config) -> SweepResult:
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
     points = []
-    for v in values:
-        cfg = make_config(v)
-        cfg.out_dir = ""  # points share the sweep's output directory
-        points.append(_point_result(cfg, param=param, value=v, jobs=jobs))
+    with _realization_pool(config.realizations) as pool:  # one for all points
+        for v in values:
+            cfg = make_config(v)
+            cfg.out_dir = ""  # points share the sweep's output directory
+            points.append(_point_result(cfg, param=param, value=v, pool=pool))
     result = SweepResult(points=points, base_config=replace(config),
                          config_hash=config.config_hash())
     if config.out_dir:
@@ -429,28 +435,24 @@ def _sweep(config: ExperimentConfig, param: str, values, make_config,
     return result
 
 
-def sweep_channels(config: ExperimentConfig, channel_counts, *,
-                   jobs: int | None = None) -> SweepResult:
+def sweep_channels(config: ExperimentConfig, channel_counts) -> SweepResult:
     """One point per channel count; realization k reuses seed base+k at
-    every point, so point differences are attributable to the count.
-    ``jobs`` as in run_experiment."""
+    every point, so point differences are attributable to the count."""
     for c in channel_counts:
         if c < config.num_uec:
             raise ValueError(f"channel count {c} is below num_uec="
                              f"{config.num_uec}")
     return _sweep(config, "channels", channel_counts,
-                  lambda c: replace(config, num_channels=int(c)), jobs)
+                  lambda c: replace(config, num_channels=int(c)))
 
 
-def sweep_ues(config: ExperimentConfig, ued_counts, *,
-              jobs: int | None = None) -> SweepResult:
-    """One point per D2D pair count, paired seeds and ``jobs`` as in
-    sweep_channels."""
+def sweep_ues(config: ExperimentConfig, ued_counts) -> SweepResult:
+    """One point per D2D pair count, paired seeds as in sweep_channels."""
     for c in ued_counts:
         if c < 0:
             raise ValueError("UED counts must be non-negative")
     return _sweep(config, "ueds", ued_counts,
-                  lambda c: replace(config, num_ued=int(c)), jobs)
+                  lambda c: replace(config, num_ued=int(c)))
 
 
 # ----------------------------------------------------------------------

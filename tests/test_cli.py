@@ -135,13 +135,19 @@ def test_bad_counts_are_reported(tmp_path, capsys):
     assert "comma-separated integers" in capsys.readouterr().err
 
 
-def test_jobs_flag_gives_the_serial_tables(tmp_path, capsys):
+def _use_cpus(monkeypatch, n):
+    monkeypatch.setattr(expmod.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
+def test_cpu_count_does_not_change_the_output(tmp_path, capsys, monkeypatch):
     cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=3)
     out_dir = tmp_path / "tables"
     tables = []
-    for jobs in ("1", "2"):
-        assert main(["run-blla", "--config", cfg_path, "--out", str(out_dir),
-                     "--jobs", jobs]) == 0
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        assert main(["run-blla", "--config", cfg_path,
+                     "--out", str(out_dir)]) == 0
         tables.append({p.name: p.read_bytes() for p in out_dir.iterdir()})
     assert tables[0] == tables[1]
     outs = capsys.readouterr().out.splitlines()
@@ -170,24 +176,10 @@ def test_worker_error_is_reported(tmp_path, capsys, monkeypatch):
         return real_run_one(config, topology, seed)
 
     monkeypatch.setattr(expmod, "_run_one", failing)
-    rc = main(["run-blla", "--config", cfg_path, "--jobs", "2"])
+    _use_cpus(monkeypatch, 2)
+    rc = main(["run-blla", "--config", cfg_path])
     assert rc == 2
     assert "realization 1 failed" in capsys.readouterr().err
-
-
-def test_bad_job_count_is_rejected_before_any_work(tmp_path, capsys,
-                                                   monkeypatch):
-    monkeypatch.setattr(expmod, "_run_one", None)  # any call would fail
-    cfg_path = write_tiny_config(tmp_path / "tiny.cfg")
-    out_dir = tmp_path / "tables"
-    for command in ("run-blla", "run-br", "sweep-channels", "sweep-ues"):
-        for jobs in ("0", "-1", "two"):
-            with pytest.raises(SystemExit) as exc:
-                main([command, "--config", cfg_path, "--out", str(out_dir),
-                      "--jobs", jobs])
-            assert exc.value.code == 2
-            assert "expected a positive integer" in capsys.readouterr().err
-            assert not out_dir.exists()
 
 
 def test_unknown_preset_rejected_by_parser():

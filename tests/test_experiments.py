@@ -239,6 +239,13 @@ def test_oversized_profile_space_is_refused_before_any_realization(
 # parallel realizations
 
 
+def _use_cpus(monkeypatch, n):
+    """Make ``n`` CPUs usable, so runs of ``n`` or more realizations get
+    ``n`` workers."""
+    monkeypatch.setattr(expmod.os, "sched_getaffinity",
+                        lambda pid: set(range(n)), raising=False)
+
+
 def _tables(run, out_dir):
     """Bytes of every file ``run(out_dir)`` emits, keyed by name."""
     shutil.rmtree(out_dir, ignore_errors=True)
@@ -251,33 +258,55 @@ def _tables(run, out_dir):
     dict(shared_topology=False, num_ued=3, num_channels=3),
     dict(algorithm="br", br_samples=3),
 ], ids=["blla-shared", "blla-unshared", "br"])
-def test_tables_do_not_depend_on_the_job_count(tmp_path, overrides):
+def test_tables_do_not_depend_on_the_worker_count(tmp_path, monkeypatch,
+                                                  overrides):
     cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=5,
                       **overrides)
-    tables = [_tables(lambda d: run_experiment(replace(cfg, out_dir=d),
-                                               jobs=jobs), tmp_path / "out")
-              for jobs in (1, 2, 3)]
+    tables = []
+    for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
+        tables.append(_tables(lambda d: run_experiment(replace(cfg, out_dir=d)),
+                              tmp_path / "out"))
     assert len(tables[0]) == 5
     assert tables[1] == tables[0]
     assert tables[2] == tables[0]
 
 
-def test_sweep_tables_do_not_depend_on_the_job_count(tmp_path):
+def test_sweep_tables_do_not_depend_on_the_worker_count(tmp_path,
+                                                        monkeypatch):
     cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=3,
                       horizon=20)
-    tables = [_tables(lambda d: sweep_channels(replace(cfg, out_dir=d),
-                                               (2, 3), jobs=jobs),
-                      tmp_path / "out")
-              for jobs in (1, 2, 3)]
+    tables = []
+    for workers in (1, 2, 3):
+        _use_cpus(monkeypatch, workers)
+        tables.append(_tables(lambda d: sweep_channels(
+            replace(cfg, out_dir=d), (2, 3)), tmp_path / "out"))
     assert "channels_3_final_profiles.csv" in tables[0]
     assert tables[1] == tables[0]
     assert tables[2] == tables[0]
 
 
+def test_sweep_forks_one_pool_for_all_points(monkeypatch):
+    import concurrent.futures
+    real_executor = concurrent.futures.ProcessPoolExecutor
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return real_executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting)
+    _use_cpus(monkeypatch, 2)
+    result = sweep_channels(tiny_config(horizon=20), (2, 3, 4))
+    assert len(result.points) == 3
+    assert made == [(2,)]
+
+
 def test_late_first_realization_is_still_reduced_first(monkeypatch):
     cfg = tiny_config(noise_model="bounded", tau=0.1, realizations=4,
                       shared_topology=False, num_ued=3, num_channels=3)
-    serial = run_experiment(cfg, jobs=1).points[0]
+    _use_cpus(monkeypatch, 1)
+    serial = run_experiment(cfg).points[0]
     real_run_one = expmod._run_one
 
     def first_finishes_last(config, topology, seed):
@@ -285,7 +314,8 @@ def test_late_first_realization_is_still_reduced_first(monkeypatch):
         return real_run_one(config, topology, seed)
 
     monkeypatch.setattr(expmod, "_run_one", first_finishes_last)
-    pooled = run_experiment(cfg, jobs=3).points[0]
+    _use_cpus(monkeypatch, 3)
+    pooled = run_experiment(cfg).points[0]
     assert np.array_equal(pooled.mean_trace, serial.mean_trace)
     assert np.array_equal(pooled.per_realization_final,
                           serial.per_realization_final)
@@ -293,24 +323,15 @@ def test_late_first_realization_is_still_reduced_first(monkeypatch):
     assert pooled.mean_occupancy == serial.mean_occupancy
 
 
-def test_job_count_is_checked_before_any_work(monkeypatch):
-    monkeypatch.setattr(expmod, "_run_one", None)  # any call would fail
-    for jobs in (0, -1):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
-            run_experiment(tiny_config(), jobs=jobs)
-
-
-def test_default_job_count_is_the_usable_cpus_capped(monkeypatch):
-    monkeypatch.setattr(expmod.os, "sched_getaffinity", lambda pid: {0, 1, 2},
-                        raising=False)
-    assert expmod._pool_size(None, 100) == 3
-    assert expmod._pool_size(None, 2) == 2
-    assert expmod._pool_size(5, 100) == 5
+def test_worker_count_is_the_usable_cpus_capped(monkeypatch):
+    _use_cpus(monkeypatch, 3)
+    assert expmod._pool_size(100) == 3
+    assert expmod._pool_size(2) == 2
     monkeypatch.delattr(expmod.os, "sched_getaffinity")
     monkeypatch.setattr(expmod.os, "cpu_count", lambda: 4)
-    assert expmod._pool_size(None, 100) == 4
+    assert expmod._pool_size(100) == 4
     monkeypatch.delattr(expmod.os, "fork")
-    assert expmod._pool_size(None, 100) == 1
+    assert expmod._pool_size(100) == 1
 
 
 def test_worker_error_reaches_the_caller(monkeypatch):
@@ -324,8 +345,9 @@ def test_worker_error_reaches_the_caller(monkeypatch):
 
     # forked workers inherit the patched module
     monkeypatch.setattr(expmod, "_run_one", failing)
+    _use_cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match="realization 1 failed"):
-        run_experiment(cfg, jobs=2)
+        run_experiment(cfg)
 
 
 _DYING_WORKER = """
@@ -341,10 +363,11 @@ def dying(config, topology, seed):
     return real_run_one(config, topology, seed)
 
 expmod._run_one = dying
+os.sched_getaffinity = lambda pid: {0, 1}
 cfg = expmod.ExperimentConfig(num_uec=0, num_ued=2, num_channels=2,
                               noise_model="none", horizon=40, realizations=3)
 try:
-    expmod.run_experiment(cfg, jobs=2)
+    expmod.run_experiment(cfg)
 except BrokenProcessPool:
     print("broken pool reported")
 """
@@ -359,10 +382,12 @@ def test_dead_worker_is_an_error_not_a_hang():
     assert done.stdout.strip() == "broken pool reported", done.stderr
 
 
-def test_progress_is_logged_in_realization_order(caplog, capsys):
+def test_progress_is_logged_in_realization_order(caplog, capsys,
+                                                 monkeypatch):
     cfg = tiny_config(realizations=3)
+    _use_cpus(monkeypatch, 2)
     with caplog.at_level(logging.INFO, logger="d2dcap.experiments"):
-        run_experiment(cfg, jobs=2)
+        run_experiment(cfg)
     messages = [r.getMessage() for r in caplog.records
                 if r.name == "d2dcap.experiments"]
     assert [m.split(" done in ")[0] for m in messages] == [
