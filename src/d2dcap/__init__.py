@@ -22,11 +22,10 @@ from .experiments import (ExperimentConfig, PointResult, StationaryReport,
 from .game import (AssignmentProfile, CapGame, UtilityEstimate, cochannel_set,
                    potential, utility_mean, utility_sample,
                    verify_potential_identity)
-from .learning import (BoundedNoise, FixedTemperature, LearnerState,
+from .learning import (BoundedNoise, FixedTemperature,
                        LogDecreasingTemperature, Trajectory,
                        UnboundedMgfNoise, UnboundedSampleCalc,
-                       acceptance_probability, better_response_step,
-                       blla_step, required_samples_bounded,
+                       acceptance_probability, required_samples_bounded,
                        required_samples_unbounded, run_blla, run_br,
                        unbounded_sample_calc)
 from .radio import (FadingRealization, RadioParams, Topology, db_to_linear,

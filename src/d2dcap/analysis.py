@@ -191,9 +191,6 @@ class TransitionKernel:
     def num_states(self) -> int:
         return len(self.states)
 
-    def index_of(self, state) -> int:
-        return self.states.index(state)
-
 
 def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     """One-slot chain over profiles under exact utilities.
@@ -233,14 +230,6 @@ class StationaryDistribution:
 
     def prob_of(self, state) -> float:
         return float(self.probs[self.states.index(state)])
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("state_index,state,probability\n")
-            for k, (s, p) in enumerate(zip(self.states, self.probs)):
-                label = "|".join(str(x) for x in s) if isinstance(s, tuple) \
-                    else str(s)
-                fh.write(f"{k},{label},{float(p)!r}\n")
 
 
 def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:

@@ -64,7 +64,9 @@ def _parse_counts(text: str) -> list:
             from None
 
 
-def _print_points(result) -> None:
+def _report(result, out_dir: str) -> int:
+    """Print one summary line per point, the config hash and, when tables
+    were written, where."""
     for p in result.points:
         tag = p.label()
         occ = "n/a" if p.mean_occupancy is None else f"{p.mean_occupancy:.4f}"
@@ -74,35 +76,21 @@ def _print_points(result) -> None:
                 f"(window {p.window_slots} slots, optimum occupancy {occ})")
         print(line)
     print(f"config hash {result.config_hash}")
+    if out_dir:
+        print(f"tables written to {out_dir}")
+    return 0
 
 
 def _cmd_run(args, algorithm: str) -> int:
     config = replace(_resolve_config(args), algorithm=algorithm)
     if algorithm == "br" and args.br_samples is not None:
         config = replace(config, br_samples=args.br_samples)
-    result = run_experiment(config)
-    _print_points(result)
-    if config.out_dir:
-        print(f"tables written to {config.out_dir}")
-    return 0
+    return _report(run_experiment(config), config.out_dir)
 
 
-def _cmd_sweep_channels(args) -> int:
+def _cmd_sweep(args, sweep) -> int:
     config = _resolve_config(args)
-    result = sweep_channels(config, _parse_counts(args.counts))
-    _print_points(result)
-    if config.out_dir:
-        print(f"tables written to {config.out_dir}")
-    return 0
-
-
-def _cmd_sweep_ues(args) -> int:
-    config = _resolve_config(args)
-    result = sweep_ues(config, _parse_counts(args.counts))
-    _print_points(result)
-    if config.out_dir:
-        print(f"tables written to {config.out_dir}")
-    return 0
+    return _report(sweep(config, _parse_counts(args.counts)), config.out_dir)
 
 
 def _cmd_samples_calc(args) -> int:
@@ -169,13 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--counts", default="2,3,4",
                     help="comma-separated channel counts (default 2,3,4)")
-    sp.set_defaults(func=_cmd_sweep_channels)
+    sp.set_defaults(func=lambda a: _cmd_sweep(a, sweep_channels))
 
     sp = sub.add_parser("sweep-ues", help="sweep the number of D2D pairs")
     _add_common(sp)
     sp.add_argument("--counts", default="2,4,8",
                     help="comma-separated UED counts (default 2,4,8)")
-    sp.set_defaults(func=_cmd_sweep_ues)
+    sp.set_defaults(func=lambda a: _cmd_sweep(a, sweep_ues))
 
     sp = sub.add_parser("samples-calc",
                         help="per-estimate sample count for a temperature")

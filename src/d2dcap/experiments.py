@@ -27,7 +27,7 @@ from . import analysis
 from .game import CapGame
 from .learning import (BoundedNoise, FixedTemperature,
                        LogDecreasingTemperature, Trajectory,
-                       UnboundedMgfNoise, run_blla, run_br)
+                       UnboundedMgfNoise, _window_start, run_blla, run_br)
 from .radio import (RadioParams, Topology, dbm_to_watts, generate_topology,
                     thermal_noise_watts, watts_to_dbm)
 
@@ -90,6 +90,18 @@ class ExperimentConfig:
     base_seed: int = 1000
     track_optimum: bool = True     # brute-force optimum and occupancy
     out_dir: str = ""              # empty: compute only, write nothing
+
+    def __post_init__(self):
+        # 1 and 1.0 are equal configs, so they must write the same text
+        # and stamp the same hash
+        for name, want in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if want is float and type(value) is int:
+                try:
+                    setattr(self, name, float(value))
+                except OverflowError:
+                    raise ValueError(f"config key {name!r} is too large "
+                                     "for a float") from None
 
     # -- validation ----------------------------------------------------
 
@@ -162,19 +174,24 @@ class ExperimentConfig:
     def from_text(cls, text: str) -> "ExperimentConfig":
         kwargs = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, value = (s.strip() for s in line.partition("="))
+            if not eq or "#" in key:
                 raise ValueError(f"config line {lineno} is not key = value: "
                                  f"{raw!r}")
-            key, value = (s.strip() for s in line.split("=", 1))
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r} on line {lineno}")
             try:
+                # drops a trailing comment, keeps a '#' inside quotes
                 parsed = ast.literal_eval(value)
             except (ValueError, SyntaxError):
-                parsed = value  # bare string
+                parsed = value.split("#", 1)[0].strip()  # bare string
+                if parsed.startswith(("'", '"')):
+                    raise ValueError(f"config line {lineno} has an "
+                                     f"unterminated quoted string: "
+                                     f"{raw!r}") from None
             _check_type(key, parsed, f" on line {lineno}")
             kwargs[key] = parsed
         return cls(**kwargs)
@@ -255,28 +272,10 @@ class SweepResult:
 # running
 
 
-def _constant_trajectory(game: CapGame, horizon: int, seed) -> Trajectory:
-    """Degenerate run used when there are no active players."""
-    profile = game.initial_profile()
-    rate = game.potential_exact(profile)
-    t = np.arange(1, horizon + 1, dtype=np.int64)
-    return Trajectory(initial_channels=profile.channels.copy(),
-                      profiles=np.tile(profile.channels, (horizon, 1)),
-                      t=t, tau=np.full(horizon, math.nan),
-                      n_samples=np.zeros(horizon, dtype=np.int64),
-                      player=np.full(horizon, -1, dtype=np.int32),
-                      trial=np.full(horizon, -1, dtype=np.int32),
-                      accepted=np.zeros(horizon, dtype=bool),
-                      delta_hat=np.full(horizon, math.nan),
-                      sum_rate=np.full(horizon, rate), seed=seed)
-
-
 def _run_one(config: ExperimentConfig, topology: Topology,
              seed: int) -> Trajectory:
     mode = "deterministic" if config.noise_model == "none" else "noisy"
     game = config.game(topology, mode=mode)
-    if len(game.active_players) == 0:
-        return _constant_trajectory(game, config.horizon, seed)
     if config.algorithm == "blla":
         return run_blla(game, config.schedule_obj(), config.noise_obj(),
                         config.xi, config.horizon, seed)
@@ -352,7 +351,7 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
     config.validate()
     horizon = config.horizon
     reals = config.realizations
-    window = max(1, horizon - int(math.floor(horizon * 0.75)))
+    window = horizon - _window_start(horizon)
 
     shared_topo = config.topology(0) if config.shared_topology else None
     shared_opt = None

@@ -5,12 +5,15 @@ slot's utility estimates.
 One learning slot: the coordinator picks an active player and a trial
 channel uniformly at random, the player estimates its utility on the current
 channel (phase I) and on the trial channel (phase II) from N fresh fading
-samples each, and switches with probability 1/(1 + exp(delta/tau)) where
-delta is the estimated utility drop.  Small tau exploits, large tau
-explores.  The sample count N is chosen so that estimation noise does not
+samples each, and a rule turns the estimated utility drop delta into a
+switch.  BLLA switches with probability 1/(1 + exp(delta/tau)): small tau
+exploits, large tau explores.  Better response switches only when
+delta < 0.  Both learners run the one slot loop ``_run`` and differ only in
+that rule and in N.  BLLA chooses N so that estimation noise does not
 disturb the chain's long-run behavior; it is recomputed from tau(t) every
 slot, so decreasing schedules pay a growing per-slot cost that the
-trajectory records make visible.
+trajectory records make visible.  A game with no active player keeps its
+starting assignment for the whole run.
 """
 
 from __future__ import annotations
@@ -35,11 +38,8 @@ __all__ = [
     "UnboundedSampleCalc",
     "unbounded_sample_calc",
     "acceptance_probability",
-    "LearnerState",
     "Trajectory",
-    "blla_step",
     "run_blla",
-    "better_response_step",
     "run_br",
 ]
 
@@ -201,22 +201,18 @@ def acceptance_probability(delta: float, tau: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# learner state and trajectories
+# trajectories
 
 
-@dataclass
-class LearnerState:
-    """Chain position after ``t`` completed slots, plus the last slot's
-    bookkeeping."""
+_FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
 
-    profile: AssignmentProfile
-    t: int = 0
-    tau: float = math.nan
-    n_samples: int = 0
-    player: int = -1
-    trial: int = -1
-    accepted: bool = False
-    delta_hat: float = math.nan
+
+def _window_start(horizon: int,
+                  window_frac: float = _FINAL_WINDOW_FRAC) -> int:
+    """Index of the first slot in the final ``window_frac`` of a run."""
+    if not 0.0 < window_frac <= 1.0:
+        raise ValueError("window_frac must lie in (0, 1]")
+    return int(math.floor(horizon * (1.0 - window_frac)))
 
 
 @dataclass
@@ -225,7 +221,10 @@ class Trajectory:
 
     ``profiles[k]`` is the channel vector after slot k+1; the starting
     assignment is kept separately.  ``sum_rate`` is the frozen-fading
-    network sum rate of the post-slot profile, bits/s.
+    network sum rate of the post-slot profile, bits/s.  A slot that
+    estimates nothing (a self-trial, or no active player to propose)
+    records ``delta_hat`` 0; with no active player, ``player`` and
+    ``trial`` are -1.
     """
 
     initial_channels: np.ndarray       # (L,)
@@ -249,25 +248,20 @@ class Trajectory:
             return tuple(self.initial_channels.tolist())
         return tuple(self.profiles[-1].tolist())
 
-    def _window_start(self, window_frac: float) -> int:
-        if not 0.0 < window_frac <= 1.0:
-            raise ValueError("window_frac must lie in (0, 1]")
-        return int(math.floor(self.horizon * (1.0 - window_frac)))
-
-    def occupancy(self, target_keys, window_frac: float = 0.25) -> float:
+    def occupancy(self, target_keys,
+                  window_frac: float = _FINAL_WINDOW_FRAC) -> float:
         """Fraction of final-window slots spent in any of ``target_keys``
         (an iterable of channel-vector tuples)."""
         targets = {tuple(k) for k in target_keys}
-        start = self._window_start(window_frac)
-        rows = self.profiles[start:]
+        rows = self.profiles[_window_start(self.horizon, window_frac):]
         if len(rows) == 0:
             return 0.0
         hits = sum(1 for row in rows if tuple(row.tolist()) in targets)
         return hits / len(rows)
 
-    def final_window_mean_sum_rate(self, window_frac: float = 0.25) -> float:
-        start = self._window_start(window_frac)
-        tail = self.sum_rate[start:]
+    def final_window_mean_sum_rate(
+            self, window_frac: float = _FINAL_WINDOW_FRAC) -> float:
+        tail = self.sum_rate[_window_start(self.horizon, window_frac):]
         return float(tail.mean()) if len(tail) else math.nan
 
     def to_csv(self, path) -> None:
@@ -285,115 +279,22 @@ class Trajectory:
                          f"{float(self.sum_rate[k])!r}\n")
 
 
-class _TrajectoryRecorder:
-    """Preallocated per-slot arrays filled as the run advances."""
-
-    def __init__(self, horizon: int, num_links: int,
-                 initial: AssignmentProfile, seed):
-        self.initial_channels = initial.channels.copy()
-        self.profiles = np.zeros((horizon, num_links), dtype=np.int16)
-        self.t = np.arange(1, horizon + 1, dtype=np.int64)
-        self.tau = np.zeros(horizon)
-        self.n_samples = np.zeros(horizon, dtype=np.int64)
-        self.player = np.zeros(horizon, dtype=np.int32)
-        self.trial = np.zeros(horizon, dtype=np.int32)
-        self.accepted = np.zeros(horizon, dtype=bool)
-        self.delta_hat = np.zeros(horizon)
-        self.sum_rate = np.zeros(horizon)
-        self.seed = seed
-
-    def record(self, k: int, state: LearnerState, sum_rate: float) -> None:
-        self.profiles[k] = state.profile.channels
-        self.tau[k] = state.tau
-        self.n_samples[k] = state.n_samples
-        self.player[k] = state.player
-        self.trial[k] = state.trial
-        self.accepted[k] = state.accepted
-        self.delta_hat[k] = state.delta_hat
-        self.sum_rate[k] = sum_rate
-
-    def build(self) -> Trajectory:
-        return Trajectory(initial_channels=self.initial_channels,
-                          profiles=self.profiles, t=self.t, tau=self.tau,
-                          n_samples=self.n_samples, player=self.player,
-                          trial=self.trial, accepted=self.accepted,
-                          delta_hat=self.delta_hat, sum_rate=self.sum_rate,
-                          seed=self.seed)
-
-
 # ----------------------------------------------------------------------
-# one learning slot
-
-
-def _propose(state: LearnerState, game: CapGame, rng: np.random.Generator):
-    active = game.active_players
-    if len(active) == 0:
-        raise ValueError("at least one active player is required")
-    player = int(active[rng.integers(len(active))])
-    trial = int(rng.integers(game.num_channels))
-    return player, trial
-
-
-def blla_step(state: LearnerState, game: CapGame, schedule, noise,
-              xi: float, rng: np.random.Generator) -> LearnerState:
-    """Advance the chain by one slot.
-
-    Draw order per slot: player, trial channel, phase I fading, phase II
-    fading, acceptance coin.  A self-trial cannot change the profile, so its
-    estimation phases and coin are skipped; the record still carries the
-    slot's tau and sample count.
-    """
-    t = state.t + 1
-    tau = schedule.tau_at(t)
-    if noise is None:
-        n = 1  # exact utilities, nothing to average
-    else:
-        n = noise.required_samples(tau, xi)
-
-    player, trial = _propose(state, game, rng)
-    current = int(state.profile.channels[player])
-    if trial == current:
-        return LearnerState(profile=state.profile, t=t, tau=tau, n_samples=n,
-                            player=player, trial=trial, accepted=False,
-                            delta_hat=0.0)
-
-    trial_profile = state.profile.with_channel(player, trial)
-    est_current = utility_mean(game, state.profile, player, n, rng).mean
-    est_trial = utility_mean(game, trial_profile, player, n, rng).mean
-    delta = est_current - est_trial
-    accept = rng.random() < acceptance_probability(delta, tau)
-    return LearnerState(profile=trial_profile if accept else state.profile,
-                        t=t, tau=tau, n_samples=n, player=player, trial=trial,
-                        accepted=accept, delta_hat=delta)
-
-
-def better_response_step(state: LearnerState, game: CapGame, n_samples: int,
-                         rng: np.random.Generator) -> LearnerState:
-    """Same proposal and estimation protocol, but the trial is adopted only
-    when its estimated utility strictly exceeds the current one."""
-    t = state.t + 1
-    player, trial = _propose(state, game, rng)
-    current = int(state.profile.channels[player])
-    if trial == current:
-        return LearnerState(profile=state.profile, t=t, tau=math.nan,
-                            n_samples=n_samples, player=player, trial=trial,
-                            accepted=False, delta_hat=0.0)
-    trial_profile = state.profile.with_channel(player, trial)
-    est_current = utility_mean(game, state.profile, player, n_samples, rng).mean
-    est_trial = utility_mean(game, trial_profile, player, n_samples, rng).mean
-    delta = est_current - est_trial
-    accept = delta < 0.0  # ties keep the current action
-    return LearnerState(profile=trial_profile if accept else state.profile,
-                        t=t, tau=math.nan, n_samples=n_samples, player=player,
-                        trial=trial, accepted=accept, delta_hat=delta)
-
-
-# ----------------------------------------------------------------------
-# trajectory runners
+# the slot loop
 
 
 def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
-         advance) -> Trajectory:
+         slot) -> Trajectory:
+    """Run ``horizon`` slots of the proposal and estimation protocol.
+
+    ``slot(t)`` gives slot t's (tau, N, accept): the temperature to record,
+    the fading samples per estimate, and the rule ``accept(delta, rng)``
+    that decides a switch from the estimated utility drop delta.  Draw
+    order per slot: player, trial channel, phase I fading, phase II fading,
+    then whatever ``accept`` draws.  A self-trial cannot change the profile,
+    so its estimation phases and ``accept`` are skipped.  A game with no
+    active player proposes nothing and draws nothing: it keeps its start.
+    """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     # SFC64: fastest bulk float32 uniform stream in numpy, dominates runtime.
@@ -402,18 +303,40 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     profile = game.initial_profile(rng) if initial_profile is None \
         else initial_profile
     profile.validate(game.num_channels)
-    state = LearnerState(profile=profile)
-    rec = _TrajectoryRecorder(horizon, game.num_players, profile, rng_seed)
+    active = game.active_players
+    traj = Trajectory(
+        initial_channels=profile.channels.copy(),
+        profiles=np.empty((horizon, game.num_players), dtype=np.int16),
+        t=np.arange(1, horizon + 1, dtype=np.int64), tau=np.empty(horizon),
+        n_samples=np.empty(horizon, dtype=np.int64),
+        player=np.full(horizon, -1, dtype=np.int32),
+        trial=np.full(horizon, -1, dtype=np.int32),
+        accepted=np.zeros(horizon, dtype=bool), delta_hat=np.zeros(horizon),
+        sum_rate=np.empty(horizon), seed=rng_seed)
     rate_cache: dict = {}
     for k in range(horizon):
-        state = advance(state, rng)
-        key = state.profile.key()
+        traj.tau[k], n, accept = slot(k + 1)
+        traj.n_samples[k] = n
+        if len(active):
+            player = int(active[rng.integers(len(active))])
+            trial = int(rng.integers(game.num_channels))
+            traj.player[k], traj.trial[k] = player, trial
+            if trial != profile.channels[player]:
+                proposal = profile.with_channel(player, trial)
+                delta = utility_mean(game, profile, player, n, rng).mean \
+                    - utility_mean(game, proposal, player, n, rng).mean
+                traj.delta_hat[k] = delta
+                if accept(delta, rng):
+                    profile = proposal
+                    traj.accepted[k] = True
+        traj.profiles[k] = profile.channels
+        key = profile.key()
         rate = rate_cache.get(key)
         if rate is None:
-            rate = game.potential_exact(state.profile)
+            rate = game.potential_exact(profile)
             rate_cache[key] = rate
-        rec.record(k, state, rate)
-    return rec.build()
+        traj.sum_rate[k] = rate
+    return traj
 
 
 def run_blla(game: CapGame, schedule, noise, xi: float, horizon: int,
@@ -421,18 +344,31 @@ def run_blla(game: CapGame, schedule, noise, xi: float, horizon: int,
              ) -> Trajectory:
     """Run BLLA for ``horizon`` slots; deterministic for a fixed seed.
 
+    Each slot's sample count is recomputed from tau(t) and ``xi``;
     ``noise=None`` pairs with deterministic-mode games (single exact
-    evaluation per phase).  Without an explicit initial profile, active
+    evaluation per phase).  A proposal is adopted with probability
+    1/(1 + exp(delta/tau)).  Without an explicit initial profile, active
     players start on uniformly random channels drawn from the same stream.
     """
-    return _run(game, horizon, rng_seed, initial_profile,
-                lambda st, rng: blla_step(st, game, schedule, noise, xi, rng))
+    def slot(t: int):
+        tau = schedule.tau_at(t)
+        n = 1 if noise is None else noise.required_samples(tau, xi)
+        return tau, n, lambda delta, rng: \
+            rng.random() < acceptance_probability(delta, tau)
+
+    return _run(game, horizon, rng_seed, initial_profile, slot)
+
+
+def _improves(delta: float, rng) -> bool:
+    return delta < 0.0  # ties keep the current action
 
 
 def run_br(game: CapGame, n_samples: int, horizon: int, rng_seed,
            initial_profile: AssignmentProfile | None = None) -> Trajectory:
-    """Better-response baseline with a fixed per-phase sample budget."""
+    """Better-response baseline with a fixed per-phase sample budget: the
+    same protocol as BLLA, but a proposal is adopted only when its
+    estimated utility strictly exceeds the current one.  tau is NaN."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     return _run(game, horizon, rng_seed, initial_profile,
-                lambda st, rng: better_response_step(st, game, n_samples, rng))
+                lambda t: (math.nan, n_samples, _improves))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,8 +131,6 @@ class Topology:
     ued_rx_positions: np.ndarray        # (num_ued, 2)
     mean_gain_matrix: np.ndarray        # (L, L) linear gains, tx index -> rx index
     seed: int | None = None
-    uec_pairs: np.ndarray = field(init=False, repr=False)
-    ued_pairs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("bs_position", "uec_positions", "ued_tx_positions",
@@ -140,15 +138,6 @@ class Topology:
             arr = np.asarray(getattr(self, name), dtype=float)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        bs = np.broadcast_to(self.bs_position, self.uec_positions.shape)
-        object.__setattr__(
-            self, "uec_pairs",
-            np.stack([bs, self.uec_positions], axis=1) if self.num_uec
-            else np.zeros((0, 2, 2)))
-        object.__setattr__(
-            self, "ued_pairs",
-            np.stack([self.ued_tx_positions, self.ued_rx_positions], axis=1)
-            if self.num_ued else np.zeros((0, 2, 2)))
 
     @property
     def num_uec(self) -> int:
@@ -161,17 +150,6 @@ class Topology:
     @property
     def num_links(self) -> int:
         return self.num_uec + self.num_ued
-
-    def tx_positions(self) -> np.ndarray:
-        """Per-link transmitter positions, (L, 2). BS transmits for UEC links."""
-        bs = np.broadcast_to(self.bs_position, (self.num_uec, 2))
-        return np.concatenate([bs, self.ued_tx_positions]) if self.num_links \
-            else np.zeros((0, 2))
-
-    def rx_positions(self) -> np.ndarray:
-        """Per-link receiver positions, (L, 2)."""
-        return np.concatenate([self.uec_positions, self.ued_rx_positions]) \
-            if self.num_links else np.zeros((0, 2))
 
     def is_uec_link(self) -> np.ndarray:
         """Boolean mask of UEC links, (L,)."""

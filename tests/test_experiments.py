@@ -49,6 +49,35 @@ def test_config_file_round_trip(tmp_path):
     assert ExperimentConfig.from_file(path) == cfg
 
 
+def test_config_round_trips_strings_with_comment_marks_and_quotes():
+    for out_dir in ("runs/#3", "a = b", "it's", 'say "hi" # not a comment',
+                    "#"):
+        cfg = tiny_config(out_dir=out_dir)
+        assert ExperimentConfig.from_text(cfg.to_text()) == cfg
+    cfg = ExperimentConfig.from_text("out_dir = 'runs/#3'  # trailing\n"
+                                     "horizon = 7 # slots\n")
+    assert (cfg.out_dir, cfg.horizon) == ("runs/#3", 7)
+    assert ExperimentConfig.from_text(
+        "out_dir = runs # bare\n").out_dir == "runs"
+    with pytest.raises(ValueError, match="line 2 has an unterminated"):
+        ExperimentConfig.from_text("tau = 0.1\nout_dir = 'runs/#3\n")
+
+
+def test_equal_configs_stamp_one_hash():
+    want = ExperimentConfig(tau=1.0).config_hash()
+    for cfg in (ExperimentConfig(tau=1), ExperimentConfig.from_text("tau = 1")):
+        assert cfg == ExperimentConfig(tau=1.0)
+        assert type(cfg.tau) is float and "tau = 1.0" in cfg.to_text()
+        assert cfg.config_hash() == want
+    # int fields stay int, and bools are never turned into floats
+    cfg = ExperimentConfig(horizon=7, shared_topology=True)
+    assert type(cfg.horizon) is int and cfg.shared_topology is True
+    with pytest.raises(ValueError, match="'tau'"):
+        ExperimentConfig(tau=True).validate()
+    with pytest.raises(ValueError, match="'tau' is too large"):
+        ExperimentConfig.from_text("tau = " + "9" * 400)
+
+
 def test_config_accepts_bare_strings():
     cfg = ExperimentConfig.from_text("algorithm = blla\nschedule = fixed\n")
     assert cfg.algorithm == "blla"

@@ -1,20 +1,24 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+import d2dcap.experiments as experiments_module
 import d2dcap.learning as learning_module
-from d2dcap.game import AssignmentProfile
+from d2dcap.experiments import ExperimentConfig
+from d2dcap.game import AssignmentProfile, utility_mean
 from d2dcap.learning import (
     BoundedNoise,
     FixedTemperature,
-    LearnerState,
     LogDecreasingTemperature,
+    Trajectory,
     UnboundedMgfNoise,
     acceptance_probability,
-    better_response_step,
-    blla_step,
     required_samples_bounded,
     required_samples_unbounded,
     run_blla,
@@ -123,22 +127,23 @@ def test_acceptance_probability_saturates_cleanly():
 
 
 def test_blla_step_acceptance_statistics():
-    # drive the same state repeatedly; accepted moves must match the rule's
-    # probability per (player, trial) pair within binomial error
+    # one long run, tallied by (pre-slot profile, player, trial): accepted
+    # moves must match the rule's probability within binomial error
     game = seeded_game(0, 2, 2, seed=25)
-    start = AssignmentProfile(channels=[0, 0], passive=[False, False])
     tau = 0.3
-    schedule = FixedTemperature(tau=tau)
-    rng = np.random.default_rng(17)
+    traj = run_blla(game, FixedTemperature(tau=tau), None, 1e-5,
+                    horizon=20000, rng_seed=17)
+    before = np.vstack([traj.initial_channels, traj.profiles[:-1]])
     counts = {}
-    for _ in range(20000):
-        state = LearnerState(profile=start)
-        out = blla_step(state, game, schedule, None, 1e-5, rng)
-        key = (out.player, out.trial)
+    for k in range(traj.horizon):
+        key = (tuple(before[k].tolist()), int(traj.player[k]),
+               int(traj.trial[k]))
         n_prop, n_acc = counts.get(key, (0, 0))
-        counts[key] = (n_prop + 1, n_acc + int(out.accepted))
-    for (player, trial), (n_prop, n_acc) in counts.items():
-        if trial == int(start.channels[player]):
+        counts[key] = (n_prop + 1, n_acc + int(traj.accepted[k]))
+    assert len(counts) == 16  # 4 profiles x 2 players x 2 trials
+    for (channels, player, trial), (n_prop, n_acc) in counts.items():
+        start = AssignmentProfile(channels=channels, passive=[False, False])
+        if trial == channels[player]:
             assert n_acc == 0  # self-trials never move
             continue
         du = game.utility_exact(start, player) - game.utility_exact(
@@ -148,15 +153,19 @@ def test_blla_step_acceptance_statistics():
         assert abs(n_acc / n_prop - p) <= 3.5 * sigma
 
 
-def test_self_trial_skips_the_slot():
+def test_self_trial_skips_the_slot(monkeypatch):
     game = seeded_game(0, 3, 1, seed=6)  # one channel: every trial is a no-op
-    state = LearnerState(profile=game.initial_profile())
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        state = blla_step(state, game, FixedTemperature(0.1), None, 1e-5, rng)
-        assert not state.accepted and state.delta_hat == 0.0
-    assert state.t == 20
-    assert state.profile.key() == game.initial_profile().key()
+
+    def never(*args, **kwargs):
+        raise AssertionError("a self-trial estimated or drew a coin")
+
+    monkeypatch.setattr(learning_module, "utility_mean", never)
+    monkeypatch.setattr(learning_module, "acceptance_probability", never)
+    traj = run_blla(game, FixedTemperature(0.1), None, 1e-5, horizon=20,
+                    rng_seed=0)
+    assert not traj.accepted.any() and np.all(traj.delta_hat == 0.0)
+    assert np.all(traj.trial == 0) and traj.t[-1] == 20
+    assert np.all(traj.profiles == traj.initial_channels)
 
 
 def test_sample_count_recomputed_each_slot():
@@ -270,20 +279,184 @@ def test_runner_argument_guards():
         np.random.Generator(np.random.SFC64(1))).key()
 
 
-def test_zero_active_players_rejected():
+def test_zero_active_players_keep_their_start():
     game = seeded_game(1, 0, 3, seed=5)
-    state = LearnerState(profile=game.initial_profile())
-    with pytest.raises(ValueError):
-        blla_step(state, game, FixedTemperature(0.1), None, 1e-5,
-                  np.random.default_rng(0))
+    start = game.initial_profile()
+    for run in (lambda rng: run_blla(game, FixedTemperature(0.1), None, 1e-5,
+                                     12, rng),
+                lambda rng: run_br(game, 3, 12, rng)):
+        rng = np.random.Generator(np.random.SFC64(0))
+        traj = run(rng)
+        # nothing was drawn: the stream is where a fresh one starts
+        assert rng.random() == np.random.Generator(np.random.SFC64(0)).random()
+        assert np.all(traj.player == -1) and np.all(traj.trial == -1)
+        assert not traj.accepted.any()
+        assert np.all(traj.profiles == start.channels)
+        assert np.all(traj.sum_rate == game.potential_exact(start))
 
 
 def test_better_response_step_tie_keeps_current():
-    game = seeded_game(0, 2, 2, seed=25)
-    state = LearnerState(profile=game.initial_profile())
-    rng = np.random.default_rng(1)
-    out = better_response_step(state, game, 1, rng)
-    assert out.t == 1
-    if out.trial == int(state.profile.channels[out.player]):
-        assert not out.accepted
-    assert math.isnan(out.tau)
+    # a lone pair's utility is the same on every channel: every proposal
+    # ties, and better response keeps its channel where BLLA would not
+    game = seeded_game(0, 1, 3, seed=25)
+    traj = run_br(game, 1, horizon=30, rng_seed=1)
+    moved = traj.trial != traj.initial_channels[0]
+    assert moved.any() and np.all(traj.delta_hat[moved] == 0.0)
+    assert not traj.accepted.any()
+    assert np.all(traj.profiles == traj.initial_channels)
+    assert np.all(np.isnan(traj.tau))
+
+# ----------------------------------------------------------------------
+# reference slot loop: the per-slot step functions and the zero-active
+# trajectory that the shared runner replaced, kept to pin it bit for bit
+
+
+def reference_blla_step(profile, t, game, schedule, noise, xi, rng):
+    """One BLLA slot; returns (profile, tau, n, player, trial, accepted,
+    delta_hat).  Draw order: player, trial, phase I, phase II, coin."""
+    tau = schedule.tau_at(t)
+    n = 1 if noise is None else noise.required_samples(tau, xi)
+    active = game.active_players
+    player = int(active[rng.integers(len(active))])
+    trial = int(rng.integers(game.num_channels))
+    if trial == int(profile.channels[player]):
+        return profile, tau, n, player, trial, False, 0.0
+    trial_profile = profile.with_channel(player, trial)
+    delta = (utility_mean(game, profile, player, n, rng).mean
+             - utility_mean(game, trial_profile, player, n, rng).mean)
+    accept = rng.random() < acceptance_probability(delta, tau)
+    return (trial_profile if accept else profile, tau, n, player, trial,
+            accept, delta)
+
+
+def reference_br_step(profile, t, game, n, rng):
+    active = game.active_players
+    player = int(active[rng.integers(len(active))])
+    trial = int(rng.integers(game.num_channels))
+    if trial == int(profile.channels[player]):
+        return profile, math.nan, n, player, trial, False, 0.0
+    trial_profile = profile.with_channel(player, trial)
+    delta = (utility_mean(game, profile, player, n, rng).mean
+             - utility_mean(game, trial_profile, player, n, rng).mean)
+    accept = delta < 0.0
+    return (trial_profile if accept else profile, math.nan, n, player,
+            trial, accept, delta)
+
+
+def reference_run(game, horizon, rng_seed, initial_profile, step):
+    rng = np.random.Generator(np.random.SFC64(rng_seed))
+    profile = game.initial_profile(rng) if initial_profile is None \
+        else initial_profile
+    profiles = np.zeros((horizon, game.num_players), dtype=np.int16)
+    tau = np.zeros(horizon)
+    n_samples = np.zeros(horizon, dtype=np.int64)
+    player = np.zeros(horizon, dtype=np.int32)
+    trial = np.zeros(horizon, dtype=np.int32)
+    accepted = np.zeros(horizon, dtype=bool)
+    delta_hat = np.zeros(horizon)
+    sum_rate = np.zeros(horizon)
+    initial = profile.channels.copy()
+    for k in range(horizon):
+        (profile, tau[k], n_samples[k], player[k], trial[k], accepted[k],
+         delta_hat[k]) = step(profile, k + 1, rng=rng)
+        profiles[k] = profile.channels
+        sum_rate[k] = game.potential_exact(profile)
+    return Trajectory(initial_channels=initial, profiles=profiles,
+                      t=np.arange(1, horizon + 1, dtype=np.int64), tau=tau,
+                      n_samples=n_samples, player=player, trial=trial,
+                      accepted=accepted, delta_hat=delta_hat,
+                      sum_rate=sum_rate, seed=rng_seed)
+
+
+def reference_constant_trajectory(game, horizon, seed):
+    """What a run without active players recorded: the start, held."""
+    profile = game.initial_profile()
+    rate = game.potential_exact(profile)
+    return Trajectory(initial_channels=profile.channels.copy(),
+                      profiles=np.tile(profile.channels, (horizon, 1)),
+                      t=np.arange(1, horizon + 1, dtype=np.int64),
+                      tau=np.full(horizon, math.nan),
+                      n_samples=np.zeros(horizon, dtype=np.int64),
+                      player=np.full(horizon, -1, dtype=np.int32),
+                      trial=np.full(horizon, -1, dtype=np.int32),
+                      accepted=np.zeros(horizon, dtype=bool),
+                      delta_hat=np.full(horizon, math.nan),
+                      sum_rate=np.full(horizon, rate), seed=seed)
+
+
+_TRAJECTORY_FIELDS = [f.name for f in dataclasses.fields(Trajectory)]
+
+
+def assert_same_trajectory(got, want, fields=_TRAJECTORY_FIELDS):
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        if name == "seed":
+            assert a == b
+            continue
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        # bit equality, NaN included
+        assert a.tobytes() == b.tobytes(), name
+
+
+@st.composite
+def learning_runs(draw):
+    """A game with at least one active player and one learner on it."""
+    num_uec = draw(st.integers(0, 2))
+    num_ued = draw(st.integers(1, 3))
+    num_channels = draw(st.integers(max(1, num_uec), 3))
+    mode = draw(st.sampled_from(["noisy", "deterministic"]))
+    game = seeded_game(num_uec, num_ued, num_channels,
+                       seed=draw(st.integers(0, 2 ** 16)), mode=mode)
+    learner = draw(st.sampled_from(["fixed", "log", "gaussian", "none",
+                                    "br"]))
+    if learner == "br":
+        n = draw(st.sampled_from([1, 2, 7, 40]))
+        run = functools.partial(run_br, game, n)
+        step = functools.partial(reference_br_step, game=game, n=n)
+    else:
+        schedule = LogDecreasingTemperature(scale=draw(st.sampled_from(
+            [0.5, 2.0]))) if learner == "log" else FixedTemperature(
+            tau=draw(st.sampled_from([0.3, 1.0, 5.0])))
+        noise = {"gaussian": UnboundedMgfNoise.gaussian(sigma=0.05),
+                 "none": None}.get(learner, BoundedNoise(interval_width=1.0))
+        xi = draw(st.sampled_from([0.1, 0.5]))
+        run = functools.partial(run_blla, game, schedule, noise, xi)
+        step = functools.partial(reference_blla_step, game=game,
+                                 schedule=schedule, noise=noise, xi=xi)
+    initial = None
+    if draw(st.booleans()):
+        initial = game.initial_profile(
+            np.random.default_rng(draw(st.integers(0, 99))))
+    return game, run, step, initial
+
+
+@settings(max_examples=200)
+@given(case=learning_runs(), horizon=st.integers(0, 25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_runner_matches_reference_slot_loop(case, horizon, seed):
+    game, run, step, initial = case
+    got = run(horizon, seed, initial)
+    want = reference_run(game, horizon, seed, initial, step)
+    assert_same_trajectory(got, want)
+
+
+@settings(max_examples=100)
+@given(num_uec=st.integers(0, 3), num_channels=st.integers(3, 4),
+       algorithm=st.sampled_from(["blla", "br"]),
+       noise_model=st.sampled_from(["bounded", "gaussian", "none"]),
+       schedule=st.sampled_from(["fixed", "log_decreasing"]),
+       horizon=st.integers(1, 20), seed=st.integers(0, 2 ** 16))
+def test_zero_active_runs_match_reference(num_uec, num_channels, algorithm,
+                                          noise_model, schedule, horizon,
+                                          seed):
+    config = ExperimentConfig(num_uec=num_uec, num_ued=0,
+                              num_channels=num_channels, topology_seed=seed,
+                              algorithm=algorithm, noise_model=noise_model,
+                              schedule=schedule, horizon=horizon)
+    topo = config.topology(0)
+    mode = "deterministic" if noise_model == "none" else "noisy"
+    want = reference_constant_trajectory(config.game(topo, mode=mode),
+                                         horizon, seed)
+    got = experiments_module._run_one(config, topo, seed)
+    assert_same_trajectory(got, want, ("initial_channels", "profiles", "t",
+                                       "sum_rate", "accepted"))
