@@ -47,6 +47,8 @@ _SCHEDULES = ("fixed", "log_decreasing")
 _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
+# largest fading block, in bytes, that one utility estimate may draw
+_FADING_BLOCK_GUARD = 1 << 30
 
 _log = logging.getLogger(__name__)
 
@@ -282,6 +284,37 @@ def _run_one(config: ExperimentConfig, topology: Topology,
     return run_br(game, config.br_samples, config.horizon, seed)
 
 
+def _check_fading_block(config: ExperimentConfig) -> None:
+    """Refuse a config whose largest per-phase fading block exceeds
+    ``_FADING_BLOCK_GUARD``, before anything is drawn.  An estimate draws
+    an m x m x N float32 block for its co-channel set of m links.  m is at
+    most every D2D pair plus one cellular link, since cellular links hold
+    distinct channels; N peaks in the coldest slot, the last one."""
+    config.validate()
+    if config.noise_model == "none":
+        return  # exact utilities draw no fading
+    m_max = config.num_ued + (1 if config.num_uec else 0)
+    keys = ["num_uec", "num_ued"]
+    if config.algorithm == "br":
+        n_max = config.br_samples
+        keys.append("br_samples")
+    else:
+        tau = config.schedule_obj().tau_at(config.horizon)
+        n_max = config.noise_obj().required_samples(tau, config.xi)
+        keys += ["tau"] if config.schedule == "fixed" \
+            else ["tau_scale", "horizon"]
+        keys += ["noise_model", "noise_width" if config.noise_model
+                 == "bounded" else "noise_sigma", "xi"]
+    size = m_max * m_max * n_max * 4
+    if size > _FADING_BLOCK_GUARD:
+        named = ", ".join(f"{k}={getattr(config, k)!r}" for k in keys)
+        raise ValueError(
+            f"the largest fading block, {m_max} x {m_max} x {n_max} float32 "
+            f"({size / 2 ** 30:.1f} GiB), exceeds the "
+            f"{_FADING_BLOCK_GUARD / 2 ** 30:g} GiB guard; it is set by "
+            f"{named}")
+
+
 class _Record(typing.NamedTuple):
     """What the aggregate keeps of one realization."""
 
@@ -407,6 +440,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     The realizations run in forked workers, one per usable CPU; the tables
     are byte-identical for every worker count.
     """
+    _check_fading_block(config)
     with _realization_pool(config.realizations) as pool:
         point = _point_result(config, pool=pool)
     result = SweepResult(points=[point], base_config=replace(config),
@@ -421,11 +455,13 @@ def _sweep(config: ExperimentConfig, param: str, values,
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
+    configs = [make_config(v) for v in values]
+    for cfg in configs:  # an oversized point is refused before any runs
+        _check_fading_block(cfg)
+        cfg.out_dir = ""  # points share the sweep's output directory
     points = []
     with _realization_pool(config.realizations) as pool:  # one for all points
-        for v in values:
-            cfg = make_config(v)
-            cfg.out_dir = ""  # points share the sweep's output directory
+        for v, cfg in zip(values, configs):
             points.append(_point_result(cfg, param=param, value=v, pool=pool))
     result = SweepResult(points=points, base_config=replace(config),
                          config_hash=config.config_hash())
@@ -537,14 +573,15 @@ class StationaryReport:
 
     def to_csv_lines(self) -> list:
         lines = ["tau,state,pi_direct,pi_gibbs,pi_tree"]
+        labels = ["|".join(str(x) for x in s) for s in self.states]
         for i, tau in enumerate(self.taus):
-            for j, s in enumerate(self.states):
-                label = "|".join(str(x) for x in s)
-                tree = "" if self.pi_tree is None \
-                    else repr(float(self.pi_tree[i, j]))
-                lines.append(f"{tau!r},{label},"
-                             f"{float(self.pi_direct[i, j])!r},"
-                             f"{float(self.pi_gibbs[i, j])!r},{tree}")
+            # builtin floats: their repr round-trips
+            direct = self.pi_direct[i].tolist()
+            gibbs = self.pi_gibbs[i].tolist()
+            tree = [""] * len(labels) if self.pi_tree is None \
+                else [repr(v) for v in self.pi_tree[i].tolist()]
+            lines += [f"{tau!r},{label},{d!r},{g!r},{t}" for label, d, g, t
+                      in zip(labels, direct, gibbs, tree)]
         return lines
 
 

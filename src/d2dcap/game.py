@@ -15,6 +15,12 @@ in float32 for throughput, which is far below the estimation noise floor.
 Both modes, utilities and potentials alike, go through one clamped
 SINR -> rate kernel over a fading block: a unit float64 block in
 deterministic mode, float32 draws in noisy mode.
+
+The exact values depend only on channel member sets: a utility on the
+player's co-channel set, the potential on each channel's set.  A game
+therefore memoizes them per instance, one rate sum per member set and one
+utility per (member set, player), each computed by the kernel on first use.
+Every later call returns the same float, so the memo is exact.
 """
 
 from __future__ import annotations
@@ -108,8 +114,11 @@ class UtilityEstimate:
 class CapGame:
     """Binds a topology and radio parameters into the assignment game.
 
-    Immutable after construction; utility evaluation is a pure function of
-    (profile, fading or seed).
+    Its parameters are fixed after construction; utility evaluation is a
+    pure function of (profile, fading or seed).  The instance memoizes its
+    exact evaluations by channel member set, so ``utility_exact`` and
+    ``potential_exact`` run the rate kernel once per set (and player) and
+    return bit-identical floats on every call.
     """
 
     def __init__(self, topology: Topology, params: RadioParams,
@@ -137,6 +146,11 @@ class CapGame:
         self._bits_scale = params.bandwidth_hz / math.log(2.0)
         self._util_scale = self._bits_scale / self.phi_max \
             if self.num_players else 0.0
+        # exact values by channel member set (ascending link indices as
+        # bytes), filled on first use: a channel's rate sum, and a member's
+        # utility keyed with the member
+        self._set_rate: dict = {}
+        self._set_utility: dict = {}
 
     # ------------------------------------------------------------------
     # profiles
@@ -217,10 +231,15 @@ class CapGame:
     def potential_exact(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate over all links, bits/s."""
         total = 0.0
-        for c in np.unique(profile.channels):
+        for c in np.unique(profile.channels):  # ascending: one sum order
             members = np.nonzero(profile.channels == c)[0]
-            unit = np.ones((len(members), len(members), 1))
-            total += float(self._rate_kernel(members, unit)[0])
+            key = members.tobytes()
+            rate = self._set_rate.get(key)
+            if rate is None:
+                unit = np.ones((len(members), len(members), 1))
+                rate = float(self._rate_kernel(members, unit)[0])
+                self._set_rate[key] = rate
+            total += rate
         return total * self._bits_scale
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
@@ -232,9 +251,14 @@ class CapGame:
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:
         """Exact normalized marginal-contribution utility (deterministic)."""
         members = cochannel_set(profile, int(profile.channels[player]))
-        unit = np.ones((len(members), len(members), 1))
-        return float(self._rate_kernel(members, unit, player)[0]) \
-            * self._util_scale
+        key = (members.tobytes(), int(player))
+        value = self._set_utility.get(key)
+        if value is None:
+            unit = np.ones((len(members), len(members), 1))
+            value = float(self._rate_kernel(members, unit, player)[0]) \
+                * self._util_scale
+            self._set_utility[key] = value
+        return value
 
 
 # ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ arithmetic) before being frozen here.
 import math
 
 import numpy as np
+import pytest
 
 from conftest import accept_config, br_point, decreasing_point, fixed_point
 from d2dcap import analysis
@@ -156,6 +157,7 @@ def test_criterion_7_fixed_temperature_convergence(criterion):
                           f"final window {point.window_slots} slots")
 
 
+@pytest.mark.slow
 def test_criterion_8_decreasing_schedule_helps(criterion):
     with criterion(8, "decreasing schedule beats fixed tau") as info:
         dec = decreasing_point()
@@ -173,6 +175,7 @@ def _sweep_base() -> ExperimentConfig:
                             base_seed=2000, track_optimum=False)
 
 
+@pytest.mark.slow
 def test_criterion_9_capacity_trends(criterion):
     with criterion(9, "capacity trends under sweeps") as info:
         chan = sweep_channels(_sweep_base(), (2, 3, 4))
@@ -193,6 +196,7 @@ def test_criterion_9_capacity_trends(criterion):
                           "bits/s per pair")
 
 
+@pytest.mark.slow
 def test_criterion_10_single_sample_beats_better_response(criterion):
     with criterion(10, "noisy learning beats better response") as info:
         blla = decreasing_point().final_window_mean

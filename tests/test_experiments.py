@@ -14,11 +14,13 @@ import pytest
 import d2dcap.experiments as expmod
 from d2dcap.experiments import (
     ExperimentConfig,
+    StationaryReport,
     analyze_stationary,
     run_experiment,
     sweep_channels,
     sweep_ues,
 )
+from d2dcap.game import CapGame
 from d2dcap.learning import run_blla
 
 
@@ -247,11 +249,8 @@ def test_per_realization_topologies():
     assert point.phi_star is None and point.optimum_keys is None
 
 
-def test_oversized_profile_space_is_refused_before_any_realization(
-        monkeypatch):
-    # 3^13 = 1,594,323 profiles; the size does not depend on the layout
-    cfg = tiny_config(num_ued=13, num_channels=3, shared_topology=False,
-                      track_optimum=True, realizations=2)
+def _no_realization(monkeypatch):
+    """Make any realization fail the test; returns the seeds tried."""
     calls = []
 
     def spy(config, topology, seed):
@@ -259,6 +258,15 @@ def test_oversized_profile_space_is_refused_before_any_realization(
         raise AssertionError("a realization ran")
 
     monkeypatch.setattr(expmod, "_run_one", spy)
+    return calls
+
+
+def test_oversized_profile_space_is_refused_before_any_realization(
+        monkeypatch):
+    # 3^13 = 1,594,323 profiles; the size does not depend on the layout
+    cfg = tiny_config(num_ued=13, num_channels=3, shared_topology=False,
+                      track_optimum=True, realizations=2)
+    calls = _no_realization(monkeypatch)
     with pytest.raises(ValueError, match="profile space of size 1594323"):
         run_experiment(cfg)
     assert calls == []
@@ -501,3 +509,102 @@ def test_analyze_stationary_writes_csv(tmp_path):
     assert lines[0].startswith("# config_hash=")
     assert lines[1] == "tau,state,pi_direct,pi_gibbs,pi_tree"
     assert len(lines) == 2 + 2 * len(report.states)
+
+
+def test_stationary_csv_lines_match_golden_bytes():
+    nan = math.nan
+    report = StationaryReport(
+        states=[(0, 1), (1, 0), (2, 12)], taus=[0.1, 0.005],
+        pi_direct=np.array([[0.1 + 0.2, 5e-324, 1.0 - (0.1 + 0.2)],
+                            [nan, nan, nan]]),
+        pi_gibbs=np.array([[1 / 3, 1e-300, 2 / 3], [0.0, 0.25, 0.75]]),
+        pi_tree=np.array([[1 / 3, 1e-300, 2 / 3], [1e-17, 0.5, 0.5 - 1e-17]]),
+        stable_keys=None, optimum_keys=((2, 12),), verdict=None,
+        max_direct_gibbs_gap=nan)
+    rows = ["0.1,0|1,0.30000000000000004,0.3333333333333333,",
+            "0.1,1|0,5e-324,1e-300,",
+            "0.1,2|12,0.7,0.6666666666666666,",
+            "0.005,0|1,nan,0.0,",
+            "0.005,1|0,nan,0.25,",
+            "0.005,2|12,nan,0.75,"]
+    tree = ["0.3333333333333333", "1e-300", "0.6666666666666666",
+            "1e-17", "0.5", "0.5"]
+    head = "tau,state,pi_direct,pi_gibbs,pi_tree"
+    assert report.to_csv_lines() == [head] + [r + t
+                                              for r, t in zip(rows, tree)]
+    assert replace(report, pi_tree=None).to_csv_lines() == [head] + rows
+
+
+def test_exact_analysis_evaluates_each_cochannel_set_once(monkeypatch):
+    # the 729-profile instance of perfbench's exact-729 workload on the
+    # CLI's default grid: 63 channel member sets of 6 pairs, plus the 192
+    # (set, member) pairs behind the utilities
+    cfg = ExperimentConfig(num_uec=0, num_ued=6, num_channels=3,
+                           cell_radius_m=60.0, topology_seed=25)
+    calls = []
+    real = CapGame._rate_kernel
+
+    def counted(self, members, f, player=None):
+        calls.append((tuple(members.tolist()), player))
+        return real(self, members, f, player)
+
+    monkeypatch.setattr(CapGame, "_rate_kernel", counted)
+    report = analyze_stationary(cfg, (0.1, 0.05, 0.02, 0.01, 0.005))
+    assert len(report.states) == 729 and report.verdict is True
+    assert len(calls) == len(set(calls)) == 63 + 192
+
+
+# ----------------------------------------------------------------------
+# fading-block guard
+
+
+def test_oversized_fading_block_is_refused_before_any_realization(
+        monkeypatch):
+    calls = _no_realization(monkeypatch)
+    # N = 242,745,533 at t = 500: a 4 x 4 x N float32 block is 14.5 GiB
+    cfg = tiny_config(num_ued=4, noise_model="bounded",
+                      schedule="log_decreasing", tau_scale=0.01, horizon=500)
+    with pytest.raises(ValueError, match=r"4 x 4 x 242745533 float32 "
+                       r"\(14\.5 GiB\).*tau_scale=0\.01, horizon=500"):
+        run_experiment(cfg)
+    br = tiny_config(num_uec=1, algorithm="br", br_samples=10 ** 9,
+                     noise_model="bounded")
+    with pytest.raises(ValueError, match=r"3 x 3 x 1000000000 .*"
+                       r"num_uec=1, num_ued=2, br_samples=1000000000"):
+        run_experiment(br)
+    assert calls == []
+
+
+def test_fading_block_guard_counts_one_cellular_link(monkeypatch):
+    # 1 UEC + 2 UED pairs: co-channel sets of at most 3, so 3 x 3 x 10 x 4
+    cfg = tiny_config(num_uec=1, algorithm="br", br_samples=10,
+                      noise_model="bounded")
+    monkeypatch.setattr(expmod, "_FADING_BLOCK_GUARD", 360)
+    expmod._check_fading_block(cfg)
+    expmod._check_fading_block(replace(cfg, noise_model="none",
+                                       br_samples=10 ** 9))
+    monkeypatch.setattr(expmod, "_FADING_BLOCK_GUARD", 359)
+    with pytest.raises(ValueError, match="exceeds"):
+        expmod._check_fading_block(cfg)
+
+
+def test_sweep_checks_every_point_before_the_first_runs(monkeypatch):
+    calls = _no_realization(monkeypatch)
+    # fixed tau = 0.01 gives N = 1,064,518: 4 MB for one pair, 14.3 GiB for 60
+    cfg = tiny_config(noise_model="bounded", tau=0.01, track_optimum=False)
+    with pytest.raises(ValueError, match="60 x 60 x 1064518"):
+        sweep_ues(cfg, [1, 60])
+    assert calls == []
+
+
+def test_cli_reports_an_oversized_fading_block(tmp_path, monkeypatch,
+                                               capsys):
+    from d2dcap.cli import main
+
+    calls = _no_realization(monkeypatch)
+    path = tmp_path / "cold.cfg"
+    path.write_text("num_uec = 0\nnum_ued = 4\nschedule = 'log_decreasing'\n"
+                    "tau_scale = 0.01\nhorizon = 500\n")
+    assert main(["run-blla", "--config", str(path)]) == 2
+    assert "tau_scale=0.01" in capsys.readouterr().err
+    assert calls == []

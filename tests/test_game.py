@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from d2dcap.game import (
@@ -141,6 +141,45 @@ def test_potential_identity_exhaustive():
                         game, int(player), int(prof.channels[player]),
                         target, prof))
         assert worst <= 1e-12
+
+
+@st.composite
+def exact_queries(draw):
+    """A seeded game and a random sequence of exact evaluations on it:
+    (profile, player) pairs, player None for the potential.  Small spaces
+    make profiles, and channel member sets across profiles, recur."""
+    num_uec = draw(st.integers(0, 1))
+    num_ued = draw(st.integers(1, 5))
+    num_channels = draw(st.integers(max(1, num_uec), 4))
+    game = seeded_game(num_uec, num_ued, num_channels,
+                       seed=draw(st.integers(0, 2 ** 16)),
+                       mode=draw(st.sampled_from(["deterministic", "noisy"])))
+    base = game.initial_profile()
+    players = [None, *game.active_players.tolist()]
+    queries = []
+    for _ in range(draw(st.integers(1, 60))):
+        ch = base.channels.copy()
+        ch[game.active_players] = draw(st.lists(
+            st.integers(0, num_channels - 1), min_size=num_ued,
+            max_size=num_ued))
+        queries.append((AssignmentProfile(channels=ch, passive=base.passive),
+                        draw(st.sampled_from(players))))
+    return game, queries
+
+
+@given(case=exact_queries())
+@settings(max_examples=150)
+def test_exact_evaluations_match_a_fresh_game(case):
+    # one warm game answers every query as a new game's first evaluation
+    game, queries = case
+    for profile, player in queries:
+        fresh = CapGame(game.topology, game.params, mode=game.mode)
+        if player is None:
+            assert game.potential_exact(profile) \
+                == fresh.potential_exact(profile)
+        else:
+            assert game.utility_exact(profile, player) \
+                == fresh.utility_exact(profile, player)
 
 
 def test_identity_check_requires_deterministic_mode():
