@@ -212,7 +212,8 @@ class CapGame:
             q = np.matmul(weights, fc.transpose(1, 0, 2))
             q = q.reshape(-1, stop - start)[rows]
             q += self._noise_w  # python scalars act in the block's dtype
-            np.divide(signal[rx] * fc[rx, rx], q, out=q)
+            own = fc.diagonal(axis1=0, axis2=1).T  # (m, n): fading k -> k
+            np.divide((signal * own)[rx], q, out=q)
             np.clip(q, self._lo, self._hi, out=q)
             np.log1p(q, out=q)
             if sign is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,18 +227,71 @@ class FadingRealization:
         return cls(np.ones((num_links, num_links)))
 
 
+# uint32 slots of the raw stream turned into coefficients at a time: the
+# 256 KiB of raw words and the 256 KiB of output they fill stay in L2
+_PIECE = 1 << 16
+# bit generators whose next_uint32 hands out each 64-bit word as its low
+# half, then its high half, holding the high half in state["uinteger"];
+# a little-endian uint32 view of the raw words lists the halves in order
+_SPLIT_WORD = (np.random.SFC64, np.random.PCG64) \
+    if sys.byteorder == "little" else ()
+
+
 def sample_fading_block(rng: np.random.Generator, shape,
                         dtype=np.float64) -> np.ndarray:
     """Draw i.i.d. unit-mean exponential coefficients of the given shape.
 
-    Uses the inverse CDF on uniforms, -log(1 - U), which is fast for
-    float32 batches and never produces infinities.
+    Uses the inverse CDF on uniforms, -log(1 - U), which never produces
+    infinities.  The result is ``u = rng.random(shape, dtype);
+    -log(1 - u)`` bit for bit, and ``rng`` ends in the same state.
+
+    Large float32 blocks on SFC64 and PCG64 skip ``Generator.random``'s
+    per-element uint32 calls and read the raw 64-bit words ``_PIECE``
+    slots at a time, each piece turned into coefficients in cache and
+    written straight into the output.  numpy makes a float32 uniform from
+    the next uint32 x as (x >> 8) * 2^-24, so 1 - U is
+    float32(2^24 - (x >> 8)) * 2^-24: the integer subtraction, the
+    conversion (at most 2^24) and the power-of-two scale are all exact,
+    and the same ``np.log`` follows.  A spare high half the generator
+    already holds is taken first through ``rng.random``; at the end the
+    last word's high half is written back as the spare, held when the
+    block used only its low half, as ``next_uint32`` leaves it.  Other
+    dtypes, blocks of at most one piece and other bit generators draw
+    through ``rng.random``.
     """
-    u = rng.random(shape, dtype=dtype)
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    np.negative(u, out=u)
-    return u
+    dtype = np.dtype(dtype)
+    bitgen = rng.bit_generator
+    size = int(np.prod(shape))
+    if dtype != np.float32 or size <= _PIECE \
+            or type(bitgen) not in _SPLIT_WORD:
+        u = rng.random(shape, dtype=dtype)
+        np.subtract(1.0, u, out=u)
+        np.log(u, out=u)
+        np.negative(u, out=u)
+        return u
+    out = np.empty(shape, dtype=np.float32)
+    flat = out.reshape(-1)
+    start = 0
+    if bitgen.state["has_uint32"]:  # 2^24 - (x >> 8) of the held half
+        flat[0] = 2 ** 24 - rng.random(dtype=np.float32) * 2 ** 24
+        start = 1
+    for lo in range(start, size, _PIECE):
+        hi = min(lo + _PIECE, size)
+        words = bitgen.random_raw((hi - lo + 1) // 2)
+        high = int(words[-1] >> 32)
+        x = words.view(np.uint32)  # little-endian: low half, then high half
+        np.right_shift(x, 8, out=x)
+        np.subtract(1 << 24, x, out=x)
+        np.copyto(flat[lo:hi], x.view(np.int32)[: hi - lo], casting="unsafe")
+        piece = flat[0 if lo == start else lo:hi]
+        np.multiply(piece, np.float32(2.0 ** -24), out=piece)
+        np.log(piece, out=piece)
+        np.negative(piece, out=piece)
+        del words, x  # one piece of raw words alive at a time
+    state = bitgen.state
+    state["has_uint32"], state["uinteger"] = (size - start) % 2, high
+    bitgen.state = state
+    return out
 
 
 def _disk_point(rng: np.random.Generator, center, radius: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import d2dcap.experiments as expmod
+import d2dcap.learning as learning
 from d2dcap.experiments import (
     ExperimentConfig,
     StationaryReport,
@@ -141,6 +142,33 @@ def test_schedule_and_noise_builders():
     assert dec.tau_at(1) == pytest.approx(0.2 / math.log(2.0))
     assert tiny_config(noise_model="none").noise_obj() is None
     assert tiny_config(noise_model="bounded").noise_obj() is not None
+
+
+def test_gaussian_sample_counts_are_computed_once_per_temperature(
+        monkeypatch):
+    # a sigma no other test uses, so the process-wide cache starts cold;
+    # 500 slots, a decreasing schedule's usual horizon, fill it with 500 taus
+    cfg = tiny_config(noise_model="gaussian", noise_sigma=0.37,
+                      schedule="log_decreasing", tau_scale=2.0, horizon=500)
+    assert cfg.noise_obj() == cfg.noise_obj()
+    assert hash(cfg.noise_obj()) == hash(cfg.noise_obj())
+    calls = []
+    real = learning.unbounded_sample_calc
+    monkeypatch.setattr(learning, "unbounded_sample_calc",
+                        lambda *args: calls.append(args) or real(*args))
+    game = cfg.game(cfg.topology())
+
+    def run():
+        return run_blla(game, cfg.schedule_obj(), cfg.noise_obj(), cfg.xi,
+                        cfg.horizon, cfg.base_seed)
+
+    first = run()
+    assert len(calls) == cfg.horizon  # one per slot's distinct tau(t)
+    calls.clear()
+    second = run()
+    assert calls == []
+    assert np.array_equal(first.n_samples, second.n_samples)
+    assert np.array_equal(first.profiles, second.profiles)
 
 
 # ----------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from d2dcap.game import CapGame, utility_mean
@@ -22,6 +25,7 @@ from d2dcap.radio import (
     thermal_noise_watts,
     watts_to_dbm,
 )
+from d2dcap.radio import _PIECE
 
 
 def manual_topology(gains, num_uec=0):
@@ -86,6 +90,73 @@ def test_fading_draw_statistics():
     assert np.all(block > 0) and np.all(np.isfinite(block))
     assert float(block.mean()) == pytest.approx(1.0, abs=0.02)
     assert np.array_equal(FadingRealization.unit(3).coefficients, np.ones((3, 3)))
+
+
+def _plain_fading(rng, shape):
+    """The float32 draw as a plain Generator.random recipe."""
+    u = rng.random(shape, np.float32)
+    return -np.log(1 - u)
+
+
+def _state(rng):
+    state = rng.bit_generator.state
+    inner = {k: np.asarray(v).tolist() for k, v in state["state"].items()}
+    return state["bit_generator"], inner, state.get("has_uint32"), \
+        state.get("uinteger")
+
+
+_OTHER_DRAWS = {
+    "integers": lambda rng: rng.integers(0, 5),  # takes a uint32 half
+    "random": lambda rng: rng.random(),  # takes a whole 64-bit word
+    "random32": lambda rng: rng.random(dtype=np.float32),
+}
+
+
+@settings(max_examples=60)
+@given(bit_generator=st.sampled_from(
+           [np.random.SFC64, np.random.PCG64, np.random.MT19937]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       lead=st.sampled_from([(), (1,), (3,), (2, 2), (4, 4)]),
+       counts=st.lists(st.one_of(st.integers(0, 40),
+                                 st.integers(_PIECE - 2, _PIECE + 2),
+                                 st.integers(_PIECE + 3, 2 * _PIECE + 3)),
+                       min_size=1, max_size=2),
+       others=st.lists(st.lists(st.sampled_from(sorted(_OTHER_DRAWS)),
+                                max_size=3), min_size=3, max_size=3))
+def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
+                                              counts, others):
+    # SFC64 and PCG64 take the raw-stream path on blocks past one piece;
+    # MT19937 always draws through Generator.random
+    got = np.random.Generator(bit_generator(seed))
+    want = np.random.Generator(bit_generator(seed))
+    for count, before in zip(counts, others):
+        for name in before:
+            assert _OTHER_DRAWS[name](got) == _OTHER_DRAWS[name](want)
+        shape = lead + (count,)
+        block = sample_fading_block(got, shape, np.float32)
+        expect = _plain_fading(want, shape)
+        assert block.dtype == np.float32 and block.shape == expect.shape
+        assert block.tobytes() == expect.tobytes()
+    for name in others[-1]:
+        assert _OTHER_DRAWS[name](got) == _OTHER_DRAWS[name](want)
+    assert _state(got) == _state(want)
+
+
+def test_large_fading_draw_allocates_one_block_and_one_piece():
+    shape = (4, 4, 265179)
+    rng = np.random.Generator(np.random.SFC64(5))
+    rng.integers(0, 3)  # leave a spare half, as a learning slot does
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block = sample_fading_block(rng, shape, np.float32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    piece_bytes = _PIECE * 4  # raw words of one piece
+    # 16 KiB covers the interpreter's own objects; a second block-sized
+    # array would add 17 MB
+    assert block.nbytes <= peak <= block.nbytes + piece_bytes + 16384
 
 
 def test_fading_is_read_only():
