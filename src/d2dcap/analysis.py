@@ -64,8 +64,12 @@ _TREE_STATE_CAP = 8
 _GTH_BLOCK = 32
 # OpenBLAS 0.3 runs a dgemm of M*N*K <= 2**18 on one thread (65536 times
 # its default GEMM_MULTITHREAD_THRESHOLD of 4), so its bits do not depend
-# on OPENBLAS_NUM_THREADS
+# on OPENBLAS_NUM_THREADS.  It bounds each piece of all three products of a
+# block in stationary_direct: the row panel's, the column panel's and the
+# trailing update's
 _GTH_PANEL_MNK = 2 ** 18
+_REDUCIBLE = ("reducible chain: eliminated state has no path back; use "
+              "stationary_tree")
 
 
 # ----------------------------------------------------------------------
@@ -241,23 +245,38 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
     probabilities have decayed below unit roundoff (very small tau); the
     Gibbs form or the tree method handle those chains.
 
-    The elimination is blocked.  States leave from the end in blocks of
-    ``_GTH_BLOCK``; each one is eliminated as in the state-by-state form,
-    but its rank-1 update reaches only the block's own rows and, above
-    them, the block's columns.  The leading ``a[:k0, :k0]`` receives the
-    whole block's updates at once, as one matrix product of nonnegative
-    factors, so every update still only adds.  That product runs in row
-    panels of at most ``_GTH_PANEL_MNK`` multiply-adds (single rows past
-    about 8,200 states, where even one row exceeds it), the size up to which
-    OpenBLAS keeps a product on one thread; larger products are split across
-    threads and their sums, hence the last bits of pi, would depend on the
-    BLAS thread count.  Chains of at most ``_GTH_BLOCK + 1`` states give the
-    same bits as the state-by-state form.
+    The elimination is blocked.  States leave from the end in blocks K of
+    b = ``_GTH_BLOCK``.  A block runs GTH's own steps, state by state, on a
+    b x (b + 1) work matrix: the block's square and, in front of it, an
+    aggregate column that holds each block row's total mass to the states
+    below the block.  So each state's sum left of its diagonal still comes
+    from nonnegative terms only, and a state with no path back is refused
+    as it is eliminated.  The panels then take the block's steps at once,
+    through two nonnegative triangular factors: the row panel
+    ``a[K, :k0]`` becomes ``(I - N_U)^-1 @ a[K, :k0]`` and the column panel
+    ``a[:k0, K]`` becomes ``a[:k0, K] @ (D - N_L)^-1``.  N_U is the
+    eliminated square's strict upper part (its scaled columns), N_L its
+    strict lower part (each row as its state left) and D the diagonal of
+    the states' sums.  Both inverses are built row by row (column by
+    column) by back substitution as the states leave, from products and
+    sums of nonnegative numbers.  The leading ``a[:k0, :k0]`` then receives the
+    whole block's updates as one matrix product of nonnegative factors, so
+    every update still only adds.
+
+    Each of the three products runs in pieces of at most ``_GTH_PANEL_MNK``
+    multiply-adds (the trailing one in single rows past about 8,200 states,
+    where even one row exceeds it), the size up to which OpenBLAS keeps a
+    product on one thread; larger products are split across threads and
+    their sums, hence the last bits of pi, would depend on the BLAS thread
+    count.  The leading block, of at most b + 1 states, keeps the plain
+    state-by-state steps, so chains of at most ``_GTH_BLOCK + 1`` states
+    give the same bits as the state-by-state form.
     """
     n = kernel.num_states
-    off = kernel.matrix[~np.eye(n, dtype=bool)]
-    pos = off[off > 0]
-    if len(pos) and float(pos.min()) < 1e-15:
+    # the off-diagonal entries, as a view: row i of the flat matrix past its
+    # first entry, cut into rows of n + 1, holds a[i, i+1:] and a[i+1, :i+1]
+    off = kernel.matrix.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+    if np.min(off, where=off > 0, initial=np.inf) < 1e-15:
         # edges below unit roundoff make the chain numerically reducible:
         # quasi-stationary mixtures also pass the residual check, so the
         # solve cannot certify uniqueness
@@ -265,21 +284,45 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
                          "roundoff (tau too small?); use stationary_tree "
                          "or the Gibbs form")
     a = kernel.matrix.astype(np.float64, copy=True)
-    for k1 in range(n, 1, -_GTH_BLOCK):
-        k0 = max(k1 - _GTH_BLOCK, 1)  # this block eliminates k1 - 1 .. k0
-        for k in range(k1 - 1, k0 - 1, -1):
-            s = float(a[k, :k].sum())
+    b = _GTH_BLOCK
+    piece = _GTH_PANEL_MNK // (b * b)  # panel columns (rows) per product
+    k1 = n
+    while k1 > b + 1:
+        k0 = k1 - b  # this block eliminates k1 - 1 .. k0
+        blk = slice(k0, k1)
+        # column 0: each block row's mass to the states below the block
+        w = np.empty((b, b + 1))
+        w[:, 0] = a[blk, :k0].sum(axis=1)
+        w[:, 1:] = a[blk, blk]
+        t_r = np.zeros((b, b))  # (I - N_U)^-1
+        t_c = np.zeros((b, b))  # (D - N_L)^-1
+        for j in range(b - 1, -1, -1):
+            s = float(w[j, :j + 1].sum())
             if s <= 0.0:
-                raise ValueError("reducible chain: eliminated state has no "
-                                 "path back; use stationary_tree")
-            a[:k, k] /= s
-            a[k0:k, :k] += np.outer(a[k0:k, k], a[k, :k])
-            a[:k0, k0:k] += np.outer(a[:k0, k], a[k, k0:k])
-        if k0 == 1:
-            break  # a[0, 0] is never read
-        rows = max(1, _GTH_PANEL_MNK // (k0 * _GTH_BLOCK))
+                raise ValueError(_REDUCIBLE)
+            w[:j, j + 1] /= s
+            w[:j, :j + 1] += np.outer(w[:j, j + 1], w[j, :j + 1])
+            # row j of t_r and column j of t_c, by back substitution over
+            # the block's states already eliminated
+            t_r[j, j] = 1.0
+            t_r[j, j + 1:] = w[j, j + 2:] @ t_r[j + 1:, j + 1:]
+            t_c[j, j] = 1.0 / s
+            t_c[j + 1:, j] = t_c[j + 1:, j + 1:] @ w[j + 1:, j + 1] / s
+        a[blk, blk] = w[:, 1:]
+        for c in range(0, k0, piece):
+            e = min(c + piece, k0)
+            a[blk, c:e] = t_r @ a[blk, c:e]
+            a[c:e, blk] = a[c:e, blk] @ t_c
+        rows = max(1, _GTH_PANEL_MNK // (k0 * b))
         for r in range(0, k0, rows):
-            a[r:r + rows, :k0] += a[r:r + rows, k0:k1] @ a[k0:k1, :k0]
+            a[r:r + rows, :k0] += a[r:r + rows, blk] @ a[blk, :k0]
+        k1 = k0
+    for k in range(k1 - 1, 0, -1):  # the leading block, state by state
+        s = float(a[k, :k].sum())
+        if s <= 0.0:
+            raise ValueError(_REDUCIBLE)
+        a[:k, k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
     pi = np.zeros(n)
     pi[0] = 1.0
     for k in range(1, n):

@@ -70,21 +70,26 @@ def random_chain(n, seed):
     return TransitionKernel(states=list(range(n)), matrix=m, tau=None)
 
 
-@st.composite
-def sparse_chains(draw):
-    """Irreducible sparse chains: a ring through all states plus random
+def sparse_chain(n, seed, density):
+    """An irreducible sparse chain: a ring through all states plus random
     edges, every edge probability log-uniform in [1e-14, 1 / (degree + 1)],
     the diagonal taking the rest of the row."""
-    n = draw(st.sampled_from([2, 7, 32, 33, 34, 65, 97, 140, 300])
-             | st.integers(2, 300))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    edges = rng.random((n, n)) < draw(st.sampled_from([0.02, 0.1, 0.5]))
+    rng = np.random.default_rng(seed)
+    edges = rng.random((n, n)) < density
     edges[np.arange(n), (np.arange(n) + 1) % n] = True
     np.fill_diagonal(edges, False)
     top = np.log10(1.0 / (edges.sum(axis=1, keepdims=True) + 1.0))
     m = np.where(edges, 10.0 ** rng.uniform(-14.0, top, (n, n)), 0.0)
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
     return TransitionKernel(states=list(range(n)), matrix=m)
+
+
+@st.composite
+def sparse_chains(draw):
+    n = draw(st.sampled_from([2, 7, 32, 33, 34, 65, 97, 140, 300])
+             | st.integers(2, 300))
+    return sparse_chain(n, draw(st.integers(0, 2 ** 32 - 1)),
+                        draw(st.sampled_from([0.02, 0.1, 0.5])))
 
 
 def state_by_state_gth(matrix):
@@ -330,14 +335,44 @@ def test_blocked_direct_solve_matches_state_by_state(kernel):
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
-def test_direct_solve_refuses_reducible_chain_in_a_later_block():
-    # states 40..99 form a closed class: eliminating state 40, in the second
-    # block of 32, finds no path back to 0..39
+@pytest.mark.parametrize("kernel", [random_chain(601, 11),
+                                    sparse_chain(700, 12, 0.1)],
+                         ids=["dense-601", "sparse-700"])
+def test_blocked_direct_solve_splits_panel_products(kernel):
+    # panel products of at most 256 columns (rows): the first blocks' panels
+    # of 569 and 668 states split into two full pieces and a short last one
+    got = stationary_direct(kernel).probs
+    want = state_by_state_gth(kernel.matrix)
+    assert float(np.max(np.abs(got - want) / want)) <= 1e-12
+
+
+def closed_class(first, last):
+    """A 100-state chain in which states first..last form a closed class."""
     m = random_chain(100, 4).matrix
-    m[40:, :40] = 0.0
+    m[first:last + 1, :first] = 0.0
+    m[first:last + 1, last + 1:] = 0.0
     m /= m.sum(axis=1, keepdims=True)
+    return TransitionKernel(states=list(range(100)), matrix=m)
+
+
+def test_direct_solve_refuses_reducible_chain_in_a_later_block():
+    # states 40..99 are closed: eliminating state 40, in the second block of
+    # 32, finds no path back to 0..39
     with pytest.raises(ValueError, match="reducible"):
-        stationary_direct(TransitionKernel(states=list(range(100)), matrix=m))
+        stationary_direct(closed_class(40, 99))
+
+
+def test_direct_solve_refuses_reducible_chain_at_a_block_edge():
+    # states 36..99 are closed and 36 is the second block's lowest state, so
+    # left of its diagonal only the aggregate column (its mass to 0..35) is
+    with pytest.raises(ValueError, match="reducible"):
+        stationary_direct(closed_class(36, 99))
+
+
+def test_direct_solve_refuses_reducible_chain_in_the_leading_block():
+    # 100 states leave a leading block of 0..3; 1..3 are closed
+    with pytest.raises(ValueError, match="reducible"):
+        stationary_direct(closed_class(1, 3))
 
 
 def test_direct_solve_refuses_sub_roundoff_chain():
@@ -351,17 +386,25 @@ def test_direct_solve_refuses_sub_roundoff_chain():
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from d2dcap.analysis import TransitionKernel, stationary_direct
+from d2dcap.analysis import (TransitionKernel, exact_transition_matrix,
+                             stationary_direct)
+from d2dcap.experiments import ExperimentConfig
 m = np.random.default_rng(7).random((601, 601))
 m /= m.sum(axis=1, keepdims=True)
 pi = stationary_direct(TransitionKernel(states=list(range(601)), matrix=m))
+print(hashlib.sha256(pi.probs.tobytes()).hexdigest())
+# the exact-729 benchmark game: 6 pairs on 3 channels
+cfg = ExperimentConfig(num_uec=0, num_ued=6, num_channels=3,
+                       cell_radius_m=60.0, topology_seed=25)
+game = cfg.game(cfg.topology(0), mode="deterministic")
+pi = stationary_direct(exact_transition_matrix(game, 0.05))
 print(hashlib.sha256(pi.probs.tobytes()).hexdigest())
 """
 
 
 def test_direct_solve_bits_do_not_depend_on_blas_threads():
-    # 601 states: the larger deferred products are split into panels, one
-    # of them down to a single row
+    # 601 random states and the 729-state game kernel: the larger deferred
+    # products are split into panels, one of them down to a single row
     src = os.path.dirname(os.path.dirname(d2dcap.__file__))
     digests = set()
     for threads in ("1", "2"):
