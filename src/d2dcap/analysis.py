@@ -259,9 +259,9 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
     strict lower part (each row as its state left) and D the diagonal of
     the states' sums.  Both inverses are built row by row (column by
     column) by back substitution as the states leave, from products and
-    sums of nonnegative numbers.  The leading ``a[:k0, :k0]`` then receives the
-    whole block's updates as one matrix product of nonnegative factors, so
-    every update still only adds.
+    sums of nonnegative numbers.  The leading ``a[:k0, :k0]`` then
+    receives the whole block's updates as one matrix product of
+    nonnegative factors, so every update still only adds.
 
     Each of the three products runs in pieces of at most ``_GTH_PANEL_MNK``
     multiply-adds (the trailing one in single rows past about 8,200 states,
@@ -294,7 +294,7 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
         w = np.empty((b, b + 1))
         w[:, 0] = a[blk, :k0].sum(axis=1)
         w[:, 1:] = a[blk, blk]
-        t_r = np.zeros((b, b))  # (I - N_U)^-1
+        t_r = np.eye(b)  # (I - N_U)^-1
         t_c = np.zeros((b, b))  # (D - N_L)^-1
         for j in range(b - 1, -1, -1):
             s = float(w[j, :j + 1].sum())
@@ -304,7 +304,6 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
             w[:j, :j + 1] += np.outer(w[:j, j + 1], w[j, :j + 1])
             # row j of t_r and column j of t_c, by back substitution over
             # the block's states already eliminated
-            t_r[j, j] = 1.0
             t_r[j, j + 1:] = w[j, j + 2:] @ t_r[j + 1:, j + 1:]
             t_c[j, j] = 1.0 / s
             t_c[j + 1:, j] = t_c[j + 1:, j + 1:] @ w[j + 1:, j + 1] / s
