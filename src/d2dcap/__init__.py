@@ -9,13 +9,12 @@ resistance calculus for the low-temperature limit.
 from .analysis import (BruteForceResult, MinTreeReport, ResistanceExpr,
                        ResistanceTerm, StationaryDistribution,
                        TransitionKernel, brute_force_optimum,
-                       edge_resistances, empirical_resistance,
-                       enumerate_profiles, exact_transition_matrix,
-                       game_resistance_kernel, gibbs_distribution,
-                       min_resistance_tree_check, res_add, res_inv, res_mul,
-                       res_of_const, res_of_exp, res_sub, stationary_direct,
-                       stationary_tree, stochastically_stable_states,
-                       transition_resistance)
+                       empirical_resistance, enumerate_profiles,
+                       exact_transition_matrix, game_resistance_kernel,
+                       gibbs_distribution, min_resistance_tree_check,
+                       res_add, res_inv, res_mul, res_of_const, res_of_exp,
+                       res_sub, stationary_direct, stationary_tree,
+                       stochastically_stable_states)
 from .experiments import (ExperimentConfig, PointResult, StationaryReport,
                           SweepResult, analyze_stationary, run_experiment,
                           sweep_channels, sweep_ues)
@@ -29,8 +28,7 @@ from .learning import (BoundedNoise, FixedTemperature,
                        required_samples_unbounded, run_blla, run_br,
                        unbounded_sample_calc)
 from .radio import (FadingRealization, RadioParams, Topology, db_to_linear,
-                    dbm_to_watts, desk_params, fullscale_params,
-                    generate_topology, linear_to_db, link_tx_powers, rate,
+                    dbm_to_watts, generate_topology, link_tx_powers, rate,
                     sample_fading_block, sinr, thermal_noise_watts,
                     watts_to_dbm)
 

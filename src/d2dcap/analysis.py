@@ -41,8 +41,6 @@ __all__ = [
     "gibbs_distribution",
     "stationary_tree",
     "stochastically_stable_states",
-    "transition_resistance",
-    "edge_resistances",
     "MinTreeReport",
     "min_resistance_tree_check",
     "game_resistance_kernel",
@@ -60,6 +58,12 @@ __all__ = [
 _SPACE_GUARD = 10 ** 6
 _DENSE_GUARD = 4096  # an n x n float64 kernel at this size is 128 MiB
 _TREE_STATE_CAP = 8
+# normalized potentials within this of the best are optimal ties
+_TIE_TOL = 1e-12
+# tree edges of resistance at most this count as zero-resistance edges
+_ZERO_RES_TOL = 1e-12
+# largest fit residual empirical_resistance accepts without a warning
+_FIT_RESIDUAL_TOL = 5e-2
 # states per block of stationary_direct's elimination
 _GTH_BLOCK = 32
 # OpenBLAS 0.3 runs a dgemm of M*N*K <= 2**18 on one thread (65536 times
@@ -153,14 +157,13 @@ class BruteForceResult:
         return {p.key() for p in self.profiles}
 
 
-def brute_force_optimum(game: CapGame, tie_tol: float = 1e-12
-                        ) -> BruteForceResult:
-    """Scan every profile; ties within ``tie_tol`` of the best normalized
+def brute_force_optimum(game: CapGame) -> BruteForceResult:
+    """Scan every profile; ties within ``_TIE_TOL`` of the best normalized
     sum rate are all returned."""
     table = _table(game)
     best = float(table.phi.max())
     winners = [p for p, v in zip(table.profiles, table.phi)
-               if best - v <= tie_tol]
+               if best - v <= _TIE_TOL]
     return BruteForceResult(profiles=winners, phi_star=best * game.phi_max,
                             normalized_phi_star=best,
                             num_evaluated=len(table.profiles))
@@ -231,9 +234,6 @@ class StationaryDistribution:
     probs: np.ndarray
     tau: float | None
     method: str  # direct | gibbs | tree
-
-    def prob_of(self, state) -> float:
-        return float(self.probs[self.states.index(state)])
 
 
 def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
@@ -448,28 +448,17 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> list:
 # resistances
 
 
-def transition_resistance(delta: float) -> float:
-    """Exponential cost of accepting a move with utility drop ``delta``."""
-    return max(0.0, delta)
-
-
-def edge_resistances(game: CapGame) -> dict:
-    """Resistance of every single-coordinate transition, keyed by
-    (from_key, to_key)."""
-    keys, frm, to, drop = _moves(game)
-    return {(keys[a], keys[b]): transition_resistance(d)
-            for a, b, d in zip(frm.tolist(), to.tolist(), drop.tolist())}
-
-
 def game_resistance_kernel(game: CapGame):
     """(states, resistance matrix, adjacency mask) for the profile chain.
 
-    Non-adjacent pairs get resistance +inf and adjacency False.
+    The resistance of a move is the positive part of its utility drop, the
+    exponential cost of accepting it.  Non-adjacent pairs get resistance
+    +inf and adjacency False.
     """
     n = _profile_count(game, _DENSE_GUARD, "dense kernel")
     keys, frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
-    res[frm, to] = np.maximum(drop, 0.0)  # transition_resistance, elementwise
+    res[frm, to] = np.maximum(drop, 0.0)
     return list(keys), res, np.isfinite(res)
 
 
@@ -486,8 +475,8 @@ class MinTreeReport:
 
 
 def min_resistance_tree_check(resistances: np.ndarray,
-                              adjacency: np.ndarray | None = None,
-                              zero_tol: float = 1e-12) -> MinTreeReport:
+                              adjacency: np.ndarray | None = None
+                              ) -> MinTreeReport:
     """Enumerate all rooted spanning in-trees over the resistance graph,
     find the minimum total resistance, and verify every minimizing tree
     contains at least one (near-)zero-resistance edge."""
@@ -510,7 +499,7 @@ def min_resistance_tree_check(resistances: np.ndarray,
     if not min_trees:
         raise ValueError("no spanning in-tree exists on the given adjacency")
 
-    passes = all(any(res[v, pa] <= zero_tol for v, pa in parent.items())
+    passes = all(any(res[v, pa] <= _ZERO_RES_TOL for v, pa in parent.items())
                  for _, parent in min_trees)
     w_root, w_parent = min_trees[0]
     edges = [(v, pa, float(res[v, pa])) for v, pa in sorted(w_parent.items())]
@@ -599,7 +588,7 @@ def res_inv(e: ResistanceExpr) -> ResistanceExpr:
                                                 resistance=-t.resistance),))
 
 
-def empirical_resistance(f, tau_grid, residual_tol: float = 5e-2) -> float:
+def empirical_resistance(f, tau_grid) -> float:
     """Estimate the decay rate of a positive function from samples.
 
     Fits -tau * ln f(tau) linearly in tau and reports the tau -> 0
@@ -615,7 +604,7 @@ def empirical_resistance(f, tau_grid, residual_tol: float = 5e-2) -> float:
     y = -taus * np.log(vals)
     slope, intercept = np.polyfit(taus, y, 1)
     resid = float(np.max(np.abs(intercept + slope * taus - y)))
-    if resid > residual_tol:
+    if resid > _FIT_RESIDUAL_TOL:
         warnings.warn(f"empirical resistance fit residual {resid:.3e} "
                       "exceeds tolerance; grid may be too coarse for the "
                       "sub-exponential factor", stacklevel=2)

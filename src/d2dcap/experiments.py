@@ -124,6 +124,11 @@ class ExperimentConfig:
             raise ValueError("num_uec must not exceed num_channels")
         if self.num_uec < 0 or self.num_ued < 0:
             raise ValueError("counts must be non-negative")
+        for key in ("base_seed", "topology_seed"):
+            value = getattr(self, key)
+            if value < 0:
+                raise ValueError(f"config key {key!r} must be non-negative, "
+                                 f"got {value!r}")
         self.radio_params()  # nested invariants
 
     # -- construction of the underlying objects -------------------------
@@ -175,6 +180,7 @@ class ExperimentConfig:
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
         kwargs = {}
+        seen = {}  # key -> line number
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -185,6 +191,10 @@ class ExperimentConfig:
                                  f"{raw!r}")
             if key not in _FIELD_TYPES:
                 raise ValueError(f"unknown config key {key!r} on line {lineno}")
+            if key in seen:
+                raise ValueError(f"config key {key!r} is set twice, on lines "
+                                 f"{seen[key]} and {lineno}")
+            seen[key] = lineno
             try:
                 # drops a trailing comment, keeps a '#' inside quotes
                 parsed = ast.literal_eval(value)
@@ -197,10 +207,6 @@ class ExperimentConfig:
             _check_type(key, parsed, f" on line {lineno}")
             kwargs[key] = parsed
         return cls(**kwargs)
-
-    def to_file(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_text())
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -78,9 +78,6 @@ class AssignmentProfile:
     def num_players(self) -> int:
         return len(self.channels)
 
-    def active_indices(self) -> np.ndarray:
-        return np.nonzero(~self.passive)[0]
-
     def validate(self, num_channels: int) -> None:
         if self.num_players and (self.channels.min() < 0
                                  or self.channels.max() >= num_channels):

@@ -105,28 +105,28 @@ class _GaussianLogMgf:
         return 0.5 * th * th * self.sigma * self.sigma
 
 
+# cap of the search for the optimal Chernoff parameter theta
+_THETA_MAX = 1e3
+
+
 @dataclass(frozen=True)
 class UnboundedMgfNoise:
     """Noise known only through its log moment generating function.
 
     ``log_mgf`` maps theta to log E[exp(theta * noise)] and must be finite
-    and convex on [0, theta_max].  The search for the optimal Chernoff
-    parameter is capped at theta_max; degenerate noise pushes the optimum to
-    the cap, which only makes the returned sample count conservative.
+    and convex on [0, _THETA_MAX].  The search for the optimal Chernoff
+    parameter is capped at _THETA_MAX (1e3); degenerate noise pushes the
+    optimum to the cap, which only makes the returned sample count
+    conservative.
     """
 
     log_mgf: Callable[[float], float]
-    theta_max: float = 1e3
-
-    def __post_init__(self):
-        if not self.theta_max > 0:
-            raise ValueError("theta_max must be positive")
 
     @classmethod
-    def gaussian(cls, sigma: float, theta_max: float = 1e3) -> "UnboundedMgfNoise":
+    def gaussian(cls, sigma: float) -> "UnboundedMgfNoise":
         if not sigma > 0:
             raise ValueError("sigma must be positive")
-        return cls(log_mgf=_GaussianLogMgf(sigma), theta_max=theta_max)
+        return cls(log_mgf=_GaussianLogMgf(sigma))
 
     def required_samples(self, tau: float, xi: float) -> int:
         return required_samples_unbounded(tau, xi, self)
@@ -167,14 +167,14 @@ def unbounded_sample_calc(tau: float, xi: float,
     """Optimize theta and size the estimate for MGF-specified noise.
 
     The objective theta*(1-xi)*tau - log_mgf(theta) is concave (log MGFs are
-    convex), so a bounded 1-D maximization on [0, theta_max] finds the global
-    optimum.
+    convex), so a bounded 1-D maximization on [0, _THETA_MAX] finds the
+    global optimum.
     """
     _check_tau_xi(tau, xi)
     target = (1.0 - xi) * tau
 
     res = minimize_scalar(lambda th: noise.log_mgf(th) - th * target,
-                          bounds=(0.0, noise.theta_max), method="bounded",
+                          bounds=(0.0, _THETA_MAX), method="bounded",
                           options={"xatol": 1e-12})
     theta_star = float(res.x)
     denominator = theta_star * target - noise.log_mgf(theta_star)
@@ -218,12 +218,9 @@ def acceptance_probability(delta: float, tau: float) -> float:
 _FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
 
 
-def _window_start(horizon: int,
-                  window_frac: float = _FINAL_WINDOW_FRAC) -> int:
-    """Index of the first slot in the final ``window_frac`` of a run."""
-    if not 0.0 < window_frac <= 1.0:
-        raise ValueError("window_frac must lie in (0, 1]")
-    return int(math.floor(horizon * (1.0 - window_frac)))
+def _window_start(horizon: int) -> int:
+    """Index of the first slot in the final ``_FINAL_WINDOW_FRAC`` of a run."""
+    return int(math.floor(horizon * (1.0 - _FINAL_WINDOW_FRAC)))
 
 
 @dataclass
@@ -254,40 +251,19 @@ class Trajectory:
     def horizon(self) -> int:
         return len(self.t)
 
-    def final_profile_key(self) -> tuple:
-        if self.horizon == 0:
-            return tuple(self.initial_channels.tolist())
-        return tuple(self.profiles[-1].tolist())
-
-    def occupancy(self, target_keys,
-                  window_frac: float = _FINAL_WINDOW_FRAC) -> float:
+    def occupancy(self, target_keys) -> float:
         """Fraction of final-window slots spent in any of ``target_keys``
         (an iterable of channel-vector tuples)."""
         targets = {tuple(k) for k in target_keys}
-        rows = self.profiles[_window_start(self.horizon, window_frac):]
+        rows = self.profiles[_window_start(self.horizon):]
         if len(rows) == 0:
             return 0.0
         hits = sum(1 for row in rows if tuple(row.tolist()) in targets)
         return hits / len(rows)
 
-    def final_window_mean_sum_rate(
-            self, window_frac: float = _FINAL_WINDOW_FRAC) -> float:
-        tail = self.sum_rate[_window_start(self.horizon, window_frac):]
+    def final_window_mean_sum_rate(self) -> float:
+        tail = self.sum_rate[_window_start(self.horizon):]
         return float(tail.mean()) if len(tail) else math.nan
-
-    def to_csv(self, path) -> None:
-        """One record per slot with a header row, comma-delimited."""
-        with open(path, "w") as fh:
-            fh.write("t,tau,n_samples,player,trial,accepted,delta_hat,sum_rate\n")
-            for k in range(self.horizon):
-                # repr of builtin floats round-trips; numpy scalar repr
-                # does not parse as a number
-                fh.write(f"{self.t[k]},{float(self.tau[k])!r},"
-                         f"{self.n_samples[k]},"
-                         f"{self.player[k]},{self.trial[k]},"
-                         f"{int(self.accepted[k])},"
-                         f"{float(self.delta_hat[k])!r},"
-                         f"{float(self.sum_rate[k])!r}\n")
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ is drawn per sample as unit-mean exponential power coefficients.
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -21,12 +20,9 @@ __all__ = [
     "Topology",
     "FadingRealization",
     "db_to_linear",
-    "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
     "thermal_noise_watts",
-    "fullscale_params",
-    "desk_params",
     "generate_topology",
     "link_tx_powers",
     "sinr",
@@ -40,11 +36,6 @@ PATHLOSS_FLOOR_M = 1.0
 def db_to_linear(x_db):
     """Convert a dB value to linear scale."""
     return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
-
-
-def linear_to_db(x):
-    """Convert a linear value to dB."""
-    return 10.0 * np.log10(np.asarray(x, dtype=float))
 
 
 def dbm_to_watts(p_dbm):
@@ -77,7 +68,6 @@ class RadioParams:
     shadowing_sigma_db: float = 6.0     # log-normal shadowing std dev
     sinr_min_db: float = -10.0          # lower SINR clamp
     sinr_max_db: float = 23.0           # upper SINR clamp
-    bs_power_split: bool = True         # split tx_power_bs_w across UEC channels
 
     def __post_init__(self):
         if self.cell_radius_m <= self.d2d_radius_m or self.d2d_radius_m <= 0:
@@ -103,16 +93,6 @@ class RadioParams:
     def max_rate_per_ue(self) -> float:
         """Largest per-UE rate permitted by the upper SINR clamp, bits/s."""
         return self.bandwidth_hz * math.log2(1.0 + self.sinr_max)
-
-
-def fullscale_params() -> RadioParams:
-    """Reference full-scale parameter set (20-UE cell, 5 channels)."""
-    return RadioParams()
-
-
-def desk_params(num_channels: int = 3) -> RadioParams:
-    """Small parameter set for fast desk-scale experiments."""
-    return RadioParams(num_channels=num_channels)
 
 
 @dataclass(frozen=True)
@@ -174,37 +154,6 @@ class Topology:
             if len(pts) and np.any(np.linalg.norm(pts - self.bs_position, axis=1)
                                    > params.cell_radius_m + 1e-9):
                 raise ValueError("UE outside cell radius")
-
-    def to_text(self) -> str:
-        """Serialize to a JSON document, replayable bit-exactly."""
-        doc = {
-            "seed": self.seed,
-            "bs_position_m": self.bs_position.tolist(),
-            "uec_positions_m": self.uec_positions.tolist(),
-            "ued_tx_positions_m": self.ued_tx_positions.tolist(),
-            "ued_rx_positions_m": self.ued_rx_positions.tolist(),
-            "mean_gain_matrix_linear": self.mean_gain_matrix.tolist(),
-        }
-        return json.dumps(doc, indent=2)
-
-    @classmethod
-    def from_text(cls, text: str) -> "Topology":
-        doc = json.loads(text)
-        n_uec = len(doc["uec_positions_m"])
-        n_ued = len(doc["ued_tx_positions_m"])
-        return cls(
-            bs_position=np.asarray(doc["bs_position_m"], dtype=float),
-            uec_positions=np.asarray(doc["uec_positions_m"],
-                                     dtype=float).reshape(n_uec, 2),
-            ued_tx_positions=np.asarray(doc["ued_tx_positions_m"],
-                                        dtype=float).reshape(n_ued, 2),
-            ued_rx_positions=np.asarray(doc["ued_rx_positions_m"],
-                                        dtype=float).reshape(n_ued, 2),
-            mean_gain_matrix=np.asarray(doc["mean_gain_matrix_linear"],
-                                        dtype=float).reshape(n_uec + n_ued,
-                                                             n_uec + n_ued),
-            seed=doc["seed"],
-        )
 
 
 @dataclass(frozen=True)
@@ -354,14 +303,12 @@ def generate_topology(params: RadioParams, num_uec: int, num_ued: int,
 def link_tx_powers(topology: Topology, params: RadioParams) -> np.ndarray:
     """Per-link transmit powers in watts, (L,).
 
-    UEC links transmit from the BS; the BS power is split evenly across the
-    UEC channels when ``bs_power_split`` is set.  UED links use the UE power.
+    UEC links transmit from the BS, whose power is split evenly across the
+    UEC channels.  UED links use the UE power.
     """
     p = np.full(topology.num_links, params.tx_power_ue_w)
     if topology.num_uec:
-        per_uec = params.tx_power_bs_w / topology.num_uec \
-            if params.bs_power_split else params.tx_power_bs_w
-        p[: topology.num_uec] = per_uec
+        p[: topology.num_uec] = params.tx_power_bs_w / topology.num_uec
     return p
 
 

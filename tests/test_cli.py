@@ -16,7 +16,7 @@ def write_tiny_config(path, **overrides):
                 topology_seed=25, noise_model="none", horizon=40,
                 realizations=2, base_seed=100)
     base.update(overrides)
-    ExperimentConfig(**base).to_file(path)
+    path.write_text(ExperimentConfig(**base).to_text())
     return str(path)
 
 

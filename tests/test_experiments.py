@@ -48,7 +48,7 @@ def test_config_text_round_trip():
 def test_config_file_round_trip(tmp_path):
     cfg = tiny_config()
     path = tmp_path / "run.cfg"
-    cfg.to_file(path)
+    path.write_text(cfg.to_text())
     assert ExperimentConfig.from_file(path) == cfg
 
 
@@ -91,6 +91,19 @@ def test_config_rejects_unknown_keys():
         ExperimentConfig.from_text("tau = 0.1\nbogus_key = 3\n")
     with pytest.raises(ValueError):
         ExperimentConfig.from_text("just some words\n")
+
+
+def test_config_rejects_repeated_keys(tmp_path, capsys):
+    from d2dcap.cli import main
+
+    text = "horizon = 50\ntau = 0.1\nhorizon = 70\n"
+    with pytest.raises(ValueError, match="'horizon' is set twice, on lines "
+                                         "1 and 3"):
+        ExperimentConfig.from_text(text)
+    path = tmp_path / "twice.cfg"
+    path.write_text(text)
+    assert main(["run-blla", "--config", str(path)]) == 2
+    assert "'horizon' is set twice" in capsys.readouterr().err
 
 
 def test_config_rejects_badly_typed_values():
@@ -635,4 +648,21 @@ def test_cli_reports_an_oversized_fading_block(tmp_path, monkeypatch,
                     "tau_scale = 0.01\nhorizon = 500\n")
     assert main(["run-blla", "--config", str(path)]) == 2
     assert "tau_scale=0.01" in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.mark.parametrize("key", ["base_seed", "topology_seed"])
+def test_negative_seeds_are_refused_before_any_realization(monkeypatch, key):
+    calls = _no_realization(monkeypatch)
+    with pytest.raises(ValueError, match=f"{key!r} must be non-negative"):
+        run_experiment(tiny_config(**{key: -3}, realizations=2))
+    assert calls == []
+
+
+def test_cli_names_a_negative_seed(monkeypatch, capsys):
+    from d2dcap.cli import main
+
+    calls = _no_realization(monkeypatch)
+    assert main(["run-blla", "--seed", "-3", "--realizations", "2"]) == 2
+    assert "'base_seed' must be non-negative" in capsys.readouterr().err
     assert calls == []
