@@ -10,6 +10,7 @@ import numpy as np
 
 from d2dcap import analysis
 from d2dcap.experiments import ExperimentConfig
+from d2dcap.game import AssignmentProfile
 
 
 def main() -> None:
@@ -17,10 +18,11 @@ def main() -> None:
                               cell_radius_m=60.0, topology_seed=25)
     game = config.game(config.topology(0), mode="deterministic")
 
-    profiles = analysis.enumerate_profiles(game)
-    labels = ["|".join(str(c) for c in p.key()) for p in profiles]
+    profiles = analysis.enumerate_profiles(game)  # one channel row each
+    labels = ["|".join(str(c) for c in row) for row in profiles.tolist()]
     print("states (channel of pair 0 | pair 1):", ", ".join(labels))
-    values = [game.potential_exact(p) for p in profiles]
+    values = [game.potential_exact(AssignmentProfile(
+        channels=row, passive=game.passive_mask)) for row in profiles]
     print("sum rates:", " ".join(f"{v:.5g}" for v in values))
 
     tau = 0.1
@@ -40,10 +42,9 @@ def main() -> None:
     stable = analysis.stochastically_stable_states(game, (0.1, 0.05, 0.02))
     optimum = analysis.brute_force_optimum(game)
     print("\nzero-temperature limit (stochastically stable):",
-          ", ".join("|".join(str(c) for c in p.key()) for p in stable))
+          ", ".join("|".join(str(c) for c in k) for k in stable))
     print("brute-force optimum:",
-          ", ".join("|".join(str(c) for c in k)
-                    for k in sorted(optimum.keys())))
+          ", ".join("|".join(str(c) for c in k) for k in optimum.keys))
 
     keys, res, adj = analysis.game_resistance_kernel(game)
     print("\nedge resistances (inf where no single switch connects):")

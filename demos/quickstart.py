@@ -29,7 +29,7 @@ def main() -> None:
     optimum = brute_force_optimum(game)
     print(f"brute-force optimum over {optimum.num_evaluated} profiles: "
           f"{optimum.phi_star:.6g} bits/s, "
-          f"{len(optimum.profiles)} equivalent assignments")
+          f"{len(optimum.keys)} equivalent assignments")
 
     point = run_experiment(config).points[0]
     print(f"learned sum rate (final {point.window_slots} slots, "

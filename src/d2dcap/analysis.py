@@ -12,10 +12,11 @@ players' channels with the lowest active player index as the least
 significant digit; passive channels stay fixed.  Index k therefore decodes
 as a_active[j] = (k // num_channels**j) % num_channels.
 
-A weakly memoized table per game holds the profiles and their normalized
-potentials, all that brute force and Gibbs read, plus the neighbour index
-of every single-player switch and the exact utilities, filled when a kernel
-or the resistances first need them.  Dense kernels refuse > 4096 profiles.
+A weakly memoized table per game holds the profiles, as rows of one channel
+array, and their normalized potentials, all that brute force and Gibbs
+read, plus the neighbour index of every single-player switch and the exact
+utilities, filled when a kernel or the resistances first need them.  Both
+are gathered per distinct member set.  Dense kernels refuse > 4096 profiles.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AssignmentProfile, CapGame
+from .game import CapGame
 
 __all__ = [
     "enumerate_profiles",
@@ -88,26 +89,38 @@ def _profile_count(game: CapGame, guard: int, what: str) -> int:
     return size
 
 
-def enumerate_profiles(game: CapGame) -> list[AssignmentProfile]:
-    """All valid profiles, mixed-radix order (see module docstring)."""
+def enumerate_profiles(game: CapGame) -> np.ndarray:
+    """All valid profiles as rows of a read-only int16 array, mixed radix."""
     base = game.initial_profile()
     active = game.active_players
     size = _profile_count(game, _SPACE_GUARD, "profile space")
     radix = game.num_channels ** np.arange(len(active))
     channels = np.tile(base.channels, (size, 1))
     channels[:, active] = np.arange(size)[:, None] // radix % game.num_channels
-    return [AssignmentProfile(channels=ch, passive=base.passive)
-            for ch in channels]
+    channels.setflags(write=False)
+    return channels
+
+
+def _member_sets(on: np.ndarray):
+    """Distinct rows of a boolean (profiles, links) array, as link indices,
+    and for each profile the position of its row among them."""
+    rows, index = np.unique(on, axis=0, return_inverse=True)
+    return [np.nonzero(r)[0] for r in rows], index.reshape(-1)
 
 
 class _ProfileTable:
     """One game's profile space; holds no reference to the game (weak memo)."""
 
     def __init__(self, game: CapGame):
-        self.profiles = enumerate_profiles(game)
-        self.keys = [p.key() for p in self.profiles]
-        self.phi = np.array([game.normalized_potential(p)
-                             for p in self.profiles])
+        self.channels = enumerate_profiles(game)
+        self.keys = list(map(tuple, self.channels.tolist()))
+        total = np.zeros(len(self.keys))
+        for c in range(game.num_channels):  # normalized_potential's order
+            sets, index = _member_sets(self.channels == c)
+            total += np.array([game.set_rate_exact(m) if len(m) else 0.0
+                               for m in sets])[index]
+        self.phi = total * game._bits_scale / game.phi_max \
+            if game.num_players else total
         # filled by _moves on first use: (n, active, channels), (n, active)
         self.neighbour = self.utility = None
 
@@ -134,9 +147,13 @@ def _moves(game: CapGame):
         k = np.arange(len(table.keys))[:, None, None]
         radix = c ** np.arange(len(game.active_players))[:, None]
         table.neighbour = k + radix * (np.arange(c) - k // radix % c)
-        table.utility = np.array(
-            [[game.utility_exact(p, i) for i in game.active_players]
-             for p in table.profiles], dtype=np.float64)
+        # one utility per distinct co-channel set of each active player
+        table.utility = np.empty((len(table.keys), len(game.active_players)))
+        for j, i in enumerate(game.active_players):
+            sets, index = _member_sets(table.channels
+                                       == table.channels[:, i:i + 1])
+            table.utility[:, j] = np.array([game.set_utility_exact(m, i)
+                                            for m in sets])[index]
     nb = table.neighbour
     frm, player, chan = np.nonzero(nb != np.arange(len(nb))[:, None, None])
     to = nb[frm, player, chan]
@@ -144,17 +161,27 @@ def _moves(game: CapGame):
         table.utility[frm, player] - table.utility[to, player]
 
 
+def _ties(phi, best: float) -> np.ndarray:
+    """The tie rule: potentials within ``_TIE_TOL`` of the best are optimal."""
+    return best - phi <= _TIE_TOL
+
+
+def _optimal_share(game: CapGame, sum_rate: np.ndarray, best: float) -> float:
+    """Share of frozen-fading sum rates (bits/s) that are optimal: brute
+    force's rule on the normalized floats its table holds."""
+    phi = sum_rate / game.phi_max if game.num_players \
+        else np.zeros_like(sum_rate)
+    return int(np.count_nonzero(_ties(phi, best))) / len(phi)
+
+
 @dataclass
 class BruteForceResult:
     """Exhaustive-search optimum with all ties kept."""
 
-    profiles: list            # maximizing AssignmentProfiles
+    keys: tuple               # maximizing channel tuples, sorted
     phi_star: float           # bits/s
     normalized_phi_star: float
     num_evaluated: int
-
-    def keys(self) -> set:
-        return {p.key() for p in self.profiles}
 
 
 def brute_force_optimum(game: CapGame) -> BruteForceResult:
@@ -162,11 +189,11 @@ def brute_force_optimum(game: CapGame) -> BruteForceResult:
     sum rate are all returned."""
     table = _table(game)
     best = float(table.phi.max())
-    winners = [p for p, v in zip(table.profiles, table.phi)
-               if best - v <= _TIE_TOL]
-    return BruteForceResult(profiles=winners, phi_star=best * game.phi_max,
+    winners = np.nonzero(_ties(table.phi, best))[0]
+    return BruteForceResult(keys=tuple(sorted(table.keys[k] for k in winners)),
+                            phi_star=best * game.phi_max,
                             normalized_phi_star=best,
-                            num_evaluated=len(table.profiles))
+                            num_evaluated=len(table.keys))
 
 
 # ----------------------------------------------------------------------
@@ -417,31 +444,30 @@ def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
 # stochastic stability
 
 
-def stochastically_stable_states(game: CapGame, tau_grid) -> list:
+def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
     """States keeping non-vanishing stationary mass along a decreasing
     temperature grid.
 
     Threshold: mass at the smallest tau at least 0.5 / (brute-force optimum
     count).  Warns when a selected state's mass is not non-decreasing along
-    the grid (grid likely too coarse).  Returns AssignmentProfiles.
+    the grid (grid likely too coarse).  Returns sorted channel tuples.
     """
     taus = [float(t) for t in tau_grid]
     if len(taus) < 1:
         raise ValueError("tau_grid must be non-empty")
     if any(b >= a for a, b in zip(taus, taus[1:])):
         raise ValueError("tau_grid must be strictly decreasing")
-    threshold = 0.5 / len(brute_force_optimum(game).profiles)
-    profiles = _table(game).profiles
+    threshold = 0.5 / len(brute_force_optimum(game).keys)
+    keys = _table(game).keys
     masses = np.stack([gibbs_distribution(game, t).probs for t in taus])
-    last = masses[-1]
-    selected = [k for k in range(len(profiles)) if last[k] >= threshold]
+    selected = np.nonzero(masses[-1] >= threshold)[0]
     for k in selected:
         col = masses[:, k]
         if np.any(np.diff(col) < -1e-12):
             warnings.warn(f"stable-state mass for state {k} is not "
                           "monotone along the grid; consider a finer "
                           "tau_grid", stacklevel=2)
-    return [profiles[k] for k in selected]
+    return tuple(sorted(keys[k] for k in selected))
 
 
 # ----------------------------------------------------------------------

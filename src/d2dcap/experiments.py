@@ -258,7 +258,6 @@ class PointResult:
     final_window_se: float     # sample std over realizations / sqrt(R)
     mean_occupancy: float | None = None  # of the optimal set, if tracked
     phi_star: float | None = None        # brute-force optimum, bits/s
-    optimum_keys: tuple | None = None
 
     def label(self) -> str:
         return "run" if not self.param else f"{self.param}_{self.value}"
@@ -332,10 +331,10 @@ class _Record(typing.NamedTuple):
 
 
 def _realization(config: ExperimentConfig, topology: Topology | None,
-                 optimum_keys, k: int) -> _Record:
+                 best: float | None, k: int) -> _Record:
     """Run realization ``k``.  ``topology`` None draws the realization's
-    own layout, and with ``optimum_keys`` None a tracked optimum is that
-    layout's brute-force optimum."""
+    own layout, and with ``best`` None the tracked optimum is that layout's
+    brute-force best normalized potential."""
     t0 = time.perf_counter()
     topo = topology if topology is not None else config.topology(k)
     seed = config.base_seed + k
@@ -345,10 +344,11 @@ def _realization(config: ExperimentConfig, topology: Topology | None,
                            f"{traj.horizon} slots, expected {config.horizon}")
     occupancy = None
     if config.track_optimum:
-        keys = optimum_keys if optimum_keys is not None else \
-            analysis.brute_force_optimum(
-                config.game(topo, mode="deterministic")).keys()
-        occupancy = traj.occupancy(keys)
+        game = config.game(topo, mode="deterministic")
+        if best is None:
+            best = analysis.brute_force_optimum(game).normalized_phi_star
+        occupancy = analysis._optimal_share(
+            game, traj.sum_rate[_window_start(traj.horizon):], best)
     return _Record(traj.sum_rate, traj.final_window_mean_sum_rate(),
                    traj.profiles[-1], occupancy, time.perf_counter() - t0)
 
@@ -410,8 +410,8 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
     occupancies = np.zeros(reals) if config.track_optimum else None
     final_profiles = []
 
-    run = functools.partial(_realization, config, shared_topo,
-                            None if shared_opt is None else shared_opt.keys())
+    best = None if shared_opt is None else shared_opt.normalized_phi_star
+    run = functools.partial(_realization, config, shared_topo, best)
     records = map(run, range(reals)) if pool is None \
         else pool.map(run, range(reals))
     for k, rec in enumerate(records):
@@ -434,9 +434,7 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
         final_window_mean=float(finals.mean()), final_window_se=se,
         mean_occupancy=float(occupancies.mean())
         if occupancies is not None else None,
-        phi_star=None if shared_opt is None else shared_opt.phi_star,
-        optimum_keys=None if shared_opt is None
-        else tuple(sorted(shared_opt.keys())))
+        phi_star=None if shared_opt is None else shared_opt.phi_star)
 
 
 def run_experiment(config: ExperimentConfig) -> SweepResult:
@@ -623,13 +621,11 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     pi_gibbs = np.array(gibbs)
     pi_tree = np.array(tree) if tree else None
 
-    optimum = analysis.brute_force_optimum(game)
-    opt_keys = tuple(sorted(optimum.keys()))
+    opt_keys = analysis.brute_force_optimum(game).keys
     stable_keys = None
     verdict = None
     if len(taus) >= 2:
-        stable = analysis.stochastically_stable_states(game, taus)
-        stable_keys = tuple(sorted(p.key() for p in stable))
+        stable_keys = analysis.stochastically_stable_states(game, taus)
         verdict = stable_keys == opt_keys
 
     solved = ~np.isnan(pi_direct).any(axis=1)

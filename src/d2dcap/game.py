@@ -17,8 +17,8 @@ SINR -> rate kernel over a fading block: a unit float64 block in
 deterministic mode, float32 draws in noisy mode.
 
 The exact values depend only on channel member sets: a utility on the
-player's co-channel set, the potential on each channel's set.  A game
-therefore memoizes them per instance, one rate sum per member set and one
+player's co-channel set, the potential on each channel's set.  A game's two
+per-set methods therefore memoize them, one rate sum per member set and one
 utility per (member set, player), each computed by the kernel on first use.
 Every later call returns the same float, so the memo is exact.
 """
@@ -74,13 +74,9 @@ class AssignmentProfile:
         object.__setattr__(self, "channels", ch)
         object.__setattr__(self, "passive", pv)
 
-    @property
-    def num_players(self) -> int:
-        return len(self.channels)
-
     def validate(self, num_channels: int) -> None:
-        if self.num_players and (self.channels.min() < 0
-                                 or self.channels.max() >= num_channels):
+        if len(self.channels) and (self.channels.min() < 0
+                                   or self.channels.max() >= num_channels):
             raise ValueError("channel index out of range")
         passive_ch = self.channels[self.passive]
         if len(passive_ch) != len(set(passive_ch.tolist())):
@@ -93,10 +89,6 @@ class AssignmentProfile:
         ch = self.channels.copy()
         ch[player] = channel
         return AssignmentProfile(channels=ch, passive=self.passive)
-
-    def key(self) -> tuple:
-        """Hashable identity of the assignment."""
-        return tuple(self.channels.tolist())
 
 
 @dataclass
@@ -112,10 +104,8 @@ class CapGame:
     """Binds a topology and radio parameters into the assignment game.
 
     Its parameters are fixed after construction; utility evaluation is a
-    pure function of (profile, fading or seed).  The instance memoizes its
-    exact evaluations by channel member set, so ``utility_exact`` and
-    ``potential_exact`` run the rate kernel once per set (and player) and
-    return bit-identical floats on every call.
+    pure function of (profile, fading or seed).  Exact values are memoized
+    per channel member set, as the module docstring describes.
     """
 
     def __init__(self, topology: Topology, params: RadioParams,
@@ -143,9 +133,7 @@ class CapGame:
         self._bits_scale = params.bandwidth_hz / math.log(2.0)
         self._util_scale = self._bits_scale / self.phi_max \
             if self.num_players else 0.0
-        # exact values by channel member set (ascending link indices as
-        # bytes), filled on first use: a channel's rate sum, and a member's
-        # utility keyed with the member
+        # the per-set memos, keyed by the ascending link indices as bytes
         self._set_rate: dict = {}
         self._set_utility: dict = {}
 
@@ -226,18 +214,28 @@ class CapGame:
     # ------------------------------------------------------------------
     # exact (frozen-fading) evaluation, float64
 
+    def set_rate_exact(self, members: np.ndarray) -> float:
+        """Memoized frozen-fading natural-log rate sum of a member set."""
+        key = members.tobytes()
+        if key not in self._set_rate:
+            unit = np.ones((len(members), len(members), 1))
+            self._set_rate[key] = float(self._rate_kernel(members, unit)[0])
+        return self._set_rate[key]
+
+    def set_utility_exact(self, members: np.ndarray, player: int) -> float:
+        """Memoized exact utility of ``player`` in its member set."""
+        key = (members.tobytes(), int(player))
+        if key not in self._set_utility:
+            unit = np.ones((len(members), len(members), 1))
+            self._set_utility[key] = self._util_scale * float(
+                self._rate_kernel(members, unit, player)[0])
+        return self._set_utility[key]
+
     def potential_exact(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate over all links, bits/s."""
         total = 0.0
         for c in np.unique(profile.channels):  # ascending: one sum order
-            members = np.nonzero(profile.channels == c)[0]
-            key = members.tobytes()
-            rate = self._set_rate.get(key)
-            if rate is None:
-                unit = np.ones((len(members), len(members), 1))
-                rate = float(self._rate_kernel(members, unit)[0])
-                self._set_rate[key] = rate
-            total += rate
+            total += self.set_rate_exact(cochannel_set(profile, c))
         return total * self._bits_scale
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
@@ -248,15 +246,8 @@ class CapGame:
 
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:
         """Exact normalized marginal-contribution utility (deterministic)."""
-        members = cochannel_set(profile, int(profile.channels[player]))
-        key = (members.tobytes(), int(player))
-        value = self._set_utility.get(key)
-        if value is None:
-            unit = np.ones((len(members), len(members), 1))
-            value = float(self._rate_kernel(members, unit, player)[0]) \
-                * self._util_scale
-            self._set_utility[key] = value
-        return value
+        return self.set_utility_exact(
+            cochannel_set(profile, int(profile.channels[player])), player)
 
 
 # ----------------------------------------------------------------------

@@ -229,7 +229,8 @@ class Trajectory:
 
     ``profiles[k]`` is the channel vector after slot k+1; the starting
     assignment is kept separately.  ``sum_rate`` is the frozen-fading
-    network sum rate of the post-slot profile, bits/s.  A slot that
+    network sum rate of the post-slot profile, bits/s, from which its
+    optimal slots are counted by the potential.  A slot that
     estimates nothing (a self-trial, or no active player to propose)
     records ``delta_hat`` 0; with no active player, ``player`` and
     ``trial`` are -1.
@@ -250,16 +251,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.t)
-
-    def occupancy(self, target_keys) -> float:
-        """Fraction of final-window slots spent in any of ``target_keys``
-        (an iterable of channel-vector tuples)."""
-        targets = {tuple(k) for k in target_keys}
-        rows = self.profiles[_window_start(self.horizon):]
-        if len(rows) == 0:
-            return 0.0
-        hits = sum(1 for row in rows if tuple(row.tolist()) in targets)
-        return hits / len(rows)
 
     def final_window_mean_sum_rate(self) -> float:
         tail = self.sum_rate[_window_start(self.horizon):]
@@ -301,7 +292,7 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
         trial=np.full(horizon, -1, dtype=np.int32),
         accepted=np.zeros(horizon, dtype=bool), delta_hat=np.zeros(horizon),
         sum_rate=np.empty(horizon), seed=rng_seed)
-    rate_cache: dict = {}
+    rate = game.potential_exact(profile)  # again only when a switch is taken
     for k in range(horizon):
         traj.tau[k], n, accept = slot(k + 1)
         traj.n_samples[k] = n
@@ -316,13 +307,9 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
                     profile = proposal
+                    rate = game.potential_exact(profile)
                     traj.accepted[k] = True
         traj.profiles[k] = profile.channels
-        key = profile.key()
-        rate = rate_cache.get(key)
-        if rate is None:
-            rate = game.potential_exact(profile)
-            rate_cache[key] = rate
         traj.sum_rate[k] = rate
     return traj
 

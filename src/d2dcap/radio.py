@@ -111,7 +111,6 @@ class Topology:
     ued_tx_positions: np.ndarray        # (num_ued, 2)
     ued_rx_positions: np.ndarray        # (num_ued, 2)
     mean_gain_matrix: np.ndarray        # (L, L) linear gains, tx index -> rx index
-    seed: int | None = None
 
     def __post_init__(self):
         for name in ("bs_position", "uec_positions", "ued_tx_positions",
@@ -295,7 +294,7 @@ def generate_topology(params: RadioParams, num_uec: int, num_ued: int,
 
     topo = Topology(bs_position=bs, uec_positions=uec,
                     ued_tx_positions=ued_tx, ued_rx_positions=ued_rx,
-                    mean_gain_matrix=gains, seed=int(rng_seed))
+                    mean_gain_matrix=gains)
     topo.validate(params)
     return topo
 

@@ -18,7 +18,7 @@ from d2dcap.analysis import (ResistanceExpr, ResistanceTerm,
                              min_resistance_tree_check, res_add, res_inv,
                              res_mul, res_sub)
 from d2dcap.experiments import ExperimentConfig, sweep_channels, sweep_ues
-from d2dcap.game import verify_potential_identity
+from d2dcap.game import AssignmentProfile, verify_potential_identity
 from d2dcap.learning import (UnboundedMgfNoise, acceptance_probability,
                              required_samples_bounded, unbounded_sample_calc)
 
@@ -36,7 +36,9 @@ def test_criterion_1_potential_identity(criterion):
         checks = 0
         for seed, ued, ch in ((101, 4, 3), (102, 3, 3), (103, 4, 2)):
             game = small_game(0, ued, ch, seed)
-            for profile in analysis.enumerate_profiles(game):
+            for channels in analysis.enumerate_profiles(game):
+                profile = AssignmentProfile(channels=channels,
+                                            passive=game.passive_mask)
                 for player in game.active_players:
                     cur = int(profile.channels[player])
                     for alt in range(ch):
@@ -104,10 +106,8 @@ def test_criterion_4_stable_set_is_the_optimum(criterion):
         sizes = []
         ok = True
         for game in (small_game(1, 4, 3, 35), small_game(0, 4, 3, 25)):
-            stable = {p.key()
-                      for p in analysis.stochastically_stable_states(game,
-                                                                     grid)}
-            optimum = set(analysis.brute_force_optimum(game).keys())
+            stable = set(analysis.stochastically_stable_states(game, grid))
+            optimum = set(analysis.brute_force_optimum(game).keys)
             ok = ok and stable == optimum
             sizes.append(len(optimum))
         info["ok"] = ok and 2 in sizes

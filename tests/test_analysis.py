@@ -35,7 +35,7 @@ from d2dcap.analysis import (
     stationary_tree,
     stochastically_stable_states,
 )
-from d2dcap.game import AssignmentProfile
+from d2dcap.game import AssignmentProfile, CapGame
 from d2dcap.learning import acceptance_probability
 
 from test_game import seeded_game
@@ -52,10 +52,22 @@ def small_games(draw):
     return seeded_game(num_uec, num_ued, num_channels, seed=seed)
 
 
+def key(profile):
+    """A profile's state label: its channel vector as a tuple."""
+    return tuple(profile.channels.tolist())
+
+
+def profile_objects(game):
+    """The enumerated profiles as AssignmentProfiles, in enumeration
+    order."""
+    return [AssignmentProfile(channels=ch, passive=game.passive_mask)
+            for ch in enumerate_profiles(game)]
+
+
 def single_switches(game):
     """(from, to, player) for every single-active-player channel switch,
     by direct profile manipulation."""
-    for a in enumerate_profiles(game):
+    for a in profile_objects(game):
         for player in game.active_players:
             for c in range(game.num_channels):
                 if c != a.channels[player]:
@@ -114,8 +126,9 @@ def state_by_state_gth(matrix):
 def test_enumerate_profiles_order():
     game = seeded_game(1, 2, 3, seed=5)
     profiles = enumerate_profiles(game)
-    assert len(profiles) == 9
-    keys = [p.key() for p in profiles]
+    assert profiles.shape == (9, 3) and profiles.dtype == np.int16
+    assert not profiles.flags.writeable
+    keys = list(map(tuple, profiles.tolist()))
     assert keys[0] == (0, 0, 0)
     assert keys[1] == (0, 1, 0)  # lowest active index varies fastest
     assert keys[3] == (0, 0, 1)
@@ -130,20 +143,30 @@ def test_enumerate_size_guard():
 
 def test_profile_table_is_built_once_per_game():
     game = seeded_game(1, 3, 3, seed=7)  # 27 profiles, 3 active players
-    calls = {"utility_exact": 0, "potential_exact": 0}
+    names = ("set_utility_exact", "set_rate_exact", "utility_exact",
+             "potential_exact")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counted(*args, _real=getattr(game, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         setattr(game, name, counted)
+    # one rate sum per distinct nonempty (channel, member set), one utility
+    # per distinct (active player, co-channel set)
+    profiles = enumerate_profiles(game)
+    sets = {(c, tuple(np.nonzero(row == c)[0]))
+            for row in profiles for c in range(3)} \
+        - {(c, ()) for c in range(3)}
+    memberships = len({(i, tuple(np.nonzero(row == row[i])[0]))
+                       for row in profiles for i in game.active_players})
     brute_force_optimum(game)
     gibbs_distribution(game, 0.1)
-    assert calls == {"utility_exact": 0, "potential_exact": 27}
+    assert calls == dict(zip(names, (0, len(sets), 0, 0)))
     stochastically_stable_states(game, (0.1, 0.05))
     for tau in (0.1, 0.05):
         exact_transition_matrix(game, tau)
     game_resistance_kernel(game)
-    assert calls == {"utility_exact": 27 * 3, "potential_exact": 27}
+    assert calls == dict(zip(names, (memberships, len(sets), 0, 0)))
 
 
 def test_profile_table_goes_with_its_game():
@@ -171,10 +194,10 @@ def test_dense_paths_refuse_before_enumerating(monkeypatch):
 def test_brute_force_matches_manual_scan():
     game = seeded_game(0, 3, 2, seed=11)
     result = brute_force_optimum(game)
-    values = {p.key(): game.potential_exact(p) for p in enumerate_profiles(game)}
+    values = {key(p): game.potential_exact(p) for p in profile_objects(game)}
     best = max(values.values())
     manual = {k for k, v in values.items() if best - v <= 1e-12 * game.phi_max}
-    assert result.keys() == manual
+    assert result.keys == tuple(sorted(manual))
     assert result.phi_star == pytest.approx(best, rel=1e-15)
     assert result.num_evaluated == 8
     assert 0.0 < result.normalized_phi_star <= 1.0
@@ -184,12 +207,12 @@ def test_brute_force_reports_relabeling_ties():
     # free channels make the optimal set a full relabeling orbit
     game = seeded_game(0, 4, 3, seed=25)
     result = brute_force_optimum(game)
-    assert len(result.profiles) == 6
-    base = result.profiles[0].key()
+    assert len(result.keys) == 6
+    base = result.keys[0]
     perms = {tuple(p[c] for c in base)
              for p in ((0, 1, 2), (0, 2, 1), (1, 0, 2),
                        (1, 2, 0), (2, 0, 1), (2, 1, 0))}
-    assert result.keys() == perms
+    assert result.keys == tuple(sorted(perms))
 
 
 # ----------------------------------------------------------------------
@@ -209,14 +232,14 @@ def test_exact_kernel_matches_hand_values():
     game = seeded_game(0, 2, 2, seed=25)
     tau = 0.1
     kernel = exact_transition_matrix(game, tau)
-    profiles = enumerate_profiles(game)
-    idx = {p.key(): i for i, p in enumerate(profiles)}
+    profiles = profile_objects(game)
+    idx = {key(p): i for i, p in enumerate(profiles)}
     for a in profiles:
         for player in (0, 1):
             b = a.with_channel(player, 1 - int(a.channels[player]))
             du = game.utility_exact(a, player) - game.utility_exact(b, player)
             want = 0.5 * 0.5 * acceptance_probability(du, tau)
-            got = kernel.matrix[idx[a.key()], idx[b.key()]]
+            got = kernel.matrix[idx[key(a)], idx[key(b)]]
             assert got == pytest.approx(want, rel=1e-12)
     assert np.allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-14)
     # high temperature: every move accepted with probability ~1/2
@@ -247,7 +270,7 @@ def test_kernel_entries_are_the_acceptance_rule(game, tau):
     expected = np.zeros_like(kernel.matrix)
     for a, b, player in single_switches(game):
         du = game.utility_exact(a, player) - game.utility_exact(b, player)
-        expected[index[a.key()], index[b.key()]] = \
+        expected[index[key(a)], index[key(b)]] = \
             pick * acceptance_probability(du, tau)
     m = kernel.matrix.copy()
     diag = np.diag(m).copy()
@@ -264,28 +287,67 @@ def test_resistances_are_positive_parts_of_drops(game):
     want_adj = np.zeros_like(adj)
     for a, b, player in single_switches(game):
         du = game.utility_exact(a, player) - game.utility_exact(b, player)
-        assert res[index[a.key()], index[b.key()]] == max(0.0, du)
-        want_adj[index[a.key()], index[b.key()]] = True
+        assert res[index[key(a)], index[key(b)]] == max(0.0, du)
+        want_adj[index[key(a)], index[key(b)]] = True
     assert np.array_equal(adj, want_adj)
     assert np.all(np.isinf(res[~adj]))
 
 
+def assert_gathered_tables_are_per_profile_values(game):
+    """The table's potentials and utility matrix, gathered per member set,
+    equal a fresh game's per-profile evaluations bit for bit."""
+    table = analysis_module._table(game)
+    analysis_module._moves(game)
+    fresh = CapGame(game.topology, game.params, mode="deterministic")
+    profiles = profile_objects(fresh)
+    phi = [fresh.normalized_potential(p) for p in profiles]
+    utility = [[fresh.utility_exact(p, i) for i in fresh.active_players]
+               for p in profiles]
+    assert table.phi.tolist() == phi
+    assert table.utility.tolist() == utility
+
+
+@st.composite
+def gather_games(draw):
+    """Seeded deterministic games of up to 5 active players on up to 4
+    channels, with or without one UEC: co-channel sets of 0 to 6 links."""
+    num_uec = draw(st.integers(0, 1))
+    num_channels = draw(st.integers(max(1, num_uec), 4))
+    num_ued = draw(st.integers(0, 5 if num_channels <= 3 else 4))
+    return seeded_game(num_uec, num_ued, num_channels,
+                       seed=draw(st.integers(0, 2 ** 16)))
+
+
+@given(game=gather_games())
+def test_gathered_tables_equal_per_profile_evaluation(game):
+    assert_gathered_tables_are_per_profile_values(game)
+
+
+@pytest.mark.parametrize("num_uec", [0, 1])
+def test_gathered_tables_hold_sets_of_more_than_64_links(num_uec):
+    # one channel: the single profile's set has every link, so a member
+    # set encoded in a fixed-width word would overflow
+    game = seeded_game(num_uec, 70 - num_uec, 1, seed=3)
+    assert_gathered_tables_are_per_profile_values(game)
+    assert analysis_module._table(game).utility.shape == (1, 70 - num_uec)
+
+
 @given(game=small_games(), tau=st.sampled_from([0.5, 0.05, 0.005]))
 def test_brute_force_and_gibbs_are_potential_scans(game, tau):
-    profiles = enumerate_profiles(game)
+    profiles = profile_objects(game)
     phi = np.array([game.normalized_potential(p) for p in profiles])
     best = float(phi.max())
     result = brute_force_optimum(game)
     assert result.normalized_phi_star == best
     assert result.phi_star == best * game.phi_max
     assert result.num_evaluated == len(profiles)
-    assert result.keys() == {p.key() for p, v in zip(profiles, phi)
-                             if best - v <= 1e-12}
+    assert result.keys == tuple(sorted(key(p) for p, v in zip(profiles, phi)
+                                       if best - v <= 1e-12))
     x = phi / tau
     x -= x.max()
     w = np.exp(x)
     gibbs = gibbs_distribution(game, tau)
-    assert gibbs.states == [p.key() for p in profiles]
+    assert gibbs.states == [key(p) for p in profiles]
     assert np.array_equal(gibbs.probs, w / w.sum())
 
 
@@ -420,7 +482,7 @@ def test_gibbs_two_point_ratio():
     game = seeded_game(0, 2, 2, seed=25)
     tau = 0.07
     pi = gibbs_distribution(game, tau)
-    profiles = enumerate_profiles(game)
+    profiles = profile_objects(game)
     a, b = profiles[0], profiles[3]
     want = math.exp((game.normalized_potential(a)
                      - game.normalized_potential(b)) / tau)
@@ -477,7 +539,7 @@ def test_in_tree_enumeration_count():
 def test_stable_states_equal_brute_force():
     game = seeded_game(1, 4, 3, seed=35)
     stable = stochastically_stable_states(game, (0.1, 0.05, 0.02, 0.01))
-    assert {p.key() for p in stable} == brute_force_optimum(game).keys()
+    assert stable == brute_force_optimum(game).keys
     assert len(stable) == 2  # symmetric pair of relabelings
 
 
@@ -503,7 +565,7 @@ def test_edge_resistances_complementarity():
     a = AssignmentProfile(channels=[0, 0], passive=[False, False])
     b = a.with_channel(0, 1)
     du = game.utility_exact(a, 0) - game.utility_exact(b, 0)
-    assert res[keys.index(a.key()), keys.index(b.key())] == max(0.0, du)
+    assert res[keys.index(key(a)), keys.index(key(b))] == max(0.0, du)
 
 
 def test_min_resistance_tree_check_on_game():

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import d2dcap.experiments as expmod
 import d2dcap.learning as learning
@@ -21,7 +23,7 @@ from d2dcap.experiments import (
     sweep_channels,
     sweep_ues,
 )
-from d2dcap.game import CapGame
+from d2dcap.game import AssignmentProfile, CapGame
 from d2dcap.learning import run_blla
 
 
@@ -245,7 +247,7 @@ def test_output_files_and_provenance(tmp_path):
 def test_tracked_optimum_statistics():
     cfg = tiny_config()
     point = run_experiment(cfg).points[0]
-    assert point.phi_star is not None and point.optimum_keys
+    assert point.phi_star is not None
     assert 0.0 <= point.mean_occupancy <= 1.0
     assert point.window_slots == 10
     off = run_experiment(replace(cfg, track_optimum=False)).points[0]
@@ -284,10 +286,53 @@ def test_per_realization_topologies():
         game = cfg.game(cfg.topology(k), mode="deterministic")
         traj = run_blla(game, cfg.schedule_obj(), None, cfg.xi, cfg.horizon,
                         cfg.base_seed + k)
-        occ.append(traj.occupancy(expmod.analysis.brute_force_optimum(
-            game).keys()))
+        keys = set(expmod.analysis.brute_force_optimum(game).keys)
+        window = traj.profiles[-10:].tolist()  # the final 25% of 40 slots
+        occ.append(sum(tuple(row) in keys for row in window) / len(window))
     assert point.mean_occupancy == float(np.mean(occ))
-    assert point.phi_star is None and point.optimum_keys is None
+    assert point.phi_star is None
+
+
+@st.composite
+def tracked_configs(draw):
+    """Small tracked configs, one or several layouts, exact or sampled
+    utilities, including games with no active player or no link at all."""
+    num_uec = draw(st.integers(0, 1))
+    noise = draw(st.sampled_from(["none", "bounded"]))
+    return tiny_config(
+        num_uec=num_uec, num_ued=draw(st.integers(0, 5)),
+        num_channels=draw(st.integers(max(1, num_uec), 3)),
+        topology_seed=draw(st.integers(0, 2 ** 16)),
+        shared_topology=draw(st.booleans()),
+        algorithm=draw(st.sampled_from(["blla", "br"])), noise_model=noise,
+        # sampled estimates stay small: N is 8 at tau 1 and 1,645 at 0.1
+        tau=draw(st.sampled_from([1.0, 0.1] + [0.02] * (noise == "none"))),
+        horizon=draw(st.integers(1, 60)))
+
+
+# optimal relabelings whose potentials differ in the last bit
+@example(config=tiny_config(num_ued=5, num_channels=3, topology_seed=3,
+                            tau=0.02), k=0)
+@given(config=tracked_configs(), k=st.integers(0, 3))
+def test_occupancy_from_the_potential_equals_the_key_count(config, k):
+    topo = config.topology(k)
+    game = config.game(topo, mode="deterministic")
+    optimum = expmod.analysis.brute_force_optimum(game)
+    best = optimum.normalized_phi_star
+    # profile by profile: a sum rate counts as optimal exactly when its
+    # profile is one of brute force's, relabeling ties included
+    for channels in expmod.analysis.enumerate_profiles(game):
+        rate = game.potential_exact(AssignmentProfile(
+            channels=channels, passive=game.passive_mask))
+        assert expmod.analysis._optimal_share(game, np.array([rate]), best) \
+            == (tuple(channels.tolist()) in optimum.keys)
+    # the reference: final-window slots whose channel vector is one of
+    # brute force's optimal profiles, counted by matching keys
+    traj = expmod._run_one(config, topo, config.base_seed + k)
+    rows = traj.profiles[learning._window_start(traj.horizon):].tolist()
+    want = sum(tuple(row) in set(optimum.keys) for row in rows) / len(rows)
+    assert expmod._realization(config, topo, best, k).occupancy == want
+    assert expmod._realization(config, None, None, k).occupancy == want
 
 
 def _no_realization(monkeypatch):

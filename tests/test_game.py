@@ -51,8 +51,8 @@ def test_profile_is_write_locked():
     with pytest.raises(ValueError):
         prof.channels[0] = 1
     moved = prof.with_channel(0, 1)
-    assert moved.key() == (1, 1, 2)
-    assert prof.key() == (0, 1, 2)
+    assert tuple(moved.channels.tolist()) == (1, 1, 2)
+    assert tuple(prof.channels.tolist()) == (0, 1, 2)
 
 
 def test_profile_passive_rules():
@@ -76,10 +76,10 @@ def test_cochannel_set():
 def test_initial_profile():
     game = seeded_game(2, 3, 3, seed=4)
     prof = game.initial_profile()
-    assert prof.key()[:2] == (0, 1)
+    assert tuple(prof.channels[:2].tolist()) == (0, 1)
     assert np.all(prof.channels[2:] == 0)
     randomized = game.initial_profile(np.random.default_rng(0))
-    assert randomized.key()[:2] == (0, 1)
+    assert tuple(randomized.channels[:2].tolist()) == (0, 1)
     randomized.validate(3)
 
 
@@ -132,7 +132,9 @@ def test_potential_identity_exhaustive():
     for seed, act, ch in [(11, 3, 2), (12, 4, 3)]:
         game = seeded_game(0, act, ch, seed=seed)
         worst = 0.0
-        for prof in enumerate_profiles(game):
+        for channels in enumerate_profiles(game):
+            prof = AssignmentProfile(channels=channels,
+                                     passive=game.passive_mask)
             for player in game.active_players:
                 for target in range(ch):
                     worst = max(worst, verify_potential_identity(

@@ -10,6 +10,7 @@ from scipy.optimize import minimize_scalar
 
 import d2dcap.experiments as experiments_module
 import d2dcap.learning as learning_module
+from d2dcap.analysis import _optimal_share, brute_force_optimum
 from d2dcap.experiments import ExperimentConfig
 from d2dcap.game import AssignmentProfile, utility_mean
 from d2dcap.learning import (
@@ -18,6 +19,7 @@ from d2dcap.learning import (
     LogDecreasingTemperature,
     Trajectory,
     UnboundedMgfNoise,
+    _window_start,
     acceptance_probability,
     required_samples_bounded,
     required_samples_unbounded,
@@ -242,10 +244,12 @@ def test_passive_players_never_move():
 def test_trajectory_windows_and_occupancy():
     game = seeded_game(0, 2, 2, seed=25)
     traj = run_br(game, 1, horizon=8, rng_seed=1)
-    final_key = tuple(traj.profiles[-1].tolist())
     # final 25% of 8 slots = the last 2
-    occ = traj.occupancy([final_key])
-    hits = sum(1 for row in traj.profiles[6:] if tuple(row.tolist()) == final_key)
+    assert _window_start(traj.horizon) == 6
+    optimum = brute_force_optimum(game)
+    occ = _optimal_share(game, traj.sum_rate[6:], optimum.normalized_phi_star)
+    hits = sum(1 for row in traj.profiles[6:].tolist()
+               if tuple(row) in optimum.keys)
     assert occ == hits / 2
     mean = traj.final_window_mean_sum_rate()
     assert mean == pytest.approx(traj.sum_rate[6:].mean(), rel=1e-15)
@@ -259,8 +263,8 @@ def test_runner_argument_guards():
         run_br(game, 1, horizon=-1, rng_seed=1)
     empty = run_br(game, 1, horizon=0, rng_seed=1)
     assert empty.horizon == 0
-    assert tuple(empty.initial_channels.tolist()) == game.initial_profile(
-        np.random.Generator(np.random.SFC64(1))).key()
+    assert np.array_equal(empty.initial_channels, game.initial_profile(
+        np.random.Generator(np.random.SFC64(1))).channels)
 
 
 def test_zero_active_players_keep_their_start():

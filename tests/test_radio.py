@@ -34,7 +34,7 @@ def manual_topology(gains, num_uec=0):
                     uec_positions=np.zeros((num_uec, 2)),
                     ued_tx_positions=np.zeros((n_ued, 2)),
                     ued_rx_positions=np.tile([5.0, 0.0], (n_ued, 1)),
-                    mean_gain_matrix=g, seed=0)
+                    mean_gain_matrix=g)
 
 
 # ----------------------------------------------------------------------
