@@ -3,16 +3,17 @@ temperature and the estimation-noise model.
 
 Colder play demands exponentially sharper estimates.  For noise bounded
 in a unit interval the count follows a Hoeffding-style bound; for
-Gaussian noise a Chernoff bound optimized over its free parameter.
+Gaussian noise a Chernoff bound whose optimal parameter, theta* =
+(1 - xi) tau / sigma^2, has a closed form.
 """
 
-from d2dcap.learning import (UnboundedMgfNoise, required_samples_bounded,
+from d2dcap.learning import (GaussianNoise, required_samples_bounded,
                              unbounded_sample_calc)
 
 
 def main() -> None:
     xi = 1e-5
-    gauss = UnboundedMgfNoise.gaussian(sigma=1.0)
+    gauss = GaussianNoise(sigma=1.0)
     print(f"failure budget xi = {xi}")
     print(f"{'tau':>6} {'N bounded(1)':>13} {'N gaussian(1)':>14} "
           f"{'theta*':>10}")

@@ -21,11 +21,10 @@ from .experiments import (ExperimentConfig, PointResult, StationaryReport,
 from .game import (AssignmentProfile, CapGame, UtilityEstimate, cochannel_set,
                    potential, utility_mean, utility_sample,
                    verify_potential_identity)
-from .learning import (BoundedNoise, FixedTemperature,
+from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
                        LogDecreasingTemperature, Trajectory,
-                       UnboundedMgfNoise, UnboundedSampleCalc,
-                       acceptance_probability, required_samples_bounded,
-                       required_samples_unbounded, run_blla, run_br,
+                       UnboundedSampleCalc, acceptance_probability,
+                       required_samples_bounded, run_blla, run_br,
                        unbounded_sample_calc)
 from .radio import (FadingRealization, RadioParams, Topology, db_to_linear,
                     dbm_to_watts, generate_topology, link_tx_powers, rate,

@@ -104,8 +104,13 @@ def enumerate_profiles(game: CapGame) -> np.ndarray:
 def _member_sets(on: np.ndarray):
     """Distinct rows of a boolean (profiles, links) array, as link indices,
     and for each profile the position of its row among them."""
-    rows, index = np.unique(on, axis=0, return_inverse=True)
-    return [np.nonzero(r)[0] for r in rows], index.reshape(-1)
+    # each row packed into bytes and compared as one value: packbits is
+    # big-endian, so the values sort as the boolean rows do, and the zero
+    # column padded on keeps a row of no links one byte long
+    packed = np.packbits(np.pad(on, ((0, 0), (0, 1))), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return [np.nonzero(r)[0] for r in on[first]], index
 
 
 class _ProfileTable:

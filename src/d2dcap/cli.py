@@ -8,7 +8,7 @@ from dataclasses import replace
 
 from .experiments import (ExperimentConfig, analyze_stationary,
                           run_experiment, sweep_channels, sweep_ues)
-from .learning import (UnboundedMgfNoise, required_samples_bounded,
+from .learning import (GaussianNoise, required_samples_bounded,
                        unbounded_sample_calc)
 
 _PRESETS = {
@@ -100,7 +100,7 @@ def _cmd_samples_calc(args) -> int:
         print(f"tau={args.tau} xi={args.xi}")
         print(f"samples per estimate N = {n}")
     else:
-        noise = UnboundedMgfNoise.gaussian(sigma=args.sigma)
+        noise = GaussianNoise(sigma=args.sigma)
         calc = unbounded_sample_calc(args.tau, args.xi, noise)
         print(f"noise model: gaussian, sigma {args.sigma}")
         print(f"tau={args.tau} xi={args.xi}")

@@ -25,9 +25,9 @@ import numpy as np
 
 from . import analysis
 from .game import CapGame
-from .learning import (BoundedNoise, FixedTemperature,
-                       LogDecreasingTemperature, Trajectory,
-                       UnboundedMgfNoise, _window_start, run_blla, run_br)
+from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
+                       LogDecreasingTemperature, Trajectory, _window_start,
+                       run_blla, run_br)
 from .radio import (RadioParams, Topology, dbm_to_watts, generate_topology,
                     thermal_noise_watts, watts_to_dbm)
 
@@ -129,6 +129,17 @@ class ExperimentConfig:
             if value < 0:
                 raise ValueError(f"config key {key!r} must be non-negative, "
                                  f"got {value!r}")
+        for key in ("tau", "tau_scale", "noise_width", "noise_sigma"):
+            value = getattr(self, key)
+            if not value > 0:
+                raise ValueError(f"config key {key!r} must be positive, "
+                                 f"got {value!r}")
+        if not 0.0 < self.xi < 1.0:
+            raise ValueError("config key 'xi' must lie strictly inside "
+                             f"(0, 1), got {self.xi!r}")
+        if self.br_samples < 1:
+            raise ValueError("config key 'br_samples' must be >= 1, "
+                             f"got {self.br_samples!r}")
         self.radio_params()  # nested invariants
 
     # -- construction of the underlying objects -------------------------
@@ -166,7 +177,7 @@ class ExperimentConfig:
         if self.noise_model == "bounded":
             return BoundedNoise(interval_width=self.noise_width)
         if self.noise_model == "gaussian":
-            return UnboundedMgfNoise.gaussian(sigma=self.noise_sigma)
+            return GaussianNoise(sigma=self.noise_sigma)
         return None
 
     # -- flat text form --------------------------------------------------

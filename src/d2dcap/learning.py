@@ -18,13 +18,10 @@ starting assignment for the whole run.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .game import AssignmentProfile, CapGame, utility_mean
 
@@ -32,9 +29,8 @@ __all__ = [
     "FixedTemperature",
     "LogDecreasingTemperature",
     "BoundedNoise",
-    "UnboundedMgfNoise",
+    "GaussianNoise",
     "required_samples_bounded",
-    "required_samples_unbounded",
     "UnboundedSampleCalc",
     "unbounded_sample_calc",
     "acceptance_probability",
@@ -95,41 +91,17 @@ class BoundedNoise:
 
 
 @dataclass(frozen=True)
-class _GaussianLogMgf:
-    """log E[exp(theta * X)] of X ~ Normal(0, sigma^2); a value, not a
-    closure, so equal-sigma noise objects compare and hash equal."""
+class GaussianNoise:
+    """Zero-mean Gaussian estimation noise of standard deviation sigma."""
 
     sigma: float
 
-    def __call__(self, th: float) -> float:
-        return 0.5 * th * th * self.sigma * self.sigma
-
-
-# cap of the search for the optimal Chernoff parameter theta
-_THETA_MAX = 1e3
-
-
-@dataclass(frozen=True)
-class UnboundedMgfNoise:
-    """Noise known only through its log moment generating function.
-
-    ``log_mgf`` maps theta to log E[exp(theta * noise)] and must be finite
-    and convex on [0, _THETA_MAX].  The search for the optimal Chernoff
-    parameter is capped at _THETA_MAX (1e3); degenerate noise pushes the
-    optimum to the cap, which only makes the returned sample count
-    conservative.
-    """
-
-    log_mgf: Callable[[float], float]
-
-    @classmethod
-    def gaussian(cls, sigma: float) -> "UnboundedMgfNoise":
-        if not sigma > 0:
+    def __post_init__(self):
+        if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        return cls(log_mgf=_GaussianLogMgf(sigma))
 
     def required_samples(self, tau: float, xi: float) -> int:
-        return required_samples_unbounded(tau, xi, self)
+        return unbounded_sample_calc(tau, xi, self).n
 
 
 def _check_tau_xi(tau: float, xi: float) -> None:
@@ -159,41 +131,25 @@ class UnboundedSampleCalc:
     n: int
     theta_star: float
     numerator: float    # ln(4/xi) + 2/tau
-    denominator: float  # theta*(1-xi)tau - log_mgf(theta*)
+    denominator: float  # theta*(1-xi)tau - sigma^2 theta*^2 / 2
 
 
 def unbounded_sample_calc(tau: float, xi: float,
-                          noise: UnboundedMgfNoise) -> UnboundedSampleCalc:
-    """Optimize theta and size the estimate for MGF-specified noise.
+                          noise: GaussianNoise) -> UnboundedSampleCalc:
+    """Size the estimate for Gaussian noise by the optimized Chernoff bound.
 
-    The objective theta*(1-xi)*tau - log_mgf(theta) is concave (log MGFs are
-    convex), so a bounded 1-D maximization on [0, _THETA_MAX] finds the
-    global optimum.
+    With t = (1-xi) tau, the exponent theta t - sigma^2 theta^2 / 2 peaks at
+    theta* = t / sigma^2 with value D = t^2 / (2 sigma^2), so
+    N = ceil[(ln(4/xi) + 2/tau) / D].
     """
     _check_tau_xi(tau, xi)
     target = (1.0 - xi) * tau
-
-    res = minimize_scalar(lambda th: noise.log_mgf(th) - th * target,
-                          bounds=(0.0, _THETA_MAX), method="bounded",
-                          options={"xatol": 1e-12})
-    theta_star = float(res.x)
-    denominator = theta_star * target - noise.log_mgf(theta_star)
-    if denominator <= 0.0:
-        raise ValueError("noise MGF grows too fast: optimized exponent "
-                         f"{denominator!r} is not positive")
+    variance = noise.sigma * noise.sigma
     numerator = math.log(4.0 / xi) + 2.0 / tau
-    n = int(math.ceil(numerator / denominator))
-    return UnboundedSampleCalc(n=n, theta_star=theta_star,
+    denominator = target * target / (2.0 * variance)
+    return UnboundedSampleCalc(n=int(math.ceil(numerator / denominator)),
+                               theta_star=target / variance,
                                numerator=numerator, denominator=denominator)
-
-
-@functools.lru_cache(maxsize=4096)
-def required_samples_unbounded(tau: float, xi: float,
-                               noise: UnboundedMgfNoise) -> int:
-    """Sample count for MGF-specified noise, memoized: every slot asks for
-    it, and each computation runs a scalar minimization.  The cache holds a
-    decreasing schedule's whole horizon, so later realizations hit it."""
-    return unbounded_sample_calc(tau, xi, noise).n
 
 
 # ----------------------------------------------------------------------

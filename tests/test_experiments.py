@@ -159,29 +159,18 @@ def test_schedule_and_noise_builders():
     assert tiny_config(noise_model="bounded").noise_obj() is not None
 
 
-def test_gaussian_sample_counts_are_computed_once_per_temperature(
-        monkeypatch):
-    # a sigma no other test uses, so the process-wide cache starts cold;
-    # 500 slots, a decreasing schedule's usual horizon, fill it with 500 taus
+def test_gaussian_decreasing_runs_are_deterministic():
     cfg = tiny_config(noise_model="gaussian", noise_sigma=0.37,
                       schedule="log_decreasing", tau_scale=2.0, horizon=500)
     assert cfg.noise_obj() == cfg.noise_obj()
     assert hash(cfg.noise_obj()) == hash(cfg.noise_obj())
-    calls = []
-    real = learning.unbounded_sample_calc
-    monkeypatch.setattr(learning, "unbounded_sample_calc",
-                        lambda *args: calls.append(args) or real(*args))
     game = cfg.game(cfg.topology())
 
     def run():
         return run_blla(game, cfg.schedule_obj(), cfg.noise_obj(), cfg.xi,
                         cfg.horizon, cfg.base_seed)
 
-    first = run()
-    assert len(calls) == cfg.horizon  # one per slot's distinct tau(t)
-    calls.clear()
-    second = run()
-    assert calls == []
+    first, second = run(), run()
     assert np.array_equal(first.n_samples, second.n_samples)
     assert np.array_equal(first.profiles, second.profiles)
 
@@ -696,11 +685,31 @@ def test_cli_reports_an_oversized_fading_block(tmp_path, monkeypatch,
     assert calls == []
 
 
-@pytest.mark.parametrize("key", ["base_seed", "topology_seed"])
-def test_negative_seeds_are_refused_before_any_realization(monkeypatch, key):
+@pytest.mark.parametrize("overrides, message", [
+    pytest.param(dict(base_seed=-3), "'base_seed' must be non-negative",
+                 id="base_seed"),
+    pytest.param(dict(topology_seed=-3),
+                 "'topology_seed' must be non-negative", id="topology_seed"),
+    pytest.param(dict(tau=-1.0), "'tau' must be positive", id="tau"),
+    pytest.param(dict(schedule="log_decreasing", tau_scale=0.0),
+                 "'tau_scale' must be positive", id="tau_scale"),
+    pytest.param(dict(noise_model="bounded", noise_width=0.0),
+                 "'noise_width' must be positive", id="noise_width"),
+    pytest.param(dict(noise_model="gaussian", noise_sigma=-0.5),
+                 "'noise_sigma' must be positive", id="noise_sigma"),
+    pytest.param(dict(xi=1.5), r"'xi' must lie strictly inside \(0, 1\)",
+                 id="xi"),
+    pytest.param(dict(xi=0.0), r"'xi' must lie strictly inside \(0, 1\)",
+                 id="xi-zero"),
+    pytest.param(dict(algorithm="br", br_samples=0),
+                 "'br_samples' must be >= 1", id="br_samples"),
+])
+def test_negative_seeds_are_refused_before_any_realization(monkeypatch,
+                                                           overrides,
+                                                           message):
     calls = _no_realization(monkeypatch)
-    with pytest.raises(ValueError, match=f"{key!r} must be non-negative"):
-        run_experiment(tiny_config(**{key: -3}, realizations=2))
+    with pytest.raises(ValueError, match=message):
+        run_experiment(tiny_config(**overrides, realizations=2))
     assert calls == []
 
 

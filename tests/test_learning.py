@@ -16,13 +16,12 @@ from d2dcap.game import AssignmentProfile, utility_mean
 from d2dcap.learning import (
     BoundedNoise,
     FixedTemperature,
+    GaussianNoise,
     LogDecreasingTemperature,
     Trajectory,
-    UnboundedMgfNoise,
     _window_start,
     acceptance_probability,
     required_samples_bounded,
-    required_samples_unbounded,
     run_blla,
     run_br,
     unbounded_sample_calc,
@@ -75,29 +74,40 @@ def test_bounded_sample_count_monotonicity():
 
 
 def test_gaussian_sample_count_closed_form():
-    calc = unbounded_sample_calc(0.1, 0.5, UnboundedMgfNoise.gaussian(1.0))
+    calc = unbounded_sample_calc(0.1, 0.5, GaussianNoise(1.0))
     # analytic optimum: theta* = (1-xi) tau / sigma^2
     assert abs(calc.theta_star - 0.05) <= 1e-8
     assert calc.numerator == pytest.approx(math.log(8.0) + 20.0, abs=1e-12)
     assert calc.denominator == pytest.approx(0.00125, abs=1e-12)
     assert calc.n == 17664
-    assert required_samples_unbounded(0.1, 0.5,
-                                      UnboundedMgfNoise.gaussian(1.0)) == 17664
+    assert GaussianNoise(1.0).required_samples(0.1, 0.5) == 17664
 
 
-def test_degenerate_noise_hits_search_cap():
-    # M(theta) = 1: the objective grows linearly, the cap binds
-    noise = UnboundedMgfNoise(log_mgf=lambda theta: 0.0)
-    calc = unbounded_sample_calc(0.1, 0.5, noise)
-    assert calc.theta_star > 900.0  # pinned to the cap, up to solver slack
-    assert calc.n == 1
+def _optimized_gaussian_count(tau, xi, sigma):
+    """The numeric Chernoff search the closed form replaced: maximize
+    theta*t - sigma^2 theta^2 / 2 over [0, 1e3]; returns (N, theta*)."""
+    target = (1.0 - xi) * tau
+    res = minimize_scalar(
+        lambda th: 0.5 * th * th * sigma * sigma - th * target,
+        bounds=(0.0, 1e3), method="bounded", options={"xatol": 1e-12})
+    theta = float(res.x)
+    exponent = theta * target - 0.5 * theta * theta * sigma * sigma
+    n = int(math.ceil((math.log(4.0 / xi) + 2.0 / tau) / exponent))
+    return n, theta
 
 
-def test_heavy_noise_rejected():
-    # log M(theta) >= theta makes the denominator negative everywhere
-    noise = UnboundedMgfNoise(log_mgf=lambda theta: float(theta))
-    with pytest.raises(ValueError):
-        unbounded_sample_calc(0.1, 0.5, noise)
+_FIXED_TAUS = (0.5, 0.2, 0.1, 0.05, 0.02)
+_LOG_TAUS = tuple(0.1 / math.log(1.0 + t) for t in range(1, 1997, 7))
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.1, 0.5, 1.0, 2.0])
+def test_gaussian_closed_form_equals_the_optimized_chernoff_count(sigma):
+    for xi in (1e-5, 0.1, 0.5):
+        for tau in _FIXED_TAUS + _LOG_TAUS:
+            n, theta = _optimized_gaussian_count(tau, xi, sigma)
+            calc = unbounded_sample_calc(tau, xi, GaussianNoise(sigma))
+            assert calc.n == n, (sigma, xi, tau)
+            assert calc.theta_star == pytest.approx(theta, rel=1e-7)
 
 
 # ----------------------------------------------------------------------
@@ -180,24 +190,6 @@ def test_sample_count_recomputed_each_slot():
         assert traj.tau[k] == sch.tau_at(t)
         assert traj.n_samples[k] == required_samples_bounded(
             sch.tau_at(t), 1e-5, 1.0)
-
-
-def test_gaussian_sample_count_is_computed_once_per_temperature(
-        monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return minimize_scalar(*args, **kwargs)
-
-    monkeypatch.setattr(learning_module, "minimize_scalar", counting)
-    game = seeded_game(0, 2, 2, seed=25, mode="noisy")
-    noise = UnboundedMgfNoise.gaussian(sigma=0.05)
-    traj = run_blla(game, FixedTemperature(0.5), noise, 0.1, horizon=50,
-                    rng_seed=4)
-    assert len(calls) == 1
-    assert np.all(traj.n_samples == required_samples_unbounded(0.5, 0.1,
-                                                               noise))
 
 
 def test_better_response_is_monotone_in_deterministic_mode():
@@ -405,7 +397,7 @@ def learning_runs(draw):
         schedule = LogDecreasingTemperature(scale=draw(st.sampled_from(
             [0.5, 2.0]))) if learner == "log" else FixedTemperature(
             tau=draw(st.sampled_from([0.3, 1.0, 5.0])))
-        noise = {"gaussian": UnboundedMgfNoise.gaussian(sigma=0.05),
+        noise = {"gaussian": GaussianNoise(sigma=0.05),
                  "none": None}.get(learner, BoundedNoise(interval_width=1.0))
         xi = draw(st.sampled_from([0.1, 0.5]))
         run = functools.partial(run_blla, game, schedule, noise, xi)
