@@ -7,19 +7,18 @@ Gaussian noise a Chernoff bound whose optimal parameter, theta* =
 (1 - xi) tau / sigma^2, has a closed form.
 """
 
-from d2dcap.learning import (GaussianNoise, required_samples_bounded,
-                             unbounded_sample_calc)
+from d2dcap.learning import BoundedNoise, GaussianNoise
 
 
 def main() -> None:
     xi = 1e-5
-    gauss = GaussianNoise(sigma=1.0)
+    bounded, gauss = BoundedNoise(1.0), GaussianNoise(sigma=1.0)
     print(f"failure budget xi = {xi}")
     print(f"{'tau':>6} {'N bounded(1)':>13} {'N gaussian(1)':>14} "
           f"{'theta*':>10}")
     for tau in (0.5, 0.2, 0.1, 0.05, 0.02):
-        nb = required_samples_bounded(tau, xi, 1.0)
-        calc = unbounded_sample_calc(tau, xi, gauss)
+        nb = bounded.required_samples(tau, xi)
+        calc = gauss.sample_calc(tau, xi)
         print(f"{tau:>6} {nb:>13} {calc.n:>14} {calc.theta_star:>10.5f}")
     print("\nthe 1/tau^3 blow-up is why decreasing-temperature runs spend "
           "almost all their samples in the last slots")

@@ -18,16 +18,14 @@ from .analysis import (BruteForceResult, MinTreeReport, ResistanceExpr,
 from .experiments import (ExperimentConfig, PointResult, StationaryReport,
                           SweepResult, analyze_stationary, run_experiment,
                           sweep_channels, sweep_ues)
-from .game import (AssignmentProfile, CapGame, UtilityEstimate, cochannel_set,
-                   potential, utility_mean, utility_sample,
-                   verify_potential_identity)
+from .game import (AssignmentProfile, CapGame, cochannel_set, potential,
+                   utility_mean, utility_sample, verify_potential_identity)
 from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
                        LogDecreasingTemperature, Trajectory,
-                       UnboundedSampleCalc, acceptance_probability,
-                       required_samples_bounded, run_blla, run_br,
-                       unbounded_sample_calc)
-from .radio import (FadingRealization, RadioParams, Topology, db_to_linear,
-                    dbm_to_watts, generate_topology, link_tx_powers, rate,
+                       UnboundedSampleCalc, acceptance_probability, run_blla,
+                       run_br)
+from .radio import (RadioParams, Topology, db_to_linear, dbm_to_watts,
+                    generate_topology, link_tx_powers, rate,
                     sample_fading_block, sinr, thermal_noise_watts,
                     watts_to_dbm)
 

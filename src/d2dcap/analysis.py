@@ -17,6 +17,9 @@ array, and their normalized potentials, all that brute force and Gibbs
 read, plus the neighbour index of every single-player switch and the exact
 utilities, filled when a kernel or the resistances first need them.  Both
 are gathered per distinct member set.  Dense kernels refuse > 4096 profiles.
+The channel array is the one state space: kernels, distributions and the
+resistance kernel carry it as their ``states``, and only the rows returned
+as optimal or stable sets become channel tuples.
 """
 
 from __future__ import annotations
@@ -118,8 +121,7 @@ class _ProfileTable:
 
     def __init__(self, game: CapGame):
         self.channels = enumerate_profiles(game)
-        self.keys = list(map(tuple, self.channels.tolist()))
-        total = np.zeros(len(self.keys))
+        total = np.zeros(len(self.channels))
         for c in range(game.num_channels):  # normalized_potential's order
             sets, index = _member_sets(self.channels == c)
             total += np.array([game.set_rate_exact(m) if len(m) else 0.0
@@ -142,18 +144,20 @@ def _table(game: CapGame) -> _ProfileTable:
 
 
 def _moves(game: CapGame):
-    """(keys, from, to, utility drop): index arrays over every single-active-
-    player switch, ordered by profile, then player, then channel."""
+    """(states, from, to, utility drop): the channel array, then index
+    arrays over every single-active-player switch, ordered by profile, then
+    player, then channel."""
     table = _table(game)
     if table.utility is None:
         # mixed radix: player j's digit is k // radix[j] % c; switching it
         # to channel c' moves profile k by (c' - digit) * radix[j]
         c = game.num_channels
-        k = np.arange(len(table.keys))[:, None, None]
+        k = np.arange(len(table.channels))[:, None, None]
         radix = c ** np.arange(len(game.active_players))[:, None]
         table.neighbour = k + radix * (np.arange(c) - k // radix % c)
         # one utility per distinct co-channel set of each active player
-        table.utility = np.empty((len(table.keys), len(game.active_players)))
+        table.utility = np.empty((len(table.channels),
+                                  len(game.active_players)))
         for j, i in enumerate(game.active_players):
             sets, index = _member_sets(table.channels
                                        == table.channels[:, i:i + 1])
@@ -162,8 +166,13 @@ def _moves(game: CapGame):
     nb = table.neighbour
     frm, player, chan = np.nonzero(nb != np.arange(len(nb))[:, None, None])
     to = nb[frm, player, chan]
-    return table.keys, frm, to, \
+    return table.channels, frm, to, \
         table.utility[frm, player] - table.utility[to, player]
+
+
+def _keys(channels: np.ndarray) -> tuple:
+    """Channel rows as sorted channel tuples."""
+    return tuple(sorted(map(tuple, channels.tolist())))
 
 
 def _ties(phi, best: float) -> np.ndarray:
@@ -195,10 +204,10 @@ def brute_force_optimum(game: CapGame) -> BruteForceResult:
     table = _table(game)
     best = float(table.phi.max())
     winners = np.nonzero(_ties(table.phi, best))[0]
-    return BruteForceResult(keys=tuple(sorted(table.keys[k] for k in winners)),
+    return BruteForceResult(keys=_keys(table.channels[winners]),
                             phi_star=best * game.phi_max,
                             normalized_phi_star=best,
-                            num_evaluated=len(table.keys))
+                            num_evaluated=len(table.channels))
 
 
 # ----------------------------------------------------------------------
@@ -208,10 +217,11 @@ def brute_force_optimum(game: CapGame) -> BruteForceResult:
 @dataclass
 class TransitionKernel:
     """Row-stochastic one-slot transition matrix over an enumerated state
-    space.  ``states`` are hashable labels (channel-vector tuples for game
-    kernels; anything for synthetic chains)."""
+    space.  ``states`` labels the rows: the game's read-only (profiles,
+    links) channel array for game kernels, any sequence for synthetic
+    chains (only its length is read)."""
 
-    states: list
+    states: np.ndarray | list
     matrix: np.ndarray
     tau: float | None = None
 
@@ -246,12 +256,12 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     if n_active == 0:
         raise ValueError("at least one active player is required")
     pick = 1.0 / (n_active * game.num_channels)
-    keys, frm, to, drop = _moves(game)
+    states, frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
     # learning.acceptance_probability, elementwise and to the bit
     mat[frm, to] = pick * np.exp(-np.logaddexp(0.0, drop / tau))
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
-    return TransitionKernel(states=list(keys), matrix=mat, tau=tau)
+    return TransitionKernel(states=states, matrix=mat, tau=tau)
 
 
 # ----------------------------------------------------------------------
@@ -260,9 +270,10 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
 
 @dataclass
 class StationaryDistribution:
-    """Stationary probabilities over an enumerated state space."""
+    """Stationary probabilities over an enumerated state space; ``states``
+    as in ``TransitionKernel``."""
 
-    states: list
+    states: np.ndarray | list
     probs: np.ndarray
     tau: float | None
     method: str  # direct | gibbs | tree
@@ -363,7 +374,7 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
     if residual > 1e-10:
         raise ValueError(f"stationary solve residual {residual:.3e} "
                          "exceeds tolerance; use stationary_tree")
-    return StationaryDistribution(states=list(kernel.states), probs=pi,
+    return StationaryDistribution(states=kernel.states, probs=pi,
                                   tau=kernel.tau, method="direct")
 
 
@@ -380,7 +391,7 @@ def gibbs_distribution(game: CapGame, tau: float) -> StationaryDistribution:
     x = table.phi / tau
     x -= x.max()
     w = np.exp(x)
-    return StationaryDistribution(states=list(table.keys),
+    return StationaryDistribution(states=table.channels,
                                   probs=w / w.sum(), tau=tau, method="gibbs")
 
 
@@ -440,13 +451,26 @@ def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
     if s <= 0:
         raise ValueError("all spanning trees have zero weight; "
                          "chain is not irreducible")
-    return StationaryDistribution(states=list(kernel.states),
+    return StationaryDistribution(states=kernel.states,
                                   probs=weights / s, tau=kernel.tau,
                                   method="tree")
 
 
 # ----------------------------------------------------------------------
 # stochastic stability
+
+
+def _tau_grid(tau_grid) -> list:
+    """The grid as floats: refused unless non-empty, every tau positive
+    and, with two or more, strictly decreasing."""
+    taus = [float(t) for t in tau_grid]
+    if not taus:
+        raise ValueError("tau_grid must be non-empty")
+    if not all(t > 0 for t in taus):
+        raise ValueError("tau must be positive")
+    if any(b >= a for a, b in zip(taus, taus[1:])):
+        raise ValueError("tau_grid must be strictly decreasing")
+    return taus
 
 
 def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
@@ -457,13 +481,8 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
     count).  Warns when a selected state's mass is not non-decreasing along
     the grid (grid likely too coarse).  Returns sorted channel tuples.
     """
-    taus = [float(t) for t in tau_grid]
-    if len(taus) < 1:
-        raise ValueError("tau_grid must be non-empty")
-    if any(b >= a for a, b in zip(taus, taus[1:])):
-        raise ValueError("tau_grid must be strictly decreasing")
+    taus = _tau_grid(tau_grid)
     threshold = 0.5 / len(brute_force_optimum(game).keys)
-    keys = _table(game).keys
     masses = np.stack([gibbs_distribution(game, t).probs for t in taus])
     selected = np.nonzero(masses[-1] >= threshold)[0]
     for k in selected:
@@ -472,7 +491,7 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
             warnings.warn(f"stable-state mass for state {k} is not "
                           "monotone along the grid; consider a finer "
                           "tau_grid", stacklevel=2)
-    return tuple(sorted(keys[k] for k in selected))
+    return _keys(_table(game).channels[selected])
 
 
 # ----------------------------------------------------------------------
@@ -480,17 +499,18 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
 
 
 def game_resistance_kernel(game: CapGame):
-    """(states, resistance matrix, adjacency mask) for the profile chain.
+    """(states, resistance matrix, adjacency mask) for the profile chain;
+    ``states`` is the read-only (profiles, links) channel array.
 
     The resistance of a move is the positive part of its utility drop, the
     exponential cost of accepting it.  Non-adjacent pairs get resistance
     +inf and adjacency False.
     """
     n = _profile_count(game, _DENSE_GUARD, "dense kernel")
-    keys, frm, to, drop = _moves(game)
+    states, frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
     res[frm, to] = np.maximum(drop, 0.0)
-    return list(keys), res, np.isfinite(res)
+    return states, res, np.isfinite(res)
 
 
 @dataclass

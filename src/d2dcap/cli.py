@@ -8,8 +8,7 @@ from dataclasses import replace
 
 from .experiments import (ExperimentConfig, analyze_stationary,
                           run_experiment, sweep_channels, sweep_ues)
-from .learning import (GaussianNoise, required_samples_bounded,
-                       unbounded_sample_calc)
+from .learning import BoundedNoise, GaussianNoise
 
 _PRESETS = {
     # defaults: small instance, minutes of compute
@@ -95,13 +94,12 @@ def _cmd_sweep(args, sweep) -> int:
 
 def _cmd_samples_calc(args) -> int:
     if args.noise == "bounded":
-        n = required_samples_bounded(args.tau, args.xi, args.width)
+        n = BoundedNoise(args.width).required_samples(args.tau, args.xi)
         print(f"noise model: bounded, interval width {args.width}")
         print(f"tau={args.tau} xi={args.xi}")
         print(f"samples per estimate N = {n}")
     else:
-        noise = GaussianNoise(sigma=args.sigma)
-        calc = unbounded_sample_calc(args.tau, args.xi, noise)
+        calc = GaussianNoise(args.sigma).sample_calc(args.tau, args.xi)
         print(f"noise model: gaussian, sigma {args.sigma}")
         print(f"tau={args.tau} xi={args.xi}")
         print(f"theta_star = {calc.theta_star!r}")

@@ -575,7 +575,7 @@ def _write_sweep(result: SweepResult, out_dir: str) -> list:
 class StationaryReport:
     """Distributions per temperature plus the stability verdict."""
 
-    states: list               # channel-vector tuples, enumeration order
+    states: np.ndarray         # (states, links) channels, enumeration order
     taus: list
     pi_direct: np.ndarray      # (num_taus, num_states); NaN rows: solve failed
     pi_gibbs: np.ndarray
@@ -588,7 +588,7 @@ class StationaryReport:
 
     def to_csv_lines(self) -> list:
         lines = ["tau,state,pi_direct,pi_gibbs,pi_tree"]
-        labels = ["|".join(str(x) for x in s) for s in self.states]
+        labels = ["|".join(str(x) for x in s) for s in self.states.tolist()]
         for i, tau in enumerate(self.taus):
             # builtin floats: their repr round-trips
             direct = self.pi_direct[i].tolist()
@@ -609,9 +609,7 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     length >= 2.
     """
     config.validate()
-    taus = [float(t) for t in tau_grid]
-    if not taus:
-        raise ValueError("tau_grid must be non-empty")
+    taus = analysis._tau_grid(tau_grid)  # before any kernel is built
     game = config.game(config.topology(0), mode="deterministic")
     direct, gibbs, tree = [], [], []
     direct_failed = []

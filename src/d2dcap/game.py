@@ -14,7 +14,9 @@ sample means over freshly drawn Rayleigh fading; the sampling pipeline runs
 in float32 for throughput, which is far below the estimation noise floor.
 Both modes, utilities and potentials alike, go through one clamped
 SINR -> rate kernel over a fading block: a unit float64 block in
-deterministic mode, float32 draws in noisy mode.
+deterministic mode, float32 draws in noisy mode.  An estimate is a plain
+float, the sample mean; one fading draw, as ``utility_sample`` takes it, is
+an (L, L) coefficient array.
 
 The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
@@ -30,13 +32,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .radio import (FadingRealization, RadioParams, Topology, link_tx_powers,
-                    sample_fading_block)
+from .radio import RadioParams, Topology, link_tx_powers, sample_fading_block
 
 __all__ = [
     "AssignmentProfile",
     "CapGame",
-    "UtilityEstimate",
     "cochannel_set",
     "utility_sample",
     "utility_mean",
@@ -89,15 +89,6 @@ class AssignmentProfile:
         ch = self.channels.copy()
         ch[player] = channel
         return AssignmentProfile(channels=ch, passive=self.passive)
-
-
-@dataclass
-class UtilityEstimate:
-    """Sample-mean utility with its sample count."""
-
-    mean: float
-    n_samples: int
-    samples: np.ndarray | None = None  # retained per-sample values, optional
 
 
 class CapGame:
@@ -260,24 +251,25 @@ def cochannel_set(profile: AssignmentProfile, channel: int) -> np.ndarray:
 
 
 def utility_sample(game: CapGame, profile: AssignmentProfile, player: int,
-                   fading: FadingRealization) -> float:
+                   fading: np.ndarray) -> float:
     """One sampled utility of an active player under explicit fading.
 
-    The value depends only on the fading coefficients among the player's
-    co-channel set.  Arithmetic follows the coefficient dtype, so float64
-    fading gives a full-precision reference evaluation.
+    ``fading`` is one (L, L) draw, as ``radio.sinr`` reads it;
+    ``np.ones((L, L))`` gives the frozen-fading utility.  The value depends
+    only on the coefficients among the player's co-channel set.  Arithmetic
+    follows the coefficient dtype, so float64 fading gives a full-precision
+    reference evaluation.
     """
     if profile.passive[player]:
         raise ValueError("utility is defined for active players only")
     members = cochannel_set(profile, int(profile.channels[player]))
-    block = np.asarray(fading.coefficients)[np.ix_(members, members)]
+    block = np.asarray(fading)[np.ix_(members, members)]
     acc = game._rate_kernel(members, block[:, :, None], player)
     return float(acc.astype(np.float64)[0] * game._util_scale)
 
 
 def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
-                 n_samples: int, rng_seed,
-                 retain_samples: bool = False) -> UtilityEstimate:
+                 n_samples: int, rng_seed) -> float:
     """Mean of ``n_samples`` independent utility samples (fresh fading each).
 
     In deterministic mode the exact utility is returned unchanged for any
@@ -288,20 +280,13 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     if profile.passive[player]:
         raise ValueError("utility is defined for active players only")
     if game.mode == "deterministic":
-        value = game.utility_exact(profile, player)
-        samples = np.full(n_samples, value) if retain_samples else None
-        return UtilityEstimate(mean=value, n_samples=n_samples, samples=samples)
+        return game.utility_exact(profile, player)
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     members = cochannel_set(profile, int(profile.channels[player]))
     m = len(members)
     block = sample_fading_block(rng, (m, m, n_samples), np.float32)
     acc = game._rate_kernel(members, block, player)
-    if retain_samples:
-        samples = acc.astype(np.float64) * game._util_scale
-        return UtilityEstimate(mean=float(samples.mean()),
-                               n_samples=n_samples, samples=samples)
-    mean = float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
-    return UtilityEstimate(mean=mean, n_samples=n_samples)
+    return float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
 
 
 def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,

@@ -30,9 +30,7 @@ __all__ = [
     "LogDecreasingTemperature",
     "BoundedNoise",
     "GaussianNoise",
-    "required_samples_bounded",
     "UnboundedSampleCalc",
-    "unbounded_sample_calc",
     "acceptance_probability",
     "Trajectory",
     "run_blla",
@@ -76,6 +74,13 @@ class LogDecreasingTemperature:
 # noise specifications and sample counts
 
 
+def _check_tau_xi(tau: float, xi: float) -> None:
+    if not tau > 0:
+        raise ValueError("tau must be positive")
+    if not 0.0 < xi < 1.0:
+        raise ValueError("xi must lie strictly inside (0, 1)")
+
+
 @dataclass(frozen=True)
 class BoundedNoise:
     """Estimation noise confined to an interval of width interval_width."""
@@ -87,41 +92,14 @@ class BoundedNoise:
             raise ValueError("interval_width must be positive")
 
     def required_samples(self, tau: float, xi: float) -> int:
-        return required_samples_bounded(tau, xi, self.interval_width)
-
-
-@dataclass(frozen=True)
-class GaussianNoise:
-    """Zero-mean Gaussian estimation noise of standard deviation sigma."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
-
-    def required_samples(self, tau: float, xi: float) -> int:
-        return unbounded_sample_calc(tau, xi, self).n
-
-
-def _check_tau_xi(tau: float, xi: float) -> None:
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    if not 0.0 < xi < 1.0:
-        raise ValueError("xi must lie strictly inside (0, 1)")
-
-
-def required_samples_bounded(tau: float, xi: float, width: float) -> int:
-    """Samples per utility estimate for noise bounded in an interval.
-
-    N = ceil[(ln(4/xi) + 2/tau) * width^2 / (2 (1-xi)^2 tau^2)].
-    """
-    _check_tau_xi(tau, xi)
-    if not width > 0:
-        raise ValueError("width must be positive")
-    raw = (math.log(4.0 / xi) + 2.0 / tau) * width * width \
-        / (2.0 * (1.0 - xi) ** 2 * tau * tau)
-    return int(math.ceil(raw))
+        """Samples per utility estimate, by Hoeffding's bound:
+        N = ceil[(ln(4/xi) + 2/tau) * width^2 / (2 (1-xi)^2 tau^2)].
+        """
+        _check_tau_xi(tau, xi)
+        width = self.interval_width
+        raw = (math.log(4.0 / xi) + 2.0 / tau) * width * width \
+            / (2.0 * (1.0 - xi) ** 2 * tau * tau)
+        return int(math.ceil(raw))
 
 
 @dataclass
@@ -134,22 +112,35 @@ class UnboundedSampleCalc:
     denominator: float  # theta*(1-xi)tau - sigma^2 theta*^2 / 2
 
 
-def unbounded_sample_calc(tau: float, xi: float,
-                          noise: GaussianNoise) -> UnboundedSampleCalc:
-    """Size the estimate for Gaussian noise by the optimized Chernoff bound.
+@dataclass(frozen=True)
+class GaussianNoise:
+    """Zero-mean Gaussian estimation noise of standard deviation sigma."""
 
-    With t = (1-xi) tau, the exponent theta t - sigma^2 theta^2 / 2 peaks at
-    theta* = t / sigma^2 with value D = t^2 / (2 sigma^2), so
-    N = ceil[(ln(4/xi) + 2/tau) / D].
-    """
-    _check_tau_xi(tau, xi)
-    target = (1.0 - xi) * tau
-    variance = noise.sigma * noise.sigma
-    numerator = math.log(4.0 / xi) + 2.0 / tau
-    denominator = target * target / (2.0 * variance)
-    return UnboundedSampleCalc(n=int(math.ceil(numerator / denominator)),
-                               theta_star=target / variance,
-                               numerator=numerator, denominator=denominator)
+    sigma: float
+
+    def __post_init__(self):
+        if not self.sigma > 0:
+            raise ValueError("sigma must be positive")
+
+    def sample_calc(self, tau: float, xi: float) -> UnboundedSampleCalc:
+        """Size the estimate by the optimized Chernoff bound.
+
+        With t = (1-xi) tau, the exponent theta t - sigma^2 theta^2 / 2
+        peaks at theta* = t / sigma^2 with value D = t^2 / (2 sigma^2), so
+        N = ceil[(ln(4/xi) + 2/tau) / D].
+        """
+        _check_tau_xi(tau, xi)
+        target = (1.0 - xi) * tau
+        variance = self.sigma * self.sigma
+        numerator = math.log(4.0 / xi) + 2.0 / tau
+        denominator = target * target / (2.0 * variance)
+        return UnboundedSampleCalc(n=int(math.ceil(numerator / denominator)),
+                                   theta_star=target / variance,
+                                   numerator=numerator,
+                                   denominator=denominator)
+
+    def required_samples(self, tau: float, xi: float) -> int:
+        return self.sample_calc(tau, xi).n
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +219,8 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     then whatever ``accept`` draws.  A self-trial cannot change the profile,
     so its estimation phases and ``accept`` are skipped.  A game with no
     active player proposes nothing and draws nothing: it keeps its start.
+    A start profile whose length or passive flags differ from the game's
+    is refused before the first slot.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -237,6 +230,10 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
         else np.random.Generator(np.random.SFC64(rng_seed))
     profile = game.initial_profile(rng) if initial_profile is None \
         else initial_profile
+    if not np.array_equal(profile.passive, game.passive_mask):
+        raise ValueError("initial profile does not match the game: passive "
+                         f"flags {profile.passive.tolist()}, expected "
+                         f"{game.passive_mask.tolist()}")
     profile.validate(game.num_channels)
     active = game.active_players
     traj = Trajectory(
@@ -258,8 +255,8 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
             traj.player[k], traj.trial[k] = player, trial
             if trial != profile.channels[player]:
                 proposal = profile.with_channel(player, trial)
-                delta = utility_mean(game, profile, player, n, rng).mean \
-                    - utility_mean(game, proposal, player, n, rng).mean
+                delta = utility_mean(game, profile, player, n, rng) \
+                    - utility_mean(game, proposal, player, n, rng)
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
                     profile = proposal

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "RadioParams",
     "Topology",
-    "FadingRealization",
     "db_to_linear",
     "dbm_to_watts",
     "watts_to_dbm",
@@ -153,26 +152,6 @@ class Topology:
             if len(pts) and np.any(np.linalg.norm(pts - self.bs_position, axis=1)
                                    > params.cell_radius_m + 1e-9):
                 raise ValueError("UE outside cell radius")
-
-
-@dataclass(frozen=True)
-class FadingRealization:
-    """One Rayleigh fading draw: unit-mean exponential power coefficients.
-
-    ``coefficients[j, i]`` multiplies the mean gain from the transmitter of
-    link j to the receiver of link i.
-    """
-
-    coefficients: np.ndarray  # (L, L)
-
-    def __post_init__(self):
-        arr = np.asarray(self.coefficients)
-        arr.setflags(write=False)
-        object.__setattr__(self, "coefficients", arr)
-
-    @classmethod
-    def unit(cls, num_links: int) -> "FadingRealization":
-        return cls(np.ones((num_links, num_links)))
 
 
 # uint32 slots of the raw stream turned into coefficients at a time: the
@@ -312,16 +291,18 @@ def link_tx_powers(topology: Topology, params: RadioParams) -> np.ndarray:
 
 
 def sinr(topology: Topology, params: RadioParams, profile, ue: int,
-         fading: FadingRealization) -> float:
+         fading: np.ndarray) -> float:
     """Linear SINR at the receiver of link ``ue`` under the given fading.
 
-    Signal power over co-channel interference plus noise, with gains equal
-    to mean gain times the fading coefficient, clamped into the configured
+    ``fading`` is one (L, L) draw of power coefficients: ``fading[j, i]``
+    multiplies the mean gain from the transmitter of link j to the receiver
+    of link i, and ``np.ones((L, L))`` freezes the fading.  Signal power
+    over co-channel interference plus noise, clamped into the configured
     [sinr_min, sinr_max] interval (linear scale).  With ``rate`` this is the
     scalar float64 reference for the game's vectorized rate kernel.
     """
     channels = np.asarray(getattr(profile, "channels", profile), dtype=np.int64)
-    g = topology.mean_gain_matrix * np.asarray(fading.coefficients, dtype=float)
+    g = topology.mean_gain_matrix * np.asarray(fading, dtype=float)
     p = link_tx_powers(topology, params)
     members = np.nonzero(channels == channels[ue])[0]
     signal = p[ue] * g[ue, ue]

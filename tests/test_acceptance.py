@@ -19,8 +19,8 @@ from d2dcap.analysis import (ResistanceExpr, ResistanceTerm,
                              res_mul, res_sub)
 from d2dcap.experiments import ExperimentConfig, sweep_channels, sweep_ues
 from d2dcap.game import AssignmentProfile, verify_potential_identity
-from d2dcap.learning import (GaussianNoise, acceptance_probability,
-                             required_samples_bounded, unbounded_sample_calc)
+from d2dcap.learning import (BoundedNoise, GaussianNoise,
+                             acceptance_probability)
 
 
 def small_game(num_uec, num_ued, num_channels, seed):
@@ -117,8 +117,8 @@ def test_criterion_4_stable_set_is_the_optimum(criterion):
 
 def test_criterion_5_sample_count_formulas(criterion):
     with criterion(5, "per-estimate sample counts") as info:
-        n_bounded = required_samples_bounded(0.1, 1e-5, 1.0)
-        calc = unbounded_sample_calc(0.1, 0.5, GaussianNoise(sigma=1.0))
+        n_bounded = BoundedNoise(1.0).required_samples(0.1, 1e-5)
+        calc = GaussianNoise(sigma=1.0).sample_calc(0.1, 0.5)
         theta_err = abs(calc.theta_star - 0.05)
         info["ok"] = (n_bounded == 1645 and theta_err <= 1e-8
                       and calc.n == 17664)

@@ -57,6 +57,11 @@ def key(profile):
     return tuple(profile.channels.tolist())
 
 
+def state_index(states):
+    """Position of each state row, keyed by its channel tuple."""
+    return {k: i for i, k in enumerate(map(tuple, states.tolist()))}
+
+
 def profile_objects(game):
     """The enumerated profiles as AssignmentProfiles, in enumeration
     order."""
@@ -169,6 +174,18 @@ def test_profile_table_is_built_once_per_game():
     assert calls == dict(zip(names, (memberships, len(sets), 0, 0)))
 
 
+def test_every_state_space_is_the_profile_channel_array():
+    game = seeded_game(1, 2, 2, seed=25)
+    channels = analysis_module._table(game).channels
+    assert not channels.flags.writeable
+    kernel = exact_transition_matrix(game, 0.1)
+    assert kernel.states is channels
+    assert stationary_direct(kernel).states is channels
+    assert stationary_tree(kernel).states is channels
+    assert gibbs_distribution(game, 0.1).states is channels
+    assert game_resistance_kernel(game)[0] is channels
+
+
 def test_profile_table_goes_with_its_game():
     game = seeded_game(0, 2, 2, seed=25)
     exact_transition_matrix(game, 0.1)
@@ -265,7 +282,7 @@ def test_kernel_satisfies_detailed_balance():
        tau=st.sampled_from([1e9, 0.5, 0.1, 0.02, 0.005]))
 def test_kernel_entries_are_the_acceptance_rule(game, tau):
     kernel = exact_transition_matrix(game, tau)
-    index = {k: i for i, k in enumerate(kernel.states)}
+    index = state_index(kernel.states)
     pick = 1.0 / (len(game.active_players) * game.num_channels)
     expected = np.zeros_like(kernel.matrix)
     for a, b, player in single_switches(game):
@@ -282,8 +299,8 @@ def test_kernel_entries_are_the_acceptance_rule(game, tau):
 
 @given(game=small_games())
 def test_resistances_are_positive_parts_of_drops(game):
-    keys, res, adj = game_resistance_kernel(game)
-    index = {k: i for i, k in enumerate(keys)}
+    states, res, adj = game_resistance_kernel(game)
+    index = state_index(states)
     want_adj = np.zeros_like(adj)
     for a, b, player in single_switches(game):
         du = game.utility_exact(a, player) - game.utility_exact(b, player)
@@ -347,7 +364,7 @@ def test_brute_force_and_gibbs_are_potential_scans(game, tau):
     x -= x.max()
     w = np.exp(x)
     gibbs = gibbs_distribution(game, tau)
-    assert gibbs.states == [key(p) for p in profiles]
+    assert np.array_equal(gibbs.states, [p.channels for p in profiles])
     assert np.array_equal(gibbs.probs, w / w.sum())
 
 
@@ -557,7 +574,7 @@ def test_stable_states_grid_guards():
 
 def test_edge_resistances_complementarity():
     game = seeded_game(0, 2, 2, seed=25)
-    keys, res, adj = game_resistance_kernel(game)
+    states, res, adj = game_resistance_kernel(game)
     for i, j in zip(*np.nonzero(adj)):
         assert adj[j, i] and min(res[i, j], res[j, i]) == 0.0
         assert res[i, j] >= 0.0
@@ -565,7 +582,8 @@ def test_edge_resistances_complementarity():
     a = AssignmentProfile(channels=[0, 0], passive=[False, False])
     b = a.with_channel(0, 1)
     du = game.utility_exact(a, 0) - game.utility_exact(b, 0)
-    assert res[keys.index(key(a)), keys.index(key(b))] == max(0.0, du)
+    index = state_index(states)
+    assert res[index[key(a)], index[key(b)]] == max(0.0, du)
 
 
 def test_min_resistance_tree_check_on_game():

@@ -552,7 +552,7 @@ def test_analyze_stationary_verdict_and_gap():
     assert float(np.abs(report.pi_tree[0] - report.pi_gibbs[0]).max()) <= 1e-12
     assert np.all(np.isfinite(report.pi_tree))
     assert report.direct_failed_taus == ()
-    assert set(report.stable_keys) <= set(report.states)
+    assert set(report.stable_keys) <= set(map(tuple, report.states.tolist()))
 
 
 def test_analyze_stationary_survives_frozen_direct_solve():
@@ -575,6 +575,22 @@ def test_analyze_stationary_size_guard():
         analyze_stationary(cfg, (0.1, 0.05))
 
 
+@pytest.mark.parametrize("grid, message", [
+    ((0.02, 0.05, 0.1), "strictly decreasing"),
+    ((0.1, 0.1), "strictly decreasing"),
+    ((0.1, 0.0), "tau must be positive"),
+    ((-0.1,), "tau must be positive"),
+    ((), "non-empty"),
+], ids=["increasing", "repeated", "zero", "negative", "empty"])
+def test_tau_grid_is_refused_before_any_kernel(monkeypatch, grid, message):
+    def spy(game, tau):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(expmod.analysis, "exact_transition_matrix", spy)
+    with pytest.raises(ValueError, match=message):
+        analyze_stationary(tiny_config(), grid)
+
+
 def test_analyze_stationary_writes_csv(tmp_path):
     cfg = tiny_config(out_dir=str(tmp_path))
     report = analyze_stationary(cfg, (0.1, 0.05))
@@ -589,7 +605,7 @@ def test_analyze_stationary_writes_csv(tmp_path):
 def test_stationary_csv_lines_match_golden_bytes():
     nan = math.nan
     report = StationaryReport(
-        states=[(0, 1), (1, 0), (2, 12)], taus=[0.1, 0.005],
+        states=np.array([[0, 1], [1, 0], [2, 12]]), taus=[0.1, 0.005],
         pi_direct=np.array([[0.1 + 0.2, 5e-324, 1.0 - (0.1 + 0.2)],
                             [nan, nan, nan]]),
         pi_gibbs=np.array([[1 / 3, 1e-300, 2 / 3], [0.0, 0.25, 0.75]]),

@@ -16,7 +16,6 @@ from d2dcap.game import (
     verify_potential_identity,
 )
 from d2dcap.radio import (
-    FadingRealization,
     RadioParams,
     generate_topology,
     rate,
@@ -91,7 +90,7 @@ def test_utility_matches_scalar_composition():
     game = dense_game()
     topo, params = game.topology, game.params
     prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
-    unit = FadingRealization.unit(3)
+    unit = np.ones((3, 3))
 
     def link_rate(channels, ue):
         return float(rate(sinr(topo, params, channels, ue, unit),
@@ -109,7 +108,7 @@ def test_potential_is_sum_of_link_rates():
     game = dense_game()
     topo, params = game.topology, game.params
     prof = AssignmentProfile(channels=[1, 0, 1], passive=[False] * 3)
-    unit = FadingRealization.unit(3)
+    unit = np.ones((3, 3))
     expect = sum(float(rate(sinr(topo, params, [1, 0, 1], ue, unit),
                             params.bandwidth_hz)) for ue in range(3))
     assert game.potential_exact(prof) == pytest.approx(expect, rel=1e-12)
@@ -197,7 +196,7 @@ def test_unit_fading_sample_equals_exact():
     noisy = dense_game(mode="noisy")
     exact = dense_game(mode="deterministic")
     prof = AssignmentProfile(channels=[0, 0, 0], passive=[False] * 3)
-    got = utility_sample(noisy, prof, 1, FadingRealization.unit(3))
+    got = utility_sample(noisy, prof, 1, np.ones((3, 3)))
     assert got == pytest.approx(exact.utility_exact(prof, 1), rel=1e-12)
 
 
@@ -205,24 +204,35 @@ def test_single_sample_mean_is_bitwise_reproducible():
     game = dense_game(mode="noisy", num_channels=1)
     prof = game.initial_profile()
     g1 = np.random.Generator(np.random.SFC64(7))
-    mean = utility_mean(game, prof, 1, 1, g1).mean
+    mean = utility_mean(game, prof, 1, 1, g1)
     g2 = np.random.Generator(np.random.SFC64(7))
     block = sample_fading_block(g2, (3, 3, 1), np.float32)
-    single = utility_sample(game, prof, 1, FadingRealization(block[:, :, 0]))
+    single = utility_sample(game, prof, 1, block[:, :, 0])
     assert mean == single
+
+
+def sampled_utilities(game, profile, player, n_samples, rng_seed):
+    """The per-sample utilities ``utility_mean`` averages, from the same
+    draw and kernel, as float64."""
+    rng = np.random.default_rng(rng_seed)
+    members = cochannel_set(profile, int(profile.channels[player]))
+    block = sample_fading_block(rng, (len(members), len(members), n_samples),
+                                np.float32)
+    acc = game._rate_kernel(members, block, player)
+    return acc.astype(np.float64) * game._util_scale
 
 
 def test_utility_mean_consistency_and_variance_scaling():
     game = dense_game(mode="noisy")
     prof = AssignmentProfile(channels=[0, 0, 0], passive=[False] * 3)
-    est1 = utility_mean(game, prof, 0, 4000, rng_seed=1, retain_samples=True)
-    est2 = utility_mean(game, prof, 0, 4000, rng_seed=2, retain_samples=True)
-    s1 = est1.samples.std(ddof=1)
+    mean1 = utility_mean(game, prof, 0, 4000, rng_seed=1)
+    mean2 = utility_mean(game, prof, 0, 4000, rng_seed=2)
+    s1 = sampled_utilities(game, prof, 0, 4000, rng_seed=1).std(ddof=1)
     se = s1 / math.sqrt(4000)
-    assert abs(est1.mean - est2.mean) <= 6.0 * se * math.sqrt(2.0)
+    assert abs(mean1 - mean2) <= 6.0 * se * math.sqrt(2.0)
 
     rng = np.random.default_rng(3)
-    means16 = np.array([utility_mean(game, prof, 0, 16, rng).mean
+    means16 = np.array([utility_mean(game, prof, 0, 16, rng)
                         for _ in range(250)])
     ratio = s1 / means16.std(ddof=1)
     assert 2.5 <= ratio <= 6.0  # ~4 expected for 16x the samples
@@ -231,9 +241,8 @@ def test_utility_mean_consistency_and_variance_scaling():
 def test_deterministic_mode_mean_ignores_sampling():
     game = dense_game()
     prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
-    est = utility_mean(game, prof, 0, 50, rng_seed=0)
-    assert est.mean == game.utility_exact(prof, 0)
-    assert est.n_samples == 50
+    assert utility_mean(game, prof, 0, 50, rng_seed=0) \
+        == game.utility_exact(prof, 0)
 
 
 def test_utility_argument_guards():
@@ -244,7 +253,7 @@ def test_utility_argument_guards():
     with pytest.raises(ValueError):
         utility_mean(game, prof, 1, 0, rng_seed=0)  # bad sample count
     with pytest.raises(ValueError):
-        utility_sample(game, prof, 0, FadingRealization.unit(3))
+        utility_sample(game, prof, 0, np.ones((3, 3)))
 
 
 def test_monte_carlo_potential_tracks_exact():
@@ -289,7 +298,7 @@ def kernel_cases(draw):
                    RadioParams(num_channels=num_channels), mode="noisy")
     prof = AssignmentProfile(channels=channels,
                              passive=[k < num_uec for k in range(num_links)])
-    fad = FadingRealization(np.array(fading).reshape(num_links, num_links))
+    fad = np.array(fading).reshape(num_links, num_links)
     return game, prof, player, fad
 
 
@@ -313,7 +322,7 @@ def test_rate_kernel_matches_scalar_reference(case):
     assert got == pytest.approx((with_i - without_i) / game.phi_max,
                                 rel=1e-12, abs=1e-15)
 
-    unit = FadingRealization.unit(game.num_players)
+    unit = np.ones((game.num_players, game.num_players))
     expect = rate_sum(channels, range(game.num_players), unit)
     assert game.potential_exact(prof) == pytest.approx(expect, rel=1e-12)
 
@@ -344,11 +353,11 @@ GOLDEN_MEANS = {
     (2, 40000): 0.18590373162685275,
     (2, 65537): 0.18574258468097038,
     (3, 1): 0.24950846061012708,
-    (3, 5): 0.18367097943173302,
+    (3, 5): 0.18367097943173305,
     (3, 40000): 0.19120958744072897,
     (3, 65537): 0.191289253481363,
     (4, 1): 0.23745148878532302,
-    (4, 5): 0.17953581347067543,
+    (4, 5): 0.17953581347067546,
     (4, 40000): 0.19093379382383927,
     (4, 65537): 0.1906126155291029,
 }
@@ -362,11 +371,12 @@ GOLDEN_SINGLE = [-0.08504208084640098, -0.08213127661450444,
                  -0.12441632097727191, -0.027455226584355077,
                  -0.02072089262803996, -0.0738670929960109,
                  -0.08747990347184502, -0.09851052387594338]
-GOLDEN_RETAINED = {
-    1: (0.2500000100635324, '0204110ea376a5f7'),
-    2: (0.18590373162685278, '87e577781b66acb4'),
-    3: (0.19120958744072897, 'cc89b7bbe35369df'),
-    4: (0.19093379382383924, '43fb956a14af5b4a'),
+# sha256 prefixes of the 40,000 per-sample utilities behind GOLDEN_MEANS
+GOLDEN_DIGESTS = {
+    1: '0204110ea376a5f7',
+    2: '87e577781b66acb4',
+    3: 'cc89b7bbe35369df',
+    4: '43fb956a14af5b4a',
 }
 
 
@@ -388,28 +398,25 @@ def sfc(seed):
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sampled_utilities_match_golden_values(m):
     game, prof = golden_game(), golden_profile(m)
-    est = utility_mean(game, prof, 1, 5, sfc(100 + m), retain_samples=True)
-    assert est.samples.tolist() == GOLDEN_SAMPLES[m]
-    assert est.mean == GOLDEN_MEANS[m, 5]
-    assert utility_mean(game, prof, 1, 1, sfc(400 + m)).mean \
-        == GOLDEN_MEANS[m, 1]
-    # past one evaluation chunk, with and without retained samples
-    big = utility_mean(game, prof, 1, 40000, sfc(200 + m))
-    assert big.mean == GOLDEN_MEANS[m, 40000]
-    kept = utility_mean(game, prof, 1, 40000, sfc(200 + m),
-                        retain_samples=True)
-    digest = hashlib.sha256(kept.samples.tobytes()).hexdigest()[:16]
-    assert (kept.mean, digest) == GOLDEN_RETAINED[m]
+    samples = sampled_utilities(game, prof, 1, 5, sfc(100 + m))
+    assert samples.tolist() == GOLDEN_SAMPLES[m]
+    assert utility_mean(game, prof, 1, 5, sfc(100 + m)) == GOLDEN_MEANS[m, 5]
+    assert utility_mean(game, prof, 1, 1, sfc(400 + m)) == GOLDEN_MEANS[m, 1]
+    # past one evaluation chunk
+    assert utility_mean(game, prof, 1, 40000, sfc(200 + m)) \
+        == GOLDEN_MEANS[m, 40000]
+    samples = sampled_utilities(game, prof, 1, 40000, sfc(200 + m))
+    digest = hashlib.sha256(samples.tobytes()).hexdigest()[:16]
+    assert digest == GOLDEN_DIGESTS[m]
     # two kernel passes
-    assert utility_mean(game, prof, 1, 65537, sfc(500 + m)).mean \
+    assert utility_mean(game, prof, 1, 65537, sfc(500 + m)) \
         == GOLDEN_MEANS[m, 65537]
 
 
 def test_single_sample_utilities_match_golden_values():
     game = seeded_game(0, 6, 1, seed=21, mode="noisy")
     prof = game.initial_profile()
-    got = [utility_mean(game, prof, 2, 1, sfc(600 + s)).mean
-           for s in range(8)]
+    got = [utility_mean(game, prof, 2, 1, sfc(600 + s)) for s in range(8)]
     assert got == GOLDEN_SINGLE
 
 

@@ -21,10 +21,8 @@ from d2dcap.learning import (
     Trajectory,
     _window_start,
     acceptance_probability,
-    required_samples_bounded,
     run_blla,
     run_br,
-    unbounded_sample_calc,
 )
 
 from test_game import seeded_game
@@ -57,24 +55,25 @@ def test_log_decreasing_schedule():
 def test_bounded_sample_count_reference_value():
     # independently verified with 60-digit arithmetic before freezing:
     # (ln(4e5) + 20) / (2 * (1 - 1e-5)^2 * 0.01) = 1644.9938...
-    assert required_samples_bounded(0.1, 1e-5, 1.0) == 1645
+    assert BoundedNoise(1.0).required_samples(0.1, 1e-5) == 1645
 
 
 def test_bounded_sample_count_monotonicity():
-    base = required_samples_bounded(0.1, 1e-5, 1.0)
-    assert required_samples_bounded(0.2, 1e-5, 1.0) < base
-    assert required_samples_bounded(0.1, 1e-7, 1.0) > base
-    assert required_samples_bounded(0.1, 1e-5, 2.0) > 3 * base
+    unit = BoundedNoise(1.0)
+    base = unit.required_samples(0.1, 1e-5)
+    assert unit.required_samples(0.2, 1e-5) < base
+    assert unit.required_samples(0.1, 1e-7) > base
+    assert BoundedNoise(2.0).required_samples(0.1, 1e-5) > 3 * base
     with pytest.raises(ValueError):
-        required_samples_bounded(0.0, 1e-5, 1.0)
+        unit.required_samples(0.0, 1e-5)
     with pytest.raises(ValueError):
-        required_samples_bounded(0.1, 2.0, 1.0)
+        unit.required_samples(0.1, 2.0)
     with pytest.raises(ValueError):
         BoundedNoise(interval_width=0.0)
 
 
 def test_gaussian_sample_count_closed_form():
-    calc = unbounded_sample_calc(0.1, 0.5, GaussianNoise(1.0))
+    calc = GaussianNoise(1.0).sample_calc(0.1, 0.5)
     # analytic optimum: theta* = (1-xi) tau / sigma^2
     assert abs(calc.theta_star - 0.05) <= 1e-8
     assert calc.numerator == pytest.approx(math.log(8.0) + 20.0, abs=1e-12)
@@ -105,7 +104,7 @@ def test_gaussian_closed_form_equals_the_optimized_chernoff_count(sigma):
     for xi in (1e-5, 0.1, 0.5):
         for tau in _FIXED_TAUS + _LOG_TAUS:
             n, theta = _optimized_gaussian_count(tau, xi, sigma)
-            calc = unbounded_sample_calc(tau, xi, GaussianNoise(sigma))
+            calc = GaussianNoise(sigma).sample_calc(tau, xi)
             assert calc.n == n, (sigma, xi, tau)
             assert calc.theta_star == pytest.approx(theta, rel=1e-7)
 
@@ -188,8 +187,8 @@ def test_sample_count_recomputed_each_slot():
     for k in range(40):
         t = k + 1
         assert traj.tau[k] == sch.tau_at(t)
-        assert traj.n_samples[k] == required_samples_bounded(
-            sch.tau_at(t), 1e-5, 1.0)
+        assert traj.n_samples[k] == noise.required_samples(sch.tau_at(t),
+                                                           1e-5)
 
 
 def test_better_response_is_monotone_in_deterministic_mode():
@@ -257,6 +256,12 @@ def test_runner_argument_guards():
     assert empty.horizon == 0
     assert np.array_equal(empty.initial_channels, game.initial_profile(
         np.random.Generator(np.random.SFC64(1))).channels)
+    # a start profile must have the game's links and passive flags
+    cells = seeded_game(2, 2, 3, seed=5)  # links 0 and 1 are cellular
+    for start in (AssignmentProfile([0, 0, 1, 2], [False] * 4),
+                  AssignmentProfile([0, 1, 2], [True, True, False])):
+        with pytest.raises(ValueError, match="does not match the game"):
+            run_br(cells, 1, 5, 1, initial_profile=start)
 
 
 def test_zero_active_players_keep_their_start():
@@ -302,8 +307,8 @@ def reference_blla_step(profile, t, game, schedule, noise, xi, rng):
     if trial == int(profile.channels[player]):
         return profile, tau, n, player, trial, False, 0.0
     trial_profile = profile.with_channel(player, trial)
-    delta = (utility_mean(game, profile, player, n, rng).mean
-             - utility_mean(game, trial_profile, player, n, rng).mean)
+    delta = (utility_mean(game, profile, player, n, rng)
+             - utility_mean(game, trial_profile, player, n, rng))
     accept = rng.random() < acceptance_probability(delta, tau)
     return (trial_profile if accept else profile, tau, n, player, trial,
             accept, delta)
@@ -316,8 +321,8 @@ def reference_br_step(profile, t, game, n, rng):
     if trial == int(profile.channels[player]):
         return profile, math.nan, n, player, trial, False, 0.0
     trial_profile = profile.with_channel(player, trial)
-    delta = (utility_mean(game, profile, player, n, rng).mean
-             - utility_mean(game, trial_profile, player, n, rng).mean)
+    delta = (utility_mean(game, profile, player, n, rng)
+             - utility_mean(game, trial_profile, player, n, rng))
     accept = delta < 0.0
     return (trial_profile if accept else profile, math.nan, n, player,
             trial, accept, delta)
