@@ -109,7 +109,11 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         for f in dataclasses.fields(self):
-            _check_type(f.name, getattr(self, f.name))
+            value = getattr(self, f.name)
+            _check_type(f.name, value)
+            if _FIELD_TYPES[f.name] is float and not math.isfinite(value):
+                raise ValueError(f"config key {f.name!r} must be finite, "
+                                 f"got {value!r}")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}")
         if self.schedule not in _SCHEDULES:

@@ -22,7 +22,20 @@ The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
 per-set methods therefore memoize them, one rate sum per member set and one
 utility per (member set, player), each computed by the kernel on first use.
-Every later call returns the same float, so the memo is exact.
+Every later call returns the same float, so the memo is exact.  The
+potential is a sum of per-channel terms (``channel_rate_exact``, 0.0 for an
+empty channel) added in ascending channel order by ``rate_sum_bits``;
+``potential_exact`` and the learning loop, which re-reads only the two
+channels a switch moves, both sum through it.
+
+The kernel's set-up comes from per-game tables.  Once per dtype a game
+casts its received-power matrix, keeps the diagonal as the signal powers
+and zeroes it into an interference table with a row of zeros below, the
+row a silenced player's transmitter reads; a call then takes its (m, m)
+weights, or the (2, m, m) pair with and without the player, by one
+gather.  The receiver-row layout of a marginal depends only on (m, the
+player's position), so a game keeps one per that key.  Member sets are
+not a key: few of them repeat in a learning run.
 """
 
 from __future__ import annotations
@@ -51,6 +64,25 @@ __all__ = [
 # half a chunk or less joins the one before: every pass then sums in the
 # order one pass over the whole block would.
 _CHUNK = 32768
+
+
+def _receiver_rows(m: int, pos: int, dtype) -> tuple:
+    """(rows, rx, sign) of a marginal's SINR rows, m members, the player
+    at position ``pos``.
+
+    Each receiver's rate with the player comes first and then, except for
+    the player itself, minus its rate with the player silenced: ``rows``
+    picks those rows from the stacked (2 m, n) result, ``rx`` names each
+    row's receiver and ``sign`` its (rows, 1) sign in ``dtype``.  A game
+    keeps each layout for its later calls, so the arrays are read-only.
+    """
+    rows = np.array(sorted([*range(m), *(m + j for j in range(m) if j != pos)],
+                           key=lambda r: r % m))
+    rx = rows % m
+    sign = np.where(rows < m, 1, -1).astype(dtype)[:, None]
+    for a in (rows, rx, sign):
+        a.setflags(write=False)
+    return rows, rx, sign
 
 
 @dataclass(frozen=True)
@@ -127,6 +159,10 @@ class CapGame:
         # the per-set memos, keyed by the ascending link indices as bytes
         self._set_rate: dict = {}
         self._set_utility: dict = {}
+        # the kernel's set-up: weight tables per dtype, receiver-row
+        # layouts per (m, player position, dtype)
+        self._weights: dict = {}
+        self._layouts: dict = {}
 
     # ------------------------------------------------------------------
     # profiles
@@ -146,6 +182,50 @@ class CapGame:
     # ------------------------------------------------------------------
     # the SINR -> rate kernel
 
+    def _weight_tables(self, dtype) -> tuple:
+        """The kernel's weights over all links in ``dtype``: an (L + 1, L)
+        interference table, entry [k, j] the received power from link k's
+        transmitter at link j's receiver with the diagonal zeroed and a row
+        of zeros below, and the (L,) signal powers, the diagonal."""
+        tables = self._weights.get(dtype)
+        if tables is None:
+            power = self._recv_power.astype(dtype)
+            signal = power.diagonal().copy()
+            np.fill_diagonal(power, 0.0)
+            table = np.vstack([power, np.zeros((1, self.num_players), dtype)])
+            table.setflags(write=False)
+            signal.setflags(write=False)
+            tables = self._weights[dtype] = (table, signal)
+        return tables
+
+    def _kernel_weights(self, members: np.ndarray, dtype,
+                        player: int | None = None) -> tuple:
+        """(stack, signal, rows, rx, sign): the kernel's set-up for one
+        member set, as ``_rate_kernel`` describes it.
+
+        ``stack`` is a C-contiguous (1, m, m) array of interference
+        weights, or (2, m, m) with the player's row zeroed in the second;
+        ``signal`` the (m, 1) signal powers; ``rows``, ``rx`` and ``sign``
+        the receiver-row layout: whole slices and no sign for a plain rate
+        sum, else the one ``_receiver_rows`` gives for (m, the player's
+        position), kept per game.
+        """
+        m = len(members)
+        table, power = self._weight_tables(dtype)
+        signal = power[members][:, None]
+        if player is None or m == 1:  # a lone member contributes its rate
+            every = slice(None)
+            return (table[members[:, None], members][None], signal, every,
+                    every, None)
+        pos = int(np.searchsorted(members, player))
+        senders = np.array((members, members))
+        senders[1, pos] = self.num_players  # the zero row: silenced
+        layout = self._layouts.get((m, pos, dtype))
+        if layout is None:
+            layout = self._layouts[m, pos, dtype] = _receiver_rows(m, pos,
+                                                                   dtype)
+        return (table[senders[:, :, None], members], signal, *layout)
+
     def _rate_kernel(self, members: np.ndarray, f: np.ndarray,
                      player: int | None = None) -> np.ndarray:
         """Per-sample natural-log rate sum of one channel's members.
@@ -156,26 +236,12 @@ class CapGame:
         the rate sum with it transmitting minus the sum over the others with
         it silenced, the two terms of each receiver adjacent in the running
         sum.  Arithmetic follows the block's dtype; a unit float64 block
-        gives the exact frozen-fading values.
+        gives the exact frozen-fading values.  The weights come from
+        per-game tables by one gather (``_kernel_weights``).
         """
-        m = len(members)
         dtype = f.dtype
-        w = self._recv_power[members[:, None], members].astype(dtype)
-        signal = w.diagonal().copy()[:, None]
-        np.fill_diagonal(w, 0.0)  # w[k, j]: interference weight, k -> j
-        if player is None or m == 1:  # a lone member contributes just its rate
-            stack, rows, rx, sign = w[None], slice(None), np.arange(m), None
-        else:
-            pos = int(np.searchsorted(members, player))
-            silenced = w.copy()
-            silenced[pos, :] = 0.0
-            stack = np.array((w, silenced))
-            # per receiver: its rate with the player, then (except for the
-            # player itself) minus its rate with the player silenced
-            rows = sorted([*range(m), *(m + j for j in range(m) if j != pos)],
-                          key=lambda r: r % m)
-            rx = np.array([r % m for r in rows])
-            sign = np.where(np.array(rows) < m, 1, -1).astype(dtype)[:, None]
+        stack, signal, rows, rx, sign = self._kernel_weights(members, dtype,
+                                                             player)
         # receiver-major view; BLAS gets each receiver's weights as a strided
         # column, whose float32 sums differ from those of a contiguous copy
         weights = stack.transpose(0, 2, 1)[:, :, None, :]
@@ -222,12 +288,27 @@ class CapGame:
                 self._rate_kernel(members, unit, player)[0])
         return self._set_utility[key]
 
+    def channel_rate_exact(self, channels: np.ndarray, channel: int) -> float:
+        """Memoized frozen-fading natural-log rate sum of the links that
+        ``channels`` puts on ``channel``; exactly 0.0 for an empty one."""
+        members = np.flatnonzero(channels == channel)
+        return self.set_rate_exact(members) if len(members) else 0.0
+
+    def rate_sum_bits(self, rates) -> float:
+        """Sum rate in bits/s of per-channel natural-log rate sums, listed
+        by ascending channel.  The one summation order of the frozen-fading
+        potential: ``potential_exact`` and the learning loop's running
+        potential both add their channel values here."""
+        total = 0.0
+        for r in rates:
+            total += r
+        return total * self._bits_scale
+
     def potential_exact(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate over all links, bits/s."""
-        total = 0.0
-        for c in np.unique(profile.channels):  # ascending: one sum order
-            total += self.set_rate_exact(cochannel_set(profile, c))
-        return total * self._bits_scale
+        return self.rate_sum_bits([
+            self.channel_rate_exact(profile.channels, c)
+            for c in range(self.num_channels)])
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate divided by the phi_max bound, in [0, 1]."""

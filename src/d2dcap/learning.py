@@ -245,7 +245,10 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
         trial=np.full(horizon, -1, dtype=np.int32),
         accepted=np.zeros(horizon, dtype=bool), delta_hat=np.zeros(horizon),
         sum_rate=np.empty(horizon), seed=rng_seed)
-    rate = game.potential_exact(profile)  # again only when a switch is taken
+    # the potential's per-channel terms; a switch re-reads the two it moves
+    rates = [game.channel_rate_exact(profile.channels, c)
+             for c in range(game.num_channels)]
+    rate = game.rate_sum_bits(rates)
     for k in range(horizon):
         traj.tau[k], n, accept = slot(k + 1)
         traj.n_samples[k] = n
@@ -259,8 +262,11 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
                     - utility_mean(game, proposal, player, n, rng)
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
+                    left = int(profile.channels[player])
                     profile = proposal
-                    rate = game.potential_exact(profile)
+                    for c in (left, trial):
+                        rates[c] = game.channel_rate_exact(profile.channels, c)
+                    rate = game.rate_sum_bits(rates)
                     traj.accepted[k] = True
         traj.profiles[k] = profile.channels
         traj.sum_rate[k] = rate

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -69,6 +69,17 @@ class RadioParams:
     sinr_max_db: float = 23.0           # upper SINR clamp
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name!r} must be finite, got {value!r}")
+        for name in ("bandwidth_hz", "pathloss_exponent"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name!r} must be positive, got "
+                                 f"{getattr(self, name)!r}")
+        if self.shadowing_sigma_db < 0:
+            raise ValueError("'shadowing_sigma_db' must be non-negative, got "
+                             f"{self.shadowing_sigma_db!r}")
         if self.cell_radius_m <= self.d2d_radius_m or self.d2d_radius_m <= 0:
             raise ValueError("require cell_radius_m > d2d_radius_m > 0")
         if self.num_channels < 1:
@@ -157,6 +168,11 @@ class Topology:
 # uint32 slots of the raw stream turned into coefficients at a time: the
 # 256 KiB of raw words and the 256 KiB of output they fill stay in L2
 _PIECE = 1 << 16
+# blocks of more coefficients than this take the raw stream; below it the
+# raw path's fixed cost per block (the generator's state read and written
+# back, a second buffer) outweighs its per-coefficient saving, about 2.8
+# ns against 5 ns
+_RAW_MIN = 1 << 14
 # bit generators whose next_uint32 hands out each 64-bit word as its low
 # half, then its high half, holding the high half in state["uinteger"];
 # a little-endian uint32 view of the raw words lists the halves in order
@@ -172,10 +188,10 @@ def sample_fading_block(rng: np.random.Generator, shape,
     infinities.  The result is ``u = rng.random(shape, dtype);
     -log(1 - u)`` bit for bit, and ``rng`` ends in the same state.
 
-    Large float32 blocks on SFC64 and PCG64 skip ``Generator.random``'s
-    per-element uint32 calls and read the raw 64-bit words ``_PIECE``
-    slots at a time, each piece turned into coefficients in cache and
-    written straight into the output.  numpy makes a float32 uniform from
+    Float32 blocks of more than ``_RAW_MIN`` coefficients on SFC64 and
+    PCG64 skip ``Generator.random``'s per-element uint32 calls and read
+    the raw 64-bit words ``_PIECE`` slots at a time, each piece turned
+    into coefficients in cache and written straight into the output.  numpy makes a float32 uniform from
     the next uint32 x as (x >> 8) * 2^-24, so 1 - U is
     float32(2^24 - (x >> 8)) * 2^-24: the integer subtraction, the
     conversion (at most 2^24) and the power-of-two scale are all exact,
@@ -183,13 +199,13 @@ def sample_fading_block(rng: np.random.Generator, shape,
     already holds is taken first through ``rng.random``; at the end the
     last word's high half is written back as the spare, held when the
     block used only its low half, as ``next_uint32`` leaves it.  Other
-    dtypes, blocks of at most one piece and other bit generators draw
-    through ``rng.random``.
+    dtypes, smaller blocks and other bit generators draw through
+    ``rng.random``.
     """
     dtype = np.dtype(dtype)
     bitgen = rng.bit_generator
     size = int(np.prod(shape))
-    if dtype != np.float32 or size <= _PIECE \
+    if dtype != np.float32 or size <= _RAW_MIN \
             or type(bitgen) not in _SPLIT_WORD:
         u = rng.random(shape, dtype=dtype)
         np.subtract(1.0, u, out=u)

@@ -736,3 +736,34 @@ def test_cli_names_a_negative_seed(monkeypatch, capsys):
     assert main(["run-blla", "--seed", "-3", "--realizations", "2"]) == 2
     assert "'base_seed' must be non-negative" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("key, value, message", [
+    pytest.param("noise_dbm", math.nan, "'noise_dbm' must be finite",
+                 id="noise_dbm-nan"),
+    pytest.param("bandwidth_hz", -1.0, "'bandwidth_hz' must be positive",
+                 id="bandwidth_hz-negative"),
+    pytest.param("cell_radius_m", math.inf, "'cell_radius_m' must be finite",
+                 id="cell_radius_m-inf"),
+    pytest.param("sinr_max_db", math.nan, "'sinr_max_db' must be finite",
+                 id="sinr_max_db-nan"),
+    pytest.param("pathloss_exponent", -1.0,
+                 "'pathloss_exponent' must be positive",
+                 id="pathloss_exponent-negative"),
+    pytest.param("shadowing_sigma_db", -3.0,
+                 "'shadowing_sigma_db' must be non-negative",
+                 id="shadowing_sigma_db-negative"),
+])
+def test_non_physical_radio_values_are_refused_before_any_work(
+        monkeypatch, key, value, message):
+    calls = _no_realization(monkeypatch)
+    layouts = []
+    monkeypatch.setattr(expmod, "generate_topology",
+                        lambda *args: layouts.append(args))
+    config = tiny_config(noise_model="bounded", realizations=2,
+                         **{key: value})
+    with pytest.raises(ValueError, match=message):
+        config.validate()
+    with pytest.raises(ValueError, match=message):
+        run_experiment(config)
+    assert calls == [] and layouts == []

@@ -426,3 +426,78 @@ def test_noisy_potential_matches_golden_values():
     for num_mc in (1, 7, 40000):
         got = potential(game, prof, num_mc=num_mc, rng_seed=sfc(300 + num_mc))
         assert got == GOLDEN_POTENTIAL[num_mc]
+
+
+# ----------------------------------------------------------------------
+# the kernel's set-up from per-game tables against the per-call set-up it
+# replaced, kept here to pin it bit for bit
+
+
+def reference_kernel_weights(game, members, dtype, player=None):
+    """(stack, signal, rows, rx, sign) as each kernel call built them
+    from the received-power matrix."""
+    m = len(members)
+    w = game._recv_power[members[:, None], members].astype(dtype)
+    signal = w.diagonal().copy()[:, None]
+    np.fill_diagonal(w, 0.0)
+    if player is None or m == 1:
+        return w[None], signal, slice(None), np.arange(m), None
+    pos = int(np.searchsorted(members, player))
+    silenced = w.copy()
+    silenced[pos, :] = 0.0
+    rows = sorted([*range(m), *(m + j for j in range(m) if j != pos)],
+                  key=lambda r: r % m)
+    rx = np.array([r % m for r in rows])
+    sign = np.where(np.array(rows) < m, 1, -1).astype(dtype)[:, None]
+    return np.array((w, silenced)), signal, rows, rx, sign
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.strides == want.strides  # the layout BLAS sums in
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def kernel_set_ups(draw):
+    """A game with or without cellular links, one channel's member set of
+    1..5 links (at most one of them cellular), a dtype, and no player or
+    an active member."""
+    num_uec = draw(st.integers(0, 2))
+    game = seeded_game(num_uec, 6, max(num_uec, 1),
+                       seed=draw(st.integers(0, 2 ** 16)), mode="noisy")
+    cells = draw(st.lists(st.integers(0, num_uec - 1), max_size=1)) \
+        if num_uec else []
+    pairs = draw(st.lists(st.integers(num_uec, num_uec + 5), unique=True,
+                          min_size=1 - len(cells), max_size=5 - len(cells)))
+    members = np.array(sorted(cells + pairs))
+    player = draw(st.one_of(st.none(), st.sampled_from(pairs))) \
+        if pairs else None
+    dtype = np.dtype(draw(st.sampled_from([np.float32, np.float64])))
+    return game, members, dtype, player
+
+
+@settings(max_examples=150)
+@given(case=kernel_set_ups(), n=st.sampled_from([1, 2, 1645]),
+       seed=st.integers(0, 2 ** 16))
+def test_kernel_set_up_equals_the_per_call_set_up(case, n, seed):
+    game, members, dtype, player = case
+    got = game._kernel_weights(members, dtype, player)
+    want = reference_kernel_weights(game, members, dtype, player)
+    for a, b in zip(got[:2], want[:2]):  # the weight stack and signal
+        assert_same_array(a, b)
+    assert got[0].flags.c_contiguous
+    rows, rx, sign = got[2:]
+    if isinstance(want[2], slice):  # one row per receiver, in order
+        assert rows == rx == want[2] and sign is None and want[4] is None
+    else:
+        assert np.array_equal(rows, want[2])
+        assert np.array_equal(rx, want[3])
+        assert_same_array(sign, want[4])
+    # and the kernel sums the same floats in the same order from either
+    m = len(members)
+    block = sample_fading_block(np.random.Generator(np.random.SFC64(seed)),
+                                (m, m, n), np.float32).astype(dtype)
+    fresh = game._rate_kernel(members, block, player)
+    game._kernel_weights = lambda *args: want
+    assert_same_array(fresh, game._rate_kernel(members, block, player))

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import hashlib
 import math
 
 import numpy as np
@@ -385,10 +386,11 @@ def assert_same_trajectory(got, want, fields=_TRAJECTORY_FIELDS):
 
 @st.composite
 def learning_runs(draw):
-    """A game with at least one active player and one learner on it."""
+    """A game with at least one active player and one learner on it; up
+    to five channels, so channels empty, refill and stay empty."""
     num_uec = draw(st.integers(0, 2))
-    num_ued = draw(st.integers(1, 3))
-    num_channels = draw(st.integers(max(1, num_uec), 3))
+    num_ued = draw(st.integers(1, 4))
+    num_channels = draw(st.integers(max(1, num_uec), 5))
     mode = draw(st.sampled_from(["noisy", "deterministic"]))
     game = seeded_game(num_uec, num_ued, num_channels,
                        seed=draw(st.integers(0, 2 ** 16)), mode=mode)
@@ -425,6 +427,48 @@ def test_runner_matches_reference_slot_loop(case, horizon, seed):
     assert_same_trajectory(got, want)
 
 
+def _channel_counts(traj, num_channels):
+    """Links per channel (columns) at the start and after each slot."""
+    rows = np.vstack([traj.initial_channels, traj.profiles])
+    return np.stack([(rows == c).sum(axis=1) for c in range(num_channels)],
+                    axis=1)
+
+
+def _refilled(counts):
+    """Whether some channel empties and later holds a link again."""
+    for col in counts.T:
+        emptied = np.flatnonzero((col[:-1] > 0) & (col[1:] == 0))
+        if len(emptied) and (col[emptied[0] + 1:] > 0).any():
+            return True
+    return False
+
+
+@pytest.mark.parametrize("links, tau, horizon, seed, corner", [
+    pytest.param((0, 2, 3), 1.0, 25, 0, "refilled", id="refilled"),
+    pytest.param((1, 2, 5), 1.0, 12, 7, "never-filled", id="never-filled"),
+    pytest.param((2, 3, 5), 0.3, 25, 0, "refilled",
+                 id="five-channels-two-uecs"),
+])
+def test_running_potential_matches_reference_at_its_corners(
+        links, tau, horizon, seed, corner):
+    # the slot loop keeps one rate per channel and re-reads the two a
+    # switch moves; these runs take it through channels that empty and
+    # refill, and through one that never holds a link
+    game = seeded_game(*links, seed=seed, mode="noisy")
+    schedule, noise = FixedTemperature(tau), BoundedNoise(interval_width=1.0)
+    got = run_blla(game, schedule, noise, 0.5, horizon, seed)
+    step = functools.partial(reference_blla_step, game=game,
+                             schedule=schedule, noise=noise, xi=0.5)
+    assert_same_trajectory(got, reference_run(game, horizon, seed, None,
+                                              step))
+    counts = _channel_counts(got, game.num_channels)
+    assert got.accepted.sum() >= 3
+    if corner == "refilled":
+        assert _refilled(counts)
+    else:
+        assert (counts.sum(axis=0) == 0).any() and _refilled(counts)
+
+
 @settings(max_examples=100)
 @given(num_uec=st.integers(0, 3), num_channels=st.integers(3, 4),
        algorithm=st.sampled_from(["blla", "br"]),
@@ -445,3 +489,29 @@ def test_zero_active_runs_match_reference(num_uec, num_channels, algorithm,
     got = experiments_module._run_one(config, topo, seed)
     assert_same_trajectory(got, want, ("initial_channels", "profiles", "t",
                                        "sum_rate", "accepted"))
+
+
+# ----------------------------------------------------------------------
+# golden trajectory: the reference cell's shape at its working N
+
+
+_GOLDEN_FIELDS = ("initial_channels", "profiles", "tau", "n_samples",
+                  "player", "trial", "accepted", "delta_hat", "sum_rate")
+
+
+def test_full_shaped_trajectory_matches_its_golden_digest():
+    # 5 UEC + 15 UED on 5 channels, tau = 0.1 and N = 1645 per estimate:
+    # 40 slots, 25 of them taken switches, hashed field by field, so any
+    # bit drift in the fading draw, the rate kernel or the running
+    # potential changes the digest
+    config = ExperimentConfig(num_uec=5, num_ued=15, num_channels=5,
+                              cell_radius_m=200.0, tau=0.1, horizon=40,
+                              realizations=1, track_optimum=False)
+    traj = experiments_module._run_one(config, config.topology(0), 1000)
+    assert set(traj.n_samples.tolist()) == {1645}
+    assert int(traj.accepted.sum()) == 25
+    digest = hashlib.sha256()
+    for name in _GOLDEN_FIELDS:
+        digest.update(getattr(traj, name).tobytes())
+    assert digest.hexdigest() == \
+        "d1637c6cb6f4071c3ff715383323b9f579063987bb1fa709a41de4021f77090d"

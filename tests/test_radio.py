@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -21,7 +21,7 @@ from d2dcap.radio import (
     thermal_noise_watts,
     watts_to_dbm,
 )
-from d2dcap.radio import _PIECE
+from d2dcap.radio import _PIECE, _RAW_MIN
 
 
 def manual_topology(gains, num_uec=0):
@@ -64,6 +64,14 @@ def test_params_properties_and_guards():
         RadioParams(num_channels=0)
     with pytest.raises(ValueError):
         RadioParams(sinr_min_db=10.0, sinr_max_db=-10.0)
+    # the radio layer refuses what a config could not have passed either
+    for bad in (dict(noise_power_w=math.nan), dict(cell_radius_m=math.inf),
+                dict(tx_power_bs_w=math.inf), dict(sinr_min_db=-math.inf),
+                dict(bandwidth_hz=0.0), dict(pathloss_exponent=-1.0),
+                dict(shadowing_sigma_db=-3.0)):
+        with pytest.raises(ValueError, match=repr(next(iter(bad)))):
+            RadioParams(**bad)
+    RadioParams(shadowing_sigma_db=0.0)  # no shadowing is a valid cell
 
 
 # ----------------------------------------------------------------------
@@ -98,21 +106,32 @@ _OTHER_DRAWS = {
 }
 
 
-@settings(max_examples=60)
+@settings(max_examples=80)
 @given(bit_generator=st.sampled_from(
            [np.random.SFC64, np.random.PCG64, np.random.MT19937]),
        seed=st.integers(0, 2 ** 32 - 1),
        lead=st.sampled_from([(), (1,), (3,), (2, 2), (4, 4)]),
        counts=st.lists(st.one_of(st.integers(0, 40),
+                                 st.integers(_RAW_MIN - 2, _RAW_MIN + 2),
+                                 st.integers(_RAW_MIN + 3, _PIECE - 3),
                                  st.integers(_PIECE - 2, _PIECE + 2),
                                  st.integers(_PIECE + 3, 2 * _PIECE + 3)),
                        min_size=1, max_size=2),
        others=st.lists(st.lists(st.sampled_from(sorted(_OTHER_DRAWS)),
                                 max_size=3), min_size=3, max_size=3))
+# each side of the raw-stream cut, from a fresh word and from a held half
+@example(bit_generator=np.random.SFC64, seed=1, lead=(),
+         counts=[_RAW_MIN, _RAW_MIN + 1], others=[[], [], []])
+@example(bit_generator=np.random.SFC64, seed=2, lead=(),
+         counts=[_RAW_MIN - 1, _RAW_MIN + 2],
+         others=[["integers"], ["integers"], ["random32"]])
+@example(bit_generator=np.random.PCG64, seed=3, lead=(1,),
+         counts=[_RAW_MIN + 1, _RAW_MIN + 3],
+         others=[["integers"], [], ["integers"]])
 def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
                                               counts, others):
-    # SFC64 and PCG64 take the raw-stream path on blocks past one piece;
-    # MT19937 always draws through Generator.random
+    # SFC64 and PCG64 take the raw-stream path on blocks past _RAW_MIN
+    # coefficients; MT19937 always draws through Generator.random
     got = np.random.Generator(bit_generator(seed))
     want = np.random.Generator(bit_generator(seed))
     for count, before in zip(counts, others):
@@ -123,6 +142,7 @@ def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
         expect = _plain_fading(want, shape)
         assert block.dtype == np.float32 and block.shape == expect.shape
         assert block.tobytes() == expect.tobytes()
+        assert _state(got) == _state(want)
     for name in others[-1]:
         assert _OTHER_DRAWS[name](got) == _OTHER_DRAWS[name](want)
     assert _state(got) == _state(want)
