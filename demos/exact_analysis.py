@@ -21,8 +21,8 @@ def main() -> None:
     profiles = analysis.enumerate_profiles(game)  # one channel row each
     labels = ["|".join(str(c) for c in row) for row in profiles.tolist()]
     print("states (channel of pair 0 | pair 1):", ", ".join(labels))
-    values = [game.potential_exact(AssignmentProfile(
-        channels=row, passive=game.passive_mask)) for row in profiles]
+    values = [game.potential_exact(AssignmentProfile(row))
+              for row in profiles]
     print("sum rates:", " ".join(f"{v:.5g}" for v in values))
 
     tau = 0.1
@@ -46,12 +46,12 @@ def main() -> None:
     print("brute-force optimum:",
           ", ".join("|".join(str(c) for c in k) for k in optimum.keys))
 
-    keys, res, adj = analysis.game_resistance_kernel(game)
+    keys, res = analysis.game_resistance_kernel(game)
     print("\nedge resistances (inf where no single switch connects):")
     for row in res:
         print("  " + "  ".join(f"{x:8.4f}" if np.isfinite(x) else
                                "     inf" for x in row))
-    report = analysis.min_resistance_tree_check(res, adj)
+    report = analysis.min_resistance_tree_check(res)
     print(f"minimum in-tree resistance {report.min_resistance:.4f}, rooted "
           f"at {'|'.join(str(c) for c in keys[report.witness_root])}; every "
           f"minimizing tree has a zero-resistance edge: {report.passes}")

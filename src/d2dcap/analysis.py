@@ -499,18 +499,18 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
 
 
 def game_resistance_kernel(game: CapGame):
-    """(states, resistance matrix, adjacency mask) for the profile chain;
-    ``states`` is the read-only (profiles, links) channel array.
+    """(states, resistance matrix) for the profile chain; ``states`` is
+    the read-only (profiles, links) channel array.
 
     The resistance of a move is the positive part of its utility drop, the
-    exponential cost of accepting it.  Non-adjacent pairs get resistance
-    +inf and adjacency False.
+    exponential cost of accepting it.  Pairs no single switch connects get
+    resistance +inf.
     """
     n = _profile_count(game, _DENSE_GUARD, "dense kernel")
     states, frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
     res[frm, to] = np.maximum(drop, 0.0)
-    return states, res, np.isfinite(res)
+    return states, res
 
 
 @dataclass
@@ -525,22 +525,21 @@ class MinTreeReport:
     num_min_trees: int
 
 
-def min_resistance_tree_check(resistances: np.ndarray,
-                              adjacency: np.ndarray | None = None
-                              ) -> MinTreeReport:
+def min_resistance_tree_check(resistances: np.ndarray) -> MinTreeReport:
     """Enumerate all rooted spanning in-trees over the resistance graph,
-    find the minimum total resistance, and verify every minimizing tree
-    contains at least one (near-)zero-resistance edge."""
+    whose edges are the finite resistances, find the minimum total
+    resistance, and verify every minimizing tree contains at least one
+    (near-)zero-resistance edge."""
     res = np.asarray(resistances, dtype=np.float64)
     n = res.shape[0]
     if res.shape != (n, n):
         raise ValueError("resistance matrix must be square")
-    adj = np.isfinite(res) if adjacency is None else np.asarray(adjacency)
+    edges = np.isfinite(res)
 
     best = math.inf
     min_trees = []  # (root, parent map)
     for root in range(n):
-        for parent in _in_trees(adj, root):
+        for parent in _in_trees(edges, root):
             total = sum(res[v, pa] for v, pa in parent.items())
             if total < best - 1e-12:
                 best = total
@@ -548,7 +547,8 @@ def min_resistance_tree_check(resistances: np.ndarray,
             elif abs(total - best) <= 1e-12:
                 min_trees.append((root, dict(parent)))
     if not min_trees:
-        raise ValueError("no spanning in-tree exists on the given adjacency")
+        raise ValueError("no spanning in-tree exists on the finite "
+                         "resistances")
 
     passes = all(any(res[v, pa] <= _ZERO_RES_TOL for v, pa in parent.items())
                  for _, parent in min_trees)

@@ -32,16 +32,10 @@ def _resolve_config(args) -> ExperimentConfig:
     config = _preset_config(args.preset)
     if args.config is not None:
         config = ExperimentConfig.from_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["base_seed"] = args.seed
-    if args.realizations is not None:
-        overrides["realizations"] = args.realizations
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = replace(config, **overrides)
-    return config
+    overrides = {"base_seed": args.seed, "realizations": args.realizations,
+                 "out_dir": args.out}
+    return replace(config, **{key: value for key, value in overrides.items()
+                              if value is not None})
 
 
 def _add_common(sp) -> None:
@@ -163,15 +157,16 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated UED counts (default 2,4,8)")
     sp.set_defaults(func=lambda a: _cmd_sweep(a, sweep_ues))
 
+    config = ExperimentConfig()  # the defaults below are the config's
     sp = sub.add_parser("samples-calc",
                         help="per-estimate sample count for a temperature")
     sp.add_argument("--tau", type=float, required=True)
-    sp.add_argument("--xi", type=float, default=1e-5)
+    sp.add_argument("--xi", type=float, default=config.xi)
     sp.add_argument("--noise", choices=("bounded", "gaussian"),
                     default="bounded")
-    sp.add_argument("--width", type=float, default=1.0,
+    sp.add_argument("--width", type=float, default=config.noise_width,
                     help="bounded noise interval width")
-    sp.add_argument("--sigma", type=float, default=1.0,
+    sp.add_argument("--sigma", type=float, default=config.noise_sigma,
                     help="gaussian noise standard deviation")
     sp.set_defaults(func=_cmd_samples_calc)
 

@@ -1,8 +1,9 @@
 """Experiment driver: flat-text configs, seeded multi-realization runs,
 parameter sweeps with paired seeds, and deterministic table emitters.
 
-Configs carry radio quantities in dBm/dB and convert to linear units when
-the radio layer is built, so files stay human-auditable.  Every emitted
+Configs carry radio quantities in dBm/dB, so files stay human-auditable;
+``RadioParams`` takes them by the same names and units and converts them to
+linear units itself.  The config's defaults are the only ones.  Every emitted
 table is reproducible byte for byte from (config, seeds): no timestamps, no
 environment-dependent content.
 """
@@ -28,7 +29,7 @@ from .game import CapGame
 from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
                        LogDecreasingTemperature, Trajectory, _window_start,
                        run_blla, run_br)
-from .radio import (RadioParams, Topology, dbm_to_watts, generate_topology,
+from .radio import (RadioParams, Topology, generate_topology,
                     thermal_noise_watts, watts_to_dbm)
 
 __all__ = [
@@ -125,10 +126,10 @@ class ExperimentConfig:
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
         if self.num_uec > self.num_channels:
-            raise ValueError("num_uec must not exceed num_channels")
-        if self.num_uec < 0 or self.num_ued < 0:
-            raise ValueError("counts must be non-negative")
-        for key in ("base_seed", "topology_seed"):
+            raise ValueError(f"num_uec={self.num_uec} exceeds num_channels="
+                             f"{self.num_channels}; each UEC needs a "
+                             "dedicated channel")
+        for key in ("num_uec", "num_ued", "base_seed", "topology_seed"):
             value = getattr(self, key)
             if value < 0:
                 raise ValueError(f"config key {key!r} must be non-negative, "
@@ -149,19 +150,8 @@ class ExperimentConfig:
     # -- construction of the underlying objects -------------------------
 
     def radio_params(self) -> RadioParams:
-        return RadioParams(
-            cell_radius_m=self.cell_radius_m,
-            d2d_radius_m=self.d2d_radius_m,
-            num_channels=self.num_channels,
-            bandwidth_hz=self.bandwidth_hz,
-            tx_power_ue_w=float(dbm_to_watts(self.ue_power_dbm)),
-            tx_power_bs_w=float(dbm_to_watts(self.bs_power_dbm)),
-            noise_power_w=float(dbm_to_watts(self.noise_dbm)),
-            pathloss_exponent=self.pathloss_exponent,
-            shadowing_sigma_db=self.shadowing_sigma_db,
-            sinr_min_db=self.sinr_min_db,
-            sinr_max_db=self.sinr_max_db,
-        )
+        return RadioParams(**{f.name: getattr(self, f.name)
+                              for f in dataclasses.fields(RadioParams)})
 
     def topology(self, realization: int = 0) -> Topology:
         seed = self.topology_seed if self.shared_topology \
@@ -469,13 +459,17 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     return result
 
 
-def _sweep(config: ExperimentConfig, param: str, values,
-           make_config) -> SweepResult:
+def _sweep(config: ExperimentConfig, param: str, key: str,
+           values) -> SweepResult:
+    """One point per value of config key ``key``, labelled ``param``."""
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
-    configs = [make_config(v) for v in values]
-    for cfg in configs:  # an oversized point is refused before any runs
+    for v in values:  # a float or bool count would run as another int
+        _check_type(key, v, f" in the {param} sweep")
+    configs = [replace(config, **{key: v}) for v in values]
+    # an invalid or oversized point is refused before any point runs
+    for cfg in configs:
         _check_fading_block(cfg)
         cfg.out_dir = ""  # points share the sweep's output directory
     points = []
@@ -492,21 +486,12 @@ def _sweep(config: ExperimentConfig, param: str, values,
 def sweep_channels(config: ExperimentConfig, channel_counts) -> SweepResult:
     """One point per channel count; realization k reuses seed base+k at
     every point, so point differences are attributable to the count."""
-    for c in channel_counts:
-        if c < config.num_uec:
-            raise ValueError(f"channel count {c} is below num_uec="
-                             f"{config.num_uec}")
-    return _sweep(config, "channels", channel_counts,
-                  lambda c: replace(config, num_channels=int(c)))
+    return _sweep(config, "channels", "num_channels", channel_counts)
 
 
 def sweep_ues(config: ExperimentConfig, ued_counts) -> SweepResult:
     """One point per D2D pair count, paired seeds as in sweep_channels."""
-    for c in ued_counts:
-        if c < 0:
-            raise ValueError("UED counts must be non-negative")
-    return _sweep(config, "ueds", ued_counts,
-                  lambda c: replace(config, num_ued=int(c)))
+    return _sweep(config, "ueds", "num_ued", ued_counts)
 
 
 # ----------------------------------------------------------------------

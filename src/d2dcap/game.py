@@ -7,6 +7,10 @@ minus the same sum with the player's transmitter silenced, normalized by an
 analytic upper bound on the network sum rate.  With that definition the
 expected sum rate is an exact potential of the game.
 
+A profile is only its read-only int16 channel vector.  Which players are
+passive, cellular links on fixed channels, is the game's ``passive_mask``
+alone, and the game checks profiles, moves and utilities against it.
+
 Utility evaluation has two modes.  In ``deterministic`` mode all fading
 coefficients are frozen to 1 and utilities are exact (float64); this is the
 regime the exact analysis tools operate in.  In ``noisy`` mode utilities are
@@ -87,40 +91,17 @@ def _receiver_rows(m: int, pos: int, dtype) -> tuple:
 
 @dataclass(frozen=True)
 class AssignmentProfile:
-    """A channel assignment vector plus passive-player flags.
-
-    Passive players (UECs) keep fixed dedicated channels; active players
-    (UEDs) may change theirs.
-    """
+    """A channel assignment: one channel index per link, as a read-only
+    int16 vector.  Which links are cellular (passive, on fixed dedicated
+    channels) is the game's ``passive_mask``; ``CapGame.check_profile``
+    tests a profile against it."""
 
     channels: np.ndarray   # (L,) channel index per link
-    passive: np.ndarray    # (L,) True for passive links
 
     def __post_init__(self):
-        ch = np.asarray(self.channels, dtype=np.int16).copy()
-        pv = np.asarray(self.passive, dtype=bool).copy()
-        if ch.shape != pv.shape:
-            raise ValueError("channels and passive must have equal length")
+        ch = np.array(self.channels, dtype=np.int16)
         ch.setflags(write=False)
-        pv.setflags(write=False)
         object.__setattr__(self, "channels", ch)
-        object.__setattr__(self, "passive", pv)
-
-    def validate(self, num_channels: int) -> None:
-        if len(self.channels) and (self.channels.min() < 0
-                                   or self.channels.max() >= num_channels):
-            raise ValueError("channel index out of range")
-        passive_ch = self.channels[self.passive]
-        if len(passive_ch) != len(set(passive_ch.tolist())):
-            raise ValueError("passive players must hold distinct channels")
-
-    def with_channel(self, player: int, channel: int) -> "AssignmentProfile":
-        """Copy of the profile with one active player's channel replaced."""
-        if self.passive[player]:
-            raise ValueError(f"player {player} is passive; its channel is fixed")
-        ch = self.channels.copy()
-        ch[player] = channel
-        return AssignmentProfile(channels=ch, passive=self.passive)
 
 
 class CapGame:
@@ -140,7 +121,7 @@ class CapGame:
         self.mode = mode
         self.num_channels = params.num_channels
         self.num_players = topology.num_links
-        self.passive_mask = topology.is_uec_link()
+        self.passive_mask = np.arange(self.num_players) < topology.num_uec
         self.active_players = np.nonzero(~self.passive_mask)[0]
 
         # Received-power matrix: recv_power[j, i] = P_j * G[j, i].
@@ -167,17 +148,46 @@ class CapGame:
     # ------------------------------------------------------------------
     # profiles
 
+    def _check_active(self, player: int) -> None:
+        if self.passive_mask[player]:
+            raise ValueError(f"player {player} is passive, a cellular link "
+                             "on a fixed channel with no utility")
+
+    def check_profile(self, profile: AssignmentProfile) -> None:
+        """Refuse a profile that does not fit the game: one channel per
+        link, each in range, and distinct channels for the cellular links."""
+        ch = profile.channels
+        if len(ch) != self.num_players:
+            raise ValueError(f"profile has {len(ch)} links, the game "
+                             f"{self.num_players}")
+        bad = np.flatnonzero((ch < 0) | (ch >= self.num_channels))
+        if len(bad):
+            raise ValueError(f"player {bad[0]} holds channel {ch[bad[0]]}, "
+                             f"outside 0..{self.num_channels - 1}")
+        cellular = ch[self.passive_mask]
+        if len(set(cellular.tolist())) < len(cellular):
+            raise ValueError("cellular players must hold distinct channels: "
+                             f"players {np.flatnonzero(self.passive_mask)}"
+                             f" hold {cellular}")
+
+    def with_channel(self, profile: AssignmentProfile, player: int,
+                     channel: int) -> AssignmentProfile:
+        """Copy of ``profile`` with one active player's channel replaced."""
+        self._check_active(player)
+        ch = profile.channels.copy()
+        ch[player] = channel
+        return AssignmentProfile(ch)
+
     def initial_profile(self, rng: np.random.Generator | None = None
                         ) -> AssignmentProfile:
         """Starting assignment: UEC k holds channel k; active players random
         (uniform) when an rng is given, channel 0 otherwise."""
         ch = np.zeros(self.num_players, dtype=np.int16)
-        n_uec = int(self.passive_mask.sum())
-        ch[:n_uec] = np.arange(n_uec)
+        ch[self.passive_mask] = np.arange(self.topology.num_uec)
         if rng is not None and len(self.active_players):
             ch[self.active_players] = rng.integers(
                 0, self.num_channels, size=len(self.active_players))
-        return AssignmentProfile(channels=ch, passive=self.passive_mask)
+        return AssignmentProfile(ch)
 
     # ------------------------------------------------------------------
     # the SINR -> rate kernel
@@ -341,8 +351,7 @@ def utility_sample(game: CapGame, profile: AssignmentProfile, player: int,
     follows the coefficient dtype, so float64 fading gives a full-precision
     reference evaluation.
     """
-    if profile.passive[player]:
-        raise ValueError("utility is defined for active players only")
+    game._check_active(player)
     members = cochannel_set(profile, int(profile.channels[player]))
     block = np.asarray(fading)[np.ix_(members, members)]
     acc = game._rate_kernel(members, block[:, :, None], player)
@@ -358,8 +367,7 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    if profile.passive[player]:
-        raise ValueError("utility is defined for active players only")
+    game._check_active(player)
     if game.mode == "deterministic":
         return game.utility_exact(profile, player)
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
@@ -401,9 +409,9 @@ def verify_potential_identity(game: CapGame, player: int, chan_a: int,
     if game.mode != "deterministic":
         raise ValueError("potential identity requires deterministic mode; "
                          "in noisy mode it holds only in expectation")
-    prof_a = profile.with_channel(player, chan_a) \
+    prof_a = game.with_channel(profile, player, chan_a) \
         if profile.channels[player] != chan_a else profile
-    prof_b = profile.with_channel(player, chan_b)
+    prof_b = game.with_channel(profile, player, chan_b)
     du = game.utility_exact(prof_a, player) - game.utility_exact(prof_b, player)
     dphi = game.normalized_potential(prof_a) - game.normalized_potential(prof_b)
     return abs(du - dphi)

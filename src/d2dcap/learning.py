@@ -58,7 +58,7 @@ class FixedTemperature:
 class LogDecreasingTemperature:
     """tau(t) = scale / log(1 + t), natural log, slots t >= 1."""
 
-    scale: float = 0.1
+    scale: float
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -85,7 +85,7 @@ def _check_tau_xi(tau: float, xi: float) -> None:
 class BoundedNoise:
     """Estimation noise confined to an interval of width interval_width."""
 
-    interval_width: float = 1.0
+    interval_width: float
 
     def __post_init__(self):
         if not self.interval_width > 0:
@@ -185,7 +185,6 @@ class Trajectory:
 
     initial_channels: np.ndarray       # (L,)
     profiles: np.ndarray               # (T, L) post-slot channel vectors
-    t: np.ndarray                      # (T,) slot index, 1-based
     tau: np.ndarray                    # (T,)
     n_samples: np.ndarray              # (T,)
     player: np.ndarray                 # (T,)
@@ -193,11 +192,10 @@ class Trajectory:
     accepted: np.ndarray               # (T,) bool
     delta_hat: np.ndarray              # (T,)
     sum_rate: np.ndarray               # (T,) bits/s
-    seed: object = None
 
     @property
     def horizon(self) -> int:
-        return len(self.t)
+        return len(self.sum_rate)
 
     def final_window_mean_sum_rate(self) -> float:
         tail = self.sum_rate[_window_start(self.horizon):]
@@ -219,8 +217,8 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     then whatever ``accept`` draws.  A self-trial cannot change the profile,
     so its estimation phases and ``accept`` are skipped.  A game with no
     active player proposes nothing and draws nothing: it keeps its start.
-    A start profile whose length or passive flags differ from the game's
-    is refused before the first slot.
+    A start profile that ``CapGame.check_profile`` refuses is refused
+    before the first slot.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -230,21 +228,17 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
         else np.random.Generator(np.random.SFC64(rng_seed))
     profile = game.initial_profile(rng) if initial_profile is None \
         else initial_profile
-    if not np.array_equal(profile.passive, game.passive_mask):
-        raise ValueError("initial profile does not match the game: passive "
-                         f"flags {profile.passive.tolist()}, expected "
-                         f"{game.passive_mask.tolist()}")
-    profile.validate(game.num_channels)
+    game.check_profile(profile)
     active = game.active_players
     traj = Trajectory(
         initial_channels=profile.channels.copy(),
         profiles=np.empty((horizon, game.num_players), dtype=np.int16),
-        t=np.arange(1, horizon + 1, dtype=np.int64), tau=np.empty(horizon),
+        tau=np.empty(horizon),
         n_samples=np.empty(horizon, dtype=np.int64),
         player=np.full(horizon, -1, dtype=np.int32),
         trial=np.full(horizon, -1, dtype=np.int32),
         accepted=np.zeros(horizon, dtype=bool), delta_hat=np.zeros(horizon),
-        sum_rate=np.empty(horizon), seed=rng_seed)
+        sum_rate=np.empty(horizon))
     # the potential's per-channel terms; a switch re-reads the two it moves
     rates = [game.channel_rate_exact(profile.channels, c)
              for c in range(game.num_channels)]
@@ -257,7 +251,7 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
             trial = int(rng.integers(game.num_channels))
             traj.player[k], traj.trial[k] = player, trial
             if trial != profile.channels[player]:
-                proposal = profile.with_channel(player, trial)
+                proposal = game.with_channel(profile, player, trial)
                 delta = utility_mean(game, profile, player, n, rng) \
                     - utility_mean(game, proposal, player, n, rng)
                 traj.delta_hat[k] = delta

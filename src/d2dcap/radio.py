@@ -54,19 +54,22 @@ def thermal_noise_watts(bandwidth_hz: float) -> float:
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Physical and system parameters of the cell."""
+    """Physical and system parameters of the cell, by the names and in the
+    units of the matching ``ExperimentConfig`` keys, which hold the
+    defaults.  The linear quantities the radio layer computes with are
+    properties: watts from dBm, the SINR clamps from dB."""
 
-    cell_radius_m: float = 200.0        # cell region radius
-    d2d_radius_m: float = 20.0          # max D2D receiver distance from its transmitter
-    num_channels: int = 5               # number of orthogonal channels
-    bandwidth_hz: float = 180e3         # per-channel bandwidth W_c
-    tx_power_ue_w: float = dbm_to_watts(25.0).item()   # D2D transmit power
-    tx_power_bs_w: float = dbm_to_watts(46.0).item()   # total BS transmit power
-    noise_power_w: float = thermal_noise_watts(180e3)  # per-channel noise power
-    pathloss_exponent: float = 3.5
-    shadowing_sigma_db: float = 6.0     # log-normal shadowing std dev
-    sinr_min_db: float = -10.0          # lower SINR clamp
-    sinr_max_db: float = 23.0           # upper SINR clamp
+    cell_radius_m: float       # cell region radius
+    d2d_radius_m: float        # max D2D receiver distance from its transmitter
+    num_channels: int          # number of orthogonal channels
+    bandwidth_hz: float        # per-channel bandwidth W_c
+    ue_power_dbm: float        # D2D transmit power
+    bs_power_dbm: float        # total BS transmit power
+    noise_dbm: float           # per-channel noise power
+    pathloss_exponent: float
+    shadowing_sigma_db: float  # log-normal shadowing std dev
+    sinr_min_db: float         # lower SINR clamp
+    sinr_max_db: float         # upper SINR clamp
 
     def __post_init__(self):
         for f in fields(self):
@@ -84,10 +87,29 @@ class RadioParams:
             raise ValueError("require cell_radius_m > d2d_radius_m > 0")
         if self.num_channels < 1:
             raise ValueError("num_channels must be >= 1")
-        if min(self.tx_power_ue_w, self.tx_power_bs_w, self.noise_power_w) <= 0:
-            raise ValueError("powers must be positive")
+        for name in ("ue_power_dbm", "bs_power_dbm", "noise_dbm"):
+            with np.errstate(over="ignore", under="ignore"):  # refused here
+                power = float(dbm_to_watts(getattr(self, name)))
+            if not 0 < power < math.inf:
+                raise ValueError(f"{name!r} must give a positive, finite "
+                                 f"power, got {power!r} W")
         if self.sinr_min_db >= self.sinr_max_db:
             raise ValueError("require sinr_min_db < sinr_max_db")
+
+    @property
+    def tx_power_ue_w(self) -> float:
+        """D2D transmit power, watts."""
+        return float(dbm_to_watts(self.ue_power_dbm))
+
+    @property
+    def tx_power_bs_w(self) -> float:
+        """Total BS transmit power, watts."""
+        return float(dbm_to_watts(self.bs_power_dbm))
+
+    @property
+    def noise_power_w(self) -> float:
+        """Per-channel noise power, watts."""
+        return float(dbm_to_watts(self.noise_dbm))
 
     @property
     def sinr_min(self) -> float:
@@ -140,12 +162,6 @@ class Topology:
     @property
     def num_links(self) -> int:
         return self.num_uec + self.num_ued
-
-    def is_uec_link(self) -> np.ndarray:
-        """Boolean mask of UEC links, (L,)."""
-        mask = np.zeros(self.num_links, dtype=bool)
-        mask[: self.num_uec] = True
-        return mask
 
     def validate(self, params: RadioParams) -> None:
         """Check layout invariants against the given parameters."""

@@ -37,8 +37,7 @@ def test_criterion_1_potential_identity(criterion):
         for seed, ued, ch in ((101, 4, 3), (102, 3, 3), (103, 4, 2)):
             game = small_game(0, ued, ch, seed)
             for channels in analysis.enumerate_profiles(game):
-                profile = AssignmentProfile(channels=channels,
-                                            passive=game.passive_mask)
+                profile = AssignmentProfile(channels)
                 for player in game.active_players:
                     cur = int(profile.channels[player])
                     for alt in range(ch):
@@ -243,8 +242,8 @@ def test_criterion_11_resistance_calculus(criterion):
 
         trees_ok = True
         for game in (small_game(0, 2, 2, 25), small_game(1, 1, 2, 35)):
-            _, res, adj = game_resistance_kernel(game)
-            report = min_resistance_tree_check(res, adj)
+            _, res = game_resistance_kernel(game)
+            report = min_resistance_tree_check(res)
             trees_ok = trees_ok and report.passes
         info["ok"] = worst <= 1e-2 and trees_ok
         info["detail"] = ("100 random compositions exact; empirical rate "

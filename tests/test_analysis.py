@@ -65,8 +65,7 @@ def state_index(states):
 def profile_objects(game):
     """The enumerated profiles as AssignmentProfiles, in enumeration
     order."""
-    return [AssignmentProfile(channels=ch, passive=game.passive_mask)
-            for ch in enumerate_profiles(game)]
+    return [AssignmentProfile(ch) for ch in enumerate_profiles(game)]
 
 
 def single_switches(game):
@@ -76,7 +75,7 @@ def single_switches(game):
         for player in game.active_players:
             for c in range(game.num_channels):
                 if c != a.channels[player]:
-                    yield a, a.with_channel(player, c), player
+                    yield a, game.with_channel(a, player, c), player
 
 
 def random_chain(n, seed):
@@ -253,7 +252,7 @@ def test_exact_kernel_matches_hand_values():
     idx = {key(p): i for i, p in enumerate(profiles)}
     for a in profiles:
         for player in (0, 1):
-            b = a.with_channel(player, 1 - int(a.channels[player]))
+            b = game.with_channel(a, player, 1 - int(a.channels[player]))
             du = game.utility_exact(a, player) - game.utility_exact(b, player)
             want = 0.5 * 0.5 * acceptance_probability(du, tau)
             got = kernel.matrix[idx[key(a)], idx[key(b)]]
@@ -299,15 +298,16 @@ def test_kernel_entries_are_the_acceptance_rule(game, tau):
 
 @given(game=small_games())
 def test_resistances_are_positive_parts_of_drops(game):
-    states, res, adj = game_resistance_kernel(game)
+    states, res = game_resistance_kernel(game)
     index = state_index(states)
+    adj = np.isfinite(res)
     want_adj = np.zeros_like(adj)
     for a, b, player in single_switches(game):
         du = game.utility_exact(a, player) - game.utility_exact(b, player)
         assert res[index[key(a)], index[key(b)]] == max(0.0, du)
         want_adj[index[key(a)], index[key(b)]] = True
     assert np.array_equal(adj, want_adj)
-    assert np.all(np.isinf(res[~adj]))
+    assert np.all(res[~adj] == np.inf)
 
 
 def assert_gathered_tables_are_per_profile_values(game):
@@ -574,13 +574,14 @@ def test_stable_states_grid_guards():
 
 def test_edge_resistances_complementarity():
     game = seeded_game(0, 2, 2, seed=25)
-    states, res, adj = game_resistance_kernel(game)
+    states, res = game_resistance_kernel(game)
+    adj = np.isfinite(res)
     for i, j in zip(*np.nonzero(adj)):
         assert adj[j, i] and min(res[i, j], res[j, i]) == 0.0
         assert res[i, j] >= 0.0
     # spot value
-    a = AssignmentProfile(channels=[0, 0], passive=[False, False])
-    b = a.with_channel(0, 1)
+    a = AssignmentProfile([0, 0])
+    b = game.with_channel(a, 0, 1)
     du = game.utility_exact(a, 0) - game.utility_exact(b, 0)
     index = state_index(states)
     assert res[index[key(a)], index[key(b)]] == max(0.0, du)
@@ -588,10 +589,10 @@ def test_edge_resistances_complementarity():
 
 def test_min_resistance_tree_check_on_game():
     game = seeded_game(0, 2, 2, seed=25)
-    keys, res, adj = game_resistance_kernel(game)
+    keys, res = game_resistance_kernel(game)
     assert res.shape == (4, 4)
-    assert not adj[0, 3]  # two-coordinate moves are not adjacent
-    report = min_resistance_tree_check(res, adj)
+    assert res[0, 3] == np.inf  # two-coordinate moves are not adjacent
+    report = min_resistance_tree_check(res)
     assert report.passes
     assert report.min_resistance >= 0.0
     assert report.num_min_trees >= 1

@@ -38,6 +38,21 @@ def test_samples_calc_gaussian(capsys):
     assert "samples per estimate N = 17664" in out
 
 
+def test_samples_calc_defaults_are_the_config_defaults(monkeypatch):
+    import d2dcap.cli as cli
+
+    def defaults():
+        args = cli.build_parser().parse_args(["samples-calc", "--tau", "1"])
+        return args.xi, args.width, args.sigma
+
+    config = ExperimentConfig()
+    assert defaults() == (config.xi, config.noise_width, config.noise_sigma)
+    # read from the config, not repeated: they follow it when it changes
+    monkeypatch.setattr(cli, "ExperimentConfig", lambda: ExperimentConfig(
+        xi=0.25, noise_width=3.0, noise_sigma=0.5))
+    assert defaults() == (0.25, 3.0, 0.5)
+
+
 def test_run_blla_writes_tables(tmp_path, capsys):
     cfg_path = write_tiny_config(tmp_path / "tiny.cfg")
     out_dir = tmp_path / "tables"

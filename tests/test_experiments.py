@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -311,8 +312,7 @@ def test_occupancy_from_the_potential_equals_the_key_count(config, k):
     # profile by profile: a sum rate counts as optimal exactly when its
     # profile is one of brute force's, relabeling ties included
     for channels in expmod.analysis.enumerate_profiles(game):
-        rate = game.potential_exact(AssignmentProfile(
-            channels=channels, passive=game.passive_mask))
+        rate = game.potential_exact(AssignmentProfile(channels))
         assert expmod.analysis._optimal_share(game, np.array([rate]), best) \
             == (tuple(channels.tolist()) in optimum.keys)
     # the reference: final-window slots whose channel vector is one of
@@ -528,6 +528,23 @@ def test_sweep_channels_respects_uec_floor():
     cfg = tiny_config(num_uec=2, num_ued=1, num_channels=3)
     with pytest.raises(ValueError):
         sweep_channels(cfg, (1, 2))
+
+
+@pytest.mark.parametrize("sweep, value", [
+    pytest.param(sweep_channels, 2.7, id="channels-float"),
+    pytest.param(sweep_channels, True, id="channels-bool"),
+    pytest.param(sweep_ues, 1.0, id="ueds-float"),
+    pytest.param(sweep_ues, True, id="ueds-bool"),
+])
+def test_sweeps_refuse_non_integer_counts_before_any_run(monkeypatch, sweep,
+                                                         value):
+    # 2.7 would run 2 channels labelled channels_2.7, True one pair
+    calls = _no_realization(monkeypatch)
+    key = "num_channels" if sweep is sweep_channels else "num_ued"
+    with pytest.raises(ValueError, match=f"config key '{key}' in the "
+                                         ".* sweep expects int"):
+        sweep(tiny_config(num_ued=2), [2, value])
+    assert calls == []
 
 
 def test_sweep_ues_runs():
@@ -767,3 +784,16 @@ def test_non_physical_radio_values_are_refused_before_any_work(
     with pytest.raises(ValueError, match=message):
         run_experiment(config)
     assert calls == [] and layouts == []
+
+
+@pytest.mark.parametrize("value", [4000.0, -4000.0],
+                         ids=["overflow", "underflow"])
+@pytest.mark.parametrize("key", ["ue_power_dbm", "bs_power_dbm", "noise_dbm"])
+def test_dbm_values_past_float_range_are_refused_by_name(key, value):
+    # 10^400 W overflows to inf and 10^-400 W underflows to 0: the refusal
+    # names the dBm key the user set, and numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"'{key}' must give a "
+                                             "positive, finite power"):
+            ExperimentConfig(**{key: value}).validate()

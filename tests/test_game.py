@@ -16,14 +16,13 @@ from d2dcap.game import (
     verify_potential_identity,
 )
 from d2dcap.radio import (
-    RadioParams,
     generate_topology,
     rate,
     sample_fading_block,
     sinr,
 )
 
-from test_radio import manual_topology
+from test_radio import cell, manual_topology
 
 DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
                [4e-11, 8e-10, 1.5e-11],
@@ -31,12 +30,12 @@ DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
 
 
 def dense_game(mode="deterministic", num_channels=3):
-    params = RadioParams(num_channels=num_channels)
+    params = cell(num_channels=num_channels)
     return CapGame(manual_topology(DENSE_GAINS), params, mode=mode)
 
 
 def seeded_game(num_uec, num_ued, num_channels, seed, mode="deterministic"):
-    params = RadioParams(cell_radius_m=60.0, num_channels=num_channels)
+    params = cell(cell_radius_m=60.0, num_channels=num_channels)
     topo = generate_topology(params, num_uec, num_ued, seed)
     return CapGame(topo, params, mode=mode)
 
@@ -46,28 +45,36 @@ def seeded_game(num_uec, num_ued, num_channels, seed, mode="deterministic"):
 
 
 def test_profile_is_write_locked():
-    prof = AssignmentProfile(channels=[0, 1, 2], passive=[False] * 3)
+    source = np.array([0, 1, 2])
+    prof = AssignmentProfile(source)
+    assert prof.channels.dtype == np.int16
     with pytest.raises(ValueError):
         prof.channels[0] = 1
-    moved = prof.with_channel(0, 1)
+    source[0] = 2  # the profile keeps its own copy
+    moved = dense_game().with_channel(prof, 0, 1)
     assert tuple(moved.channels.tolist()) == (1, 1, 2)
     assert tuple(prof.channels.tolist()) == (0, 1, 2)
 
 
 def test_profile_passive_rules():
-    prof = AssignmentProfile(channels=[0, 1], passive=[True, False])
-    with pytest.raises(ValueError):
-        prof.with_channel(0, 1)
-    with pytest.raises(ValueError):
-        AssignmentProfile(channels=[0, 0], passive=[True, True]).validate(2)
-    with pytest.raises(ValueError):
-        AssignmentProfile(channels=[0, 5], passive=[False, False]).validate(3)
-    with pytest.raises(ValueError):
-        AssignmentProfile(channels=[0, 1, 2], passive=[False, False])
+    # the passive (cellular) players are the game's, never the profile's
+    game = seeded_game(2, 1, 3, seed=4)
+    prof = AssignmentProfile([0, 1, 2])
+    game.check_profile(prof)
+    with pytest.raises(ValueError, match="player 0 is passive"):
+        game.with_channel(prof, 0, 2)
+    with pytest.raises(ValueError, match=r"players \[0 1\] hold \[1 1\]"):
+        game.check_profile(AssignmentProfile([1, 1, 0]))
+    with pytest.raises(ValueError, match="player 2 holds channel 5"):
+        game.check_profile(AssignmentProfile([0, 1, 5]))
+    with pytest.raises(ValueError, match="player 1 holds channel -1"):
+        game.check_profile(AssignmentProfile([0, -1, 2]))
+    with pytest.raises(ValueError, match="profile has 4 links, the game 3"):
+        game.check_profile(AssignmentProfile([0, 1, 2, 0]))
 
 
 def test_cochannel_set():
-    prof = AssignmentProfile(channels=[2, 0, 2, 1], passive=[False] * 4)
+    prof = AssignmentProfile([2, 0, 2, 1])
     assert list(cochannel_set(prof, 2)) == [0, 2]
     assert list(cochannel_set(prof, 3)) == []
 
@@ -79,7 +86,7 @@ def test_initial_profile():
     assert np.all(prof.channels[2:] == 0)
     randomized = game.initial_profile(np.random.default_rng(0))
     assert tuple(randomized.channels[:2].tolist()) == (0, 1)
-    randomized.validate(3)
+    game.check_profile(randomized)
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +96,7 @@ def test_initial_profile():
 def test_utility_matches_scalar_composition():
     game = dense_game()
     topo, params = game.topology, game.params
-    prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 1])
     unit = np.ones((3, 3))
 
     def link_rate(channels, ue):
@@ -107,7 +114,7 @@ def test_utility_matches_scalar_composition():
 def test_potential_is_sum_of_link_rates():
     game = dense_game()
     topo, params = game.topology, game.params
-    prof = AssignmentProfile(channels=[1, 0, 1], passive=[False] * 3)
+    prof = AssignmentProfile([1, 0, 1])
     unit = np.ones((3, 3))
     expect = sum(float(rate(sinr(topo, params, [1, 0, 1], ue, unit),
                             params.bandwidth_hz)) for ue in range(3))
@@ -120,8 +127,8 @@ def test_potential_is_sum_of_link_rates():
 def test_utility_locality():
     # moves on other channels do not touch a player's utility
     game = seeded_game(0, 4, 3, seed=8)
-    a = AssignmentProfile(channels=[0, 1, 1, 2], passive=[False] * 4)
-    b = a.with_channel(3, 1)  # player 0 still alone on channel 0
+    a = AssignmentProfile([0, 1, 1, 2])
+    b = game.with_channel(a, 3, 1)  # player 0 still alone on channel 0
     assert game.utility_exact(a, 0) == game.utility_exact(b, 0)
 
 
@@ -132,8 +139,7 @@ def test_potential_identity_exhaustive():
         game = seeded_game(0, act, ch, seed=seed)
         worst = 0.0
         for channels in enumerate_profiles(game):
-            prof = AssignmentProfile(channels=channels,
-                                     passive=game.passive_mask)
+            prof = AssignmentProfile(channels)
             for player in game.active_players:
                 for target in range(ch):
                     worst = max(worst, verify_potential_identity(
@@ -161,8 +167,7 @@ def exact_queries(draw):
         ch[game.active_players] = draw(st.lists(
             st.integers(0, num_channels - 1), min_size=num_ued,
             max_size=num_ued))
-        queries.append((AssignmentProfile(channels=ch, passive=base.passive),
-                        draw(st.sampled_from(players))))
+        queries.append((AssignmentProfile(ch), draw(st.sampled_from(players))))
     return game, queries
 
 
@@ -183,7 +188,7 @@ def test_exact_evaluations_match_a_fresh_game(case):
 
 def test_identity_check_requires_deterministic_mode():
     game = dense_game(mode="noisy")
-    prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 1])
     with pytest.raises(ValueError):
         verify_potential_identity(game, 0, 0, 1, prof)
 
@@ -195,7 +200,7 @@ def test_identity_check_requires_deterministic_mode():
 def test_unit_fading_sample_equals_exact():
     noisy = dense_game(mode="noisy")
     exact = dense_game(mode="deterministic")
-    prof = AssignmentProfile(channels=[0, 0, 0], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 0])
     got = utility_sample(noisy, prof, 1, np.ones((3, 3)))
     assert got == pytest.approx(exact.utility_exact(prof, 1), rel=1e-12)
 
@@ -224,7 +229,7 @@ def sampled_utilities(game, profile, player, n_samples, rng_seed):
 
 def test_utility_mean_consistency_and_variance_scaling():
     game = dense_game(mode="noisy")
-    prof = AssignmentProfile(channels=[0, 0, 0], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 0])
     mean1 = utility_mean(game, prof, 0, 4000, rng_seed=1)
     mean2 = utility_mean(game, prof, 0, 4000, rng_seed=2)
     s1 = sampled_utilities(game, prof, 0, 4000, rng_seed=1).std(ddof=1)
@@ -240,7 +245,7 @@ def test_utility_mean_consistency_and_variance_scaling():
 
 def test_deterministic_mode_mean_ignores_sampling():
     game = dense_game()
-    prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 1])
     assert utility_mean(game, prof, 0, 50, rng_seed=0) \
         == game.utility_exact(prof, 0)
 
@@ -248,18 +253,21 @@ def test_deterministic_mode_mean_ignores_sampling():
 def test_utility_argument_guards():
     game = seeded_game(1, 2, 3, seed=5, mode="noisy")
     prof = game.initial_profile()
-    with pytest.raises(ValueError):
-        utility_mean(game, prof, 0, 4, rng_seed=0)  # passive player
+    with pytest.raises(ValueError, match="player 0 is passive"):
+        utility_mean(game, prof, 0, 4, rng_seed=0)
     with pytest.raises(ValueError):
         utility_mean(game, prof, 1, 0, rng_seed=0)  # bad sample count
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="player 0 is passive"):
         utility_sample(game, prof, 0, np.ones((3, 3)))
+    with pytest.raises(ValueError, match="player 0 is passive"):
+        verify_potential_identity(seeded_game(1, 2, 3, seed=5), 0, 0, 1,
+                                  prof)
 
 
 def test_monte_carlo_potential_tracks_exact():
     noisy = dense_game(mode="noisy")
     exact = dense_game(mode="deterministic")
-    prof = AssignmentProfile(channels=[0, 0, 1], passive=[False] * 3)
+    prof = AssignmentProfile([0, 0, 1])
     det_value = potential(exact, prof)
     assert det_value == exact.potential_exact(prof)
     mc = potential(noisy, prof, num_mc=20000, rng_seed=11)
@@ -295,9 +303,8 @@ def kernel_cases(draw):
     fading = draw(st.lists(st.floats(0.01, 10.0), min_size=num_links ** 2,
                            max_size=num_links ** 2))
     game = CapGame(manual_topology(gains, num_uec=num_uec),
-                   RadioParams(num_channels=num_channels), mode="noisy")
-    prof = AssignmentProfile(channels=channels,
-                             passive=[k < num_uec for k in range(num_links)])
+                   cell(num_channels=num_channels), mode="noisy")
+    prof = AssignmentProfile(channels)
     fad = np.array(fading).reshape(num_links, num_links)
     return game, prof, player, fad
 
@@ -386,9 +393,8 @@ def golden_game():
 
 def golden_profile(m):
     # player 1 shares its channel with m - 1 others
-    return AssignmentProfile(channels=[[0, 1, 2, 3], [0, 0, 1, 2],
-                                       [0, 0, 0, 1], [0, 0, 0, 0]][m - 1],
-                             passive=[False] * 4)
+    return AssignmentProfile([[0, 1, 2, 3], [0, 0, 1, 2],
+                              [0, 0, 0, 1], [0, 0, 0, 0]][m - 1])
 
 
 def sfc(seed):
@@ -422,7 +428,7 @@ def test_single_sample_utilities_match_golden_values():
 
 def test_noisy_potential_matches_golden_values():
     game = golden_game()
-    prof = AssignmentProfile(channels=[0, 0, 0, 1], passive=[False] * 4)
+    prof = AssignmentProfile([0, 0, 0, 1])
     for num_mc in (1, 7, 40000):
         got = potential(game, prof, num_mc=num_mc, rng_seed=sfc(300 + num_mc))
         assert got == GOLDEN_POTENTIAL[num_mc]

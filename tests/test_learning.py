@@ -154,12 +154,12 @@ def test_blla_step_acceptance_statistics():
         counts[key] = (n_prop + 1, n_acc + int(traj.accepted[k]))
     assert len(counts) == 16  # 4 profiles x 2 players x 2 trials
     for (channels, player, trial), (n_prop, n_acc) in counts.items():
-        start = AssignmentProfile(channels=channels, passive=[False, False])
+        start = AssignmentProfile(channels)
         if trial == channels[player]:
             assert n_acc == 0  # self-trials never move
             continue
         du = game.utility_exact(start, player) - game.utility_exact(
-            start.with_channel(player, trial), player)
+            game.with_channel(start, player, trial), player)
         p = acceptance_probability(du, tau)
         sigma = math.sqrt(p * (1.0 - p) / n_prop)
         assert abs(n_acc / n_prop - p) <= 3.5 * sigma
@@ -176,8 +176,16 @@ def test_self_trial_skips_the_slot(monkeypatch):
     traj = run_blla(game, FixedTemperature(0.1), None, 1e-5, horizon=20,
                     rng_seed=0)
     assert not traj.accepted.any() and np.all(traj.delta_hat == 0.0)
-    assert np.all(traj.trial == 0) and traj.t[-1] == 20
+    assert np.all(traj.trial == 0) and traj.horizon == 20
     assert np.all(traj.profiles == traj.initial_channels)
+
+
+def test_schedules_and_noise_models_declare_no_defaults():
+    # every value comes from the config, which holds the only defaults
+    for cls in (FixedTemperature, LogDecreasingTemperature, BoundedNoise,
+                GaussianNoise):
+        for f in dataclasses.fields(cls):
+            assert f.default is dataclasses.MISSING, (cls.__name__, f.name)
 
 
 def test_sample_count_recomputed_each_slot():
@@ -198,15 +206,14 @@ def test_better_response_is_monotone_in_deterministic_mode():
     diffs = np.diff(traj.sum_rate)
     assert np.all(diffs >= -1e-9)
     # and it parks at a profile no unilateral switch improves
-    final = AssignmentProfile(channels=traj.profiles[-1],
-                              passive=[False] * 4)
+    final = AssignmentProfile(traj.profiles[-1])
     for player in game.active_players:
         u = game.utility_exact(final, int(player))
         for c in range(3):
             if c == int(final.channels[player]):
                 continue
-            u_alt = game.utility_exact(final.with_channel(int(player), c),
-                                       int(player))
+            u_alt = game.utility_exact(
+                game.with_channel(final, int(player), c), int(player))
             assert u_alt <= u + 1e-12
 
 
@@ -257,11 +264,13 @@ def test_runner_argument_guards():
     assert empty.horizon == 0
     assert np.array_equal(empty.initial_channels, game.initial_profile(
         np.random.Generator(np.random.SFC64(1))).channels)
-    # a start profile must have the game's links and passive flags
+    # a start profile must fit the game: its link count, its channel range
+    # and distinct channels for the cellular links
     cells = seeded_game(2, 2, 3, seed=5)  # links 0 and 1 are cellular
-    for start in (AssignmentProfile([0, 0, 1, 2], [False] * 4),
-                  AssignmentProfile([0, 1, 2], [True, True, False])):
-        with pytest.raises(ValueError, match="does not match the game"):
+    for start, why in ((AssignmentProfile([0, 0, 1, 2]), "distinct"),
+                       (AssignmentProfile([0, 1, 2]), "3 links, the game 4"),
+                       (AssignmentProfile([0, 1, 2, 3]), "player 3 holds")):
+        with pytest.raises(ValueError, match=why):
             run_br(cells, 1, 5, 1, initial_profile=start)
 
 
@@ -307,7 +316,7 @@ def reference_blla_step(profile, t, game, schedule, noise, xi, rng):
     trial = int(rng.integers(game.num_channels))
     if trial == int(profile.channels[player]):
         return profile, tau, n, player, trial, False, 0.0
-    trial_profile = profile.with_channel(player, trial)
+    trial_profile = game.with_channel(profile, player, trial)
     delta = (utility_mean(game, profile, player, n, rng)
              - utility_mean(game, trial_profile, player, n, rng))
     accept = rng.random() < acceptance_probability(delta, tau)
@@ -321,7 +330,7 @@ def reference_br_step(profile, t, game, n, rng):
     trial = int(rng.integers(game.num_channels))
     if trial == int(profile.channels[player]):
         return profile, math.nan, n, player, trial, False, 0.0
-    trial_profile = profile.with_channel(player, trial)
+    trial_profile = game.with_channel(profile, player, trial)
     delta = (utility_mean(game, profile, player, n, rng)
              - utility_mean(game, trial_profile, player, n, rng))
     accept = delta < 0.0
@@ -347,27 +356,25 @@ def reference_run(game, horizon, rng_seed, initial_profile, step):
          delta_hat[k]) = step(profile, k + 1, rng=rng)
         profiles[k] = profile.channels
         sum_rate[k] = game.potential_exact(profile)
-    return Trajectory(initial_channels=initial, profiles=profiles,
-                      t=np.arange(1, horizon + 1, dtype=np.int64), tau=tau,
+    return Trajectory(initial_channels=initial, profiles=profiles, tau=tau,
                       n_samples=n_samples, player=player, trial=trial,
                       accepted=accepted, delta_hat=delta_hat,
-                      sum_rate=sum_rate, seed=rng_seed)
+                      sum_rate=sum_rate)
 
 
-def reference_constant_trajectory(game, horizon, seed):
+def reference_constant_trajectory(game, horizon):
     """What a run without active players recorded: the start, held."""
     profile = game.initial_profile()
     rate = game.potential_exact(profile)
     return Trajectory(initial_channels=profile.channels.copy(),
                       profiles=np.tile(profile.channels, (horizon, 1)),
-                      t=np.arange(1, horizon + 1, dtype=np.int64),
                       tau=np.full(horizon, math.nan),
                       n_samples=np.zeros(horizon, dtype=np.int64),
                       player=np.full(horizon, -1, dtype=np.int32),
                       trial=np.full(horizon, -1, dtype=np.int32),
                       accepted=np.zeros(horizon, dtype=bool),
                       delta_hat=np.full(horizon, math.nan),
-                      sum_rate=np.full(horizon, rate), seed=seed)
+                      sum_rate=np.full(horizon, rate))
 
 
 _TRAJECTORY_FIELDS = [f.name for f in dataclasses.fields(Trajectory)]
@@ -376,9 +383,6 @@ _TRAJECTORY_FIELDS = [f.name for f in dataclasses.fields(Trajectory)]
 def assert_same_trajectory(got, want, fields=_TRAJECTORY_FIELDS):
     for name in fields:
         a, b = getattr(got, name), getattr(want, name)
-        if name == "seed":
-            assert a == b
-            continue
         assert a.dtype == b.dtype and a.shape == b.shape, name
         # bit equality, NaN included
         assert a.tobytes() == b.tobytes(), name
@@ -485,10 +489,11 @@ def test_zero_active_runs_match_reference(num_uec, num_channels, algorithm,
     topo = config.topology(0)
     mode = "deterministic" if noise_model == "none" else "noisy"
     want = reference_constant_trajectory(config.game(topo, mode=mode),
-                                         horizon, seed)
+                                         horizon)
     got = experiments_module._run_one(config, topo, seed)
-    assert_same_trajectory(got, want, ("initial_channels", "profiles", "t",
+    assert_same_trajectory(got, want, ("initial_channels", "profiles",
                                        "sum_rate", "accepted"))
+    assert got.horizon == horizon
 
 
 # ----------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from d2dcap.experiments import ExperimentConfig
 from d2dcap.game import CapGame, utility_mean
 from d2dcap.radio import (
     RadioParams,
@@ -22,6 +24,19 @@ from d2dcap.radio import (
     watts_to_dbm,
 )
 from d2dcap.radio import _PIECE, _RAW_MIN
+
+
+# the thermal noise floor of a 180 kHz channel, -174 dBm/Hz
+THERMAL_180K_DBM = -174.0 + 10.0 * math.log10(180e3)
+
+
+def cell(**overrides) -> RadioParams:
+    """The cell the unit tests are written for: the config's radio values
+    in a 200 m cell with 5 channels and the thermal noise floor, with
+    ``overrides`` on top."""
+    config = ExperimentConfig(cell_radius_m=200.0, num_channels=5,
+                              noise_dbm=THERMAL_180K_DBM)
+    return dataclasses.replace(config.radio_params(), **overrides)
 
 
 def manual_topology(gains, num_uec=0):
@@ -53,25 +68,54 @@ def test_thermal_noise_level():
 
 
 def test_params_properties_and_guards():
-    p = RadioParams()
+    p = cell()
+    assert p.noise_power_w == thermal_noise_watts(180e3)
     assert p.sinr_min == pytest.approx(10.0 ** -1.0, rel=1e-12)
     assert p.sinr_max == pytest.approx(10.0 ** 2.3, rel=1e-12)
     assert p.max_rate_per_ue == pytest.approx(
         180e3 * math.log2(1.0 + 10.0 ** 2.3), rel=1e-12)
     with pytest.raises(ValueError):
-        RadioParams(cell_radius_m=10.0, d2d_radius_m=20.0)
+        cell(cell_radius_m=10.0, d2d_radius_m=20.0)
     with pytest.raises(ValueError):
-        RadioParams(num_channels=0)
+        cell(num_channels=0)
     with pytest.raises(ValueError):
-        RadioParams(sinr_min_db=10.0, sinr_max_db=-10.0)
+        cell(sinr_min_db=10.0, sinr_max_db=-10.0)
     # the radio layer refuses what a config could not have passed either
-    for bad in (dict(noise_power_w=math.nan), dict(cell_radius_m=math.inf),
-                dict(tx_power_bs_w=math.inf), dict(sinr_min_db=-math.inf),
+    for bad in (dict(noise_dbm=math.nan), dict(cell_radius_m=math.inf),
+                dict(bs_power_dbm=math.inf), dict(sinr_min_db=-math.inf),
                 dict(bandwidth_hz=0.0), dict(pathloss_exponent=-1.0),
                 dict(shadowing_sigma_db=-3.0)):
         with pytest.raises(ValueError, match=repr(next(iter(bad)))):
-            RadioParams(**bad)
-    RadioParams(shadowing_sigma_db=0.0)  # no shadowing is a valid cell
+            cell(**bad)
+    cell(shadowing_sigma_db=0.0)  # no shadowing is a valid cell
+
+
+def test_radio_params_are_config_keys_without_defaults():
+    # the config holds the only defaults; radio_params copies by name
+    keys = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    for f in dataclasses.fields(RadioParams):
+        assert f.default is dataclasses.MISSING, f.name
+        assert f.default_factory is dataclasses.MISSING, f.name
+        assert f.name in keys, f.name
+
+
+def config_watts(dbm):
+    """A config's dBm value in watts, as configs converted it before
+    ``RadioParams`` took dBm itself."""
+    return float(10.0 ** (np.asarray(dbm, dtype=float) / 10.0) / 1e3)
+
+
+@given(ue=st.floats(-3000.0, 3000.0), bs=st.floats(-3000.0, 3000.0),
+       noise=st.floats(-3000.0, 3000.0))
+@example(ue=25.0, bs=46.0, noise=ExperimentConfig().noise_dbm)
+@example(ue=-0.0, bs=0.1, noise=THERMAL_180K_DBM)
+def test_watts_are_the_config_conversion_bit_for_bit(ue, bs, noise):
+    params = ExperimentConfig(ue_power_dbm=ue, bs_power_dbm=bs,
+                              noise_dbm=noise).radio_params()
+    for got, dbm in ((params.tx_power_ue_w, ue), (params.tx_power_bs_w, bs),
+                     (params.noise_power_w, noise)):
+        assert type(got) is float
+        assert got.hex() == config_watts(dbm).hex()
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +214,7 @@ def test_large_fading_draw_allocates_one_block_and_one_piece():
 
 
 def test_generate_topology_geometry_and_determinism():
-    params = RadioParams(num_channels=3)
+    params = cell(num_channels=3)
     topo = generate_topology(params, 2, 5, rng_seed=42)
     assert topo.num_uec == 2 and topo.num_ued == 5 and topo.num_links == 7
     # all positions inside the cell disk
@@ -188,11 +232,11 @@ def test_generate_topology_geometry_and_determinism():
 
 def test_generate_topology_rejects_excess_uecs():
     with pytest.raises(ValueError):
-        generate_topology(RadioParams(num_channels=3), 4, 1, rng_seed=0)
+        generate_topology(cell(num_channels=3), 4, 1, rng_seed=0)
 
 
 def test_link_tx_powers_split():
-    params = RadioParams(num_channels=3)
+    params = cell(num_channels=3)
     topo = generate_topology(params, 2, 3, rng_seed=1)
     p = link_tx_powers(topo, params)
     assert p[0] == pytest.approx(params.tx_power_bs_w / 2, rel=1e-12)
@@ -205,7 +249,7 @@ def test_link_tx_powers_split():
 
 
 def test_sinr_matches_hand_formula():
-    params = RadioParams(num_channels=2)
+    params = cell(num_channels=2)
     gains = [[1e-9, 2e-11, 3e-11],
              [4e-11, 8e-10, 1.5e-11],
              [2.5e-11, 3.5e-11, 1.2e-9]]
@@ -228,7 +272,7 @@ def test_sinr_matches_hand_formula():
 
 
 def test_sinr_clamps_both_sides():
-    params = RadioParams(num_channels=2)
+    params = cell(num_channels=2)
     strong = manual_topology([[1e-3]])
     unit = np.ones((1, 1))
     assert sinr(strong, params, [0], 0, unit) == params.sinr_max
@@ -244,7 +288,7 @@ def test_rate_formula():
 
 def test_expected_rate_matches_quadrature():
     # single link, mid-range SINR so both clamps are in play
-    params = RadioParams(num_channels=1)
+    params = cell(num_channels=1)
     s = 30.0 * params.noise_power_w / params.tx_power_ue_w
     game = CapGame(manual_topology([[s]]), params, mode="noisy")
     lo, hi = params.sinr_min, params.sinr_max
@@ -275,7 +319,7 @@ def test_expected_rate_matches_quadrature():
 
 
 def test_expected_rate_deterministic_path():
-    params = RadioParams(num_channels=1)
+    params = cell(num_channels=1)
     game = CapGame(manual_topology([[1e-3]]), params, mode="deterministic")
     value = game.potential_exact(game.initial_profile())
     assert value == pytest.approx(params.max_rate_per_ue, rel=1e-12)
