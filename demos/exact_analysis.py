@@ -16,7 +16,7 @@ from d2dcap.game import AssignmentProfile
 def main() -> None:
     config = ExperimentConfig(num_uec=0, num_ued=2, num_channels=2,
                               cell_radius_m=60.0, topology_seed=25)
-    game = config.game(config.topology(0), mode="deterministic")
+    game = config.game(config.topology(0))
 
     profiles = analysis.enumerate_profiles(game)  # one channel row each
     labels = ["|".join(str(c) for c in row) for row in profiles.tolist()]

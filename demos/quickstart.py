@@ -25,7 +25,7 @@ def main() -> None:
     print(f"instance: {config.num_ued} D2D pairs, {config.num_channels} "
           f"channels, {config.cell_radius_m:.0f} m cell")
 
-    game = config.game(config.topology(0), mode="deterministic")
+    game = config.game(config.topology(0))
     optimum = brute_force_optimum(game)
     print(f"brute-force optimum over {optimum.num_evaluated} profiles: "
           f"{optimum.phi_star:.6g} bits/s, "

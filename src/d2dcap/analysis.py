@@ -3,9 +3,9 @@ the one-slot transition kernel with its stationary distributions (direct
 solve, Gibbs form, tree theorem), stochastic-stability checks, and a small
 resistance calculus for tau -> 0 asymptotics.
 
-Everything here operates on deterministic-mode games where utilities are
-exact, so the chain over assignment profiles is a concrete finite Markov
-chain that can be solved and cross-checked three independent ways.
+Everything here reads a game's exact (frozen-fading) values, which every
+game has, so the chain over assignment profiles is a concrete finite
+Markov chain that can be solved and cross-checked three independent ways.
 
 Profile indexing: profiles are enumerated mixed-radix over the active
 players' channels with the lowest active player index as the least
@@ -136,8 +136,6 @@ _TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _table(game: CapGame) -> _ProfileTable:
-    if game.mode != "deterministic":
-        raise ValueError("exact analysis requires a deterministic-mode game")
     if game not in _TABLES:
         _TABLES[game] = _ProfileTable(game)
     return _TABLES[game]

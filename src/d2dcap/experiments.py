@@ -159,8 +159,8 @@ class ExperimentConfig:
         return generate_topology(self.radio_params(), self.num_uec,
                                  self.num_ued, seed)
 
-    def game(self, topology: Topology, mode: str = "noisy") -> CapGame:
-        return CapGame(topology, self.radio_params(), mode=mode)
+    def game(self, topology: Topology) -> CapGame:
+        return CapGame(topology, self.radio_params())
 
     def schedule_obj(self):
         if self.schedule == "fixed":
@@ -284,14 +284,13 @@ class SweepResult:
 # running
 
 
-def _run_one(config: ExperimentConfig, topology: Topology,
+def _run_one(config: ExperimentConfig, game: CapGame,
              seed: int) -> Trajectory:
-    mode = "deterministic" if config.noise_model == "none" else "noisy"
-    game = config.game(topology, mode=mode)
     if config.algorithm == "blla":
         return run_blla(game, config.schedule_obj(), config.noise_obj(),
                         config.xi, config.horizon, seed)
-    return run_br(game, config.br_samples, config.horizon, seed)
+    n = None if config.noise_model == "none" else config.br_samples
+    return run_br(game, n, config.horizon, seed)
 
 
 def _check_fading_block(config: ExperimentConfig) -> None:
@@ -339,17 +338,18 @@ def _realization(config: ExperimentConfig, topology: Topology | None,
                  best: float | None, k: int) -> _Record:
     """Run realization ``k``.  ``topology`` None draws the realization's
     own layout, and with ``best`` None the tracked optimum is that layout's
-    brute-force best normalized potential."""
+    brute-force best normalized potential.  One game serves the learner
+    and the optimum."""
     t0 = time.perf_counter()
-    topo = topology if topology is not None else config.topology(k)
+    game = config.game(topology if topology is not None
+                       else config.topology(k))
     seed = config.base_seed + k
-    traj = _run_one(config, topo, seed)
+    traj = _run_one(config, game, seed)
     if traj.horizon != config.horizon:
         raise RuntimeError(f"realization {k} (seed {seed}) returned "
                            f"{traj.horizon} slots, expected {config.horizon}")
     occupancy = None
     if config.track_optimum:
-        game = config.game(topo, mode="deterministic")
         if best is None:
             best = analysis.brute_force_optimum(game).normalized_phi_star
         occupancy = analysis._optimal_share(
@@ -402,13 +402,12 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
     if config.track_optimum:
         if shared_topo is not None:
             shared_opt = analysis.brute_force_optimum(
-                config.game(shared_topo, mode="deterministic"))
+                config.game(shared_topo))
         else:
             # the profile-space size does not depend on the layout, so an
             # oversized one is refused before any realization runs
-            analysis._profile_count(
-                config.game(config.topology(0), mode="deterministic"),
-                analysis._SPACE_GUARD, "profile space")
+            analysis._profile_count(config.game(config.topology(0)),
+                                    analysis._SPACE_GUARD, "profile space")
 
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
@@ -599,7 +598,7 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     """
     config.validate()
     taus = analysis._tau_grid(tau_grid)  # before any kernel is built
-    game = config.game(config.topology(0), mode="deterministic")
+    game = config.game(config.topology(0))
     direct, gibbs, tree = [], [], []
     direct_failed = []
     for tau in taus:

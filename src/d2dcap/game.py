@@ -11,16 +11,15 @@ A profile is only its read-only int16 channel vector.  Which players are
 passive, cellular links on fixed channels, is the game's ``passive_mask``
 alone, and the game checks profiles, moves and utilities against it.
 
-Utility evaluation has two modes.  In ``deterministic`` mode all fading
-coefficients are frozen to 1 and utilities are exact (float64); this is the
-regime the exact analysis tools operate in.  In ``noisy`` mode utilities are
-sample means over freshly drawn Rayleigh fading; the sampling pipeline runs
-in float32 for throughput, which is far below the estimation noise floor.
-Both modes, utilities and potentials alike, go through one clamped
-SINR -> rate kernel over a fading block: a unit float64 block in
-deterministic mode, float32 draws in noisy mode.  An estimate is a plain
-float, the sample mean; one fading draw, as ``utility_sample`` takes it, is
-an (L, L) coefficient array.
+A game holds no noise model: every game has exact and sampled values.
+Exact values freeze every fading coefficient to 1 and are float64, the
+regime the exact analysis tools operate in.  Sampled values,
+``utility_mean`` and the Monte Carlo ``potential``, average fresh Rayleigh
+fading in float32 for throughput, far below the estimation noise floor;
+a learner without a noise model reads the exact utilities instead.  Both
+go through one clamped SINR -> rate kernel over a fading block, a unit
+float64 block or float32 draws.  An estimate is a plain float, the sample
+mean; one fading draw, as ``utility_sample`` takes it, is an (L, L) array.
 
 The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
@@ -112,13 +111,9 @@ class CapGame:
     per channel member set, as the module docstring describes.
     """
 
-    def __init__(self, topology: Topology, params: RadioParams,
-                 mode: str = "noisy"):
-        if mode not in ("noisy", "deterministic"):
-            raise ValueError("mode must be 'noisy' or 'deterministic'")
+    def __init__(self, topology: Topology, params: RadioParams):
         self.topology = topology
         self.params = params
-        self.mode = mode
         self.num_channels = params.num_channels
         self.num_players = topology.num_links
         self.passive_mask = np.arange(self.num_players) < topology.num_uec
@@ -149,6 +144,9 @@ class CapGame:
     # profiles
 
     def _check_active(self, player: int) -> None:
+        if not 0 <= player < self.num_players:
+            raise ValueError(f"player {player} is outside "
+                             f"0..{self.num_players - 1}")
         if self.passive_mask[player]:
             raise ValueError(f"player {player} is passive, a cellular link "
                              "on a fixed channel with no utility")
@@ -174,6 +172,9 @@ class CapGame:
                      channel: int) -> AssignmentProfile:
         """Copy of ``profile`` with one active player's channel replaced."""
         self._check_active(player)
+        if not 0 <= channel < self.num_channels:
+            raise ValueError(f"channel {channel} is outside "
+                             f"0..{self.num_channels - 1}")
         ch = profile.channels.copy()
         ch[player] = channel
         return AssignmentProfile(ch)
@@ -327,7 +328,9 @@ class CapGame:
         return self.potential_exact(profile) / self.phi_max
 
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:
-        """Exact normalized marginal-contribution utility (deterministic)."""
+        """Exact (frozen-fading) normalized marginal-contribution utility
+        of an active player."""
+        self._check_active(player)
         return self.set_utility_exact(
             cochannel_set(profile, int(profile.channels[player])), player)
 
@@ -360,16 +363,11 @@ def utility_sample(game: CapGame, profile: AssignmentProfile, player: int,
 
 def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
                  n_samples: int, rng_seed) -> float:
-    """Mean of ``n_samples`` independent utility samples (fresh fading each).
-
-    In deterministic mode the exact utility is returned unchanged for any
-    sample count.
-    """
+    """Mean of ``n_samples`` independent utility samples (fresh fading
+    each); ``CapGame.utility_exact`` gives the frozen-fading value."""
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     game._check_active(player)
-    if game.mode == "deterministic":
-        return game.utility_exact(profile, player)
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     members = cochannel_set(profile, int(profile.channels[player]))
     m = len(members)
@@ -380,19 +378,19 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
 
 def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
               rng_seed=None) -> float:
-    """Network sum rate phi(profile) in bits/s.
-
-    Deterministic mode returns the exact frozen-fading value; noisy mode
-    returns a Monte Carlo mean over ``num_mc`` full fading draws.
-    """
-    if game.mode == "deterministic":
-        return game.potential_exact(profile)
+    """Network sum rate phi(profile) in bits/s, a Monte Carlo mean over
+    ``num_mc`` full fading draws, one block per occupied channel in
+    ascending order; ``CapGame.potential_exact`` gives the frozen-fading
+    value."""
     if num_mc < 1:
         raise ValueError("num_mc must be >= 1")
+    game.check_profile(profile)
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     total = np.zeros(num_mc, dtype=np.float64)
-    for c in np.unique(profile.channels):
-        members = np.nonzero(profile.channels == c)[0]
+    for c in range(game.num_channels):
+        members = np.flatnonzero(profile.channels == c)
+        if not len(members):
+            continue
         block = sample_fading_block(rng, (len(members), len(members), num_mc),
                                     np.float32)
         total += game._rate_kernel(members, block)
@@ -402,15 +400,10 @@ def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
 def verify_potential_identity(game: CapGame, player: int, chan_a: int,
                               chan_b: int, profile: AssignmentProfile) -> float:
     """Residual |dU - dphi| for one unilateral channel switch, both sides
-    normalized by phi_max.  Exact-potential games give ~0.
-
-    Only valid in deterministic mode, where utilities are exact.
+    normalized by phi_max, on the exact (frozen-fading) values.  An exact
+    potential game gives ~0; with fading it holds in expectation.
     """
-    if game.mode != "deterministic":
-        raise ValueError("potential identity requires deterministic mode; "
-                         "in noisy mode it holds only in expectation")
-    prof_a = game.with_channel(profile, player, chan_a) \
-        if profile.channels[player] != chan_a else profile
+    prof_a = game.with_channel(profile, player, chan_a)
     prof_b = game.with_channel(profile, player, chan_b)
     du = game.utility_exact(prof_a, player) - game.utility_exact(prof_b, player)
     dphi = game.normalized_potential(prof_a) - game.normalized_potential(prof_b)

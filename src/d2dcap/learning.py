@@ -12,8 +12,9 @@ delta < 0.  Both learners run the one slot loop ``_run`` and differ only in
 that rule and in N.  BLLA chooses N so that estimation noise does not
 disturb the chain's long-run behavior; it is recomputed from tau(t) every
 slot, so decreasing schedules pay a growing per-slot cost that the
-trajectory records make visible.  A game with no active player keeps its
-starting assignment for the whole run.
+trajectory records make visible.  A learner without a noise model has
+N = 0: it reads exact utilities and draws no fading.  A game with no
+active player keeps its starting assignment for the whole run.
 """
 
 from __future__ import annotations
@@ -177,10 +178,10 @@ class Trajectory:
     ``profiles[k]`` is the channel vector after slot k+1; the starting
     assignment is kept separately.  ``sum_rate`` is the frozen-fading
     network sum rate of the post-slot profile, bits/s, from which its
-    optimal slots are counted by the potential.  A slot that
-    estimates nothing (a self-trial, or no active player to propose)
-    records ``delta_hat`` 0; with no active player, ``player`` and
-    ``trial`` are -1.
+    optimal slots are counted by the potential; ``n_samples`` 0 means
+    exact utilities.  A slot that estimates nothing (a self-trial, or no
+    active player to propose) records ``delta_hat`` 0; with no active
+    player, ``player`` and ``trial`` are -1.
     """
 
     initial_channels: np.ndarray       # (L,)
@@ -211,11 +212,12 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     """Run ``horizon`` slots of the proposal and estimation protocol.
 
     ``slot(t)`` gives slot t's (tau, N, accept): the temperature to record,
-    the fading samples per estimate, and the rule ``accept(delta, rng)``
-    that decides a switch from the estimated utility drop delta.  Draw
-    order per slot: player, trial channel, phase I fading, phase II fading,
-    then whatever ``accept`` draws.  A self-trial cannot change the profile,
-    so its estimation phases and ``accept`` are skipped.  A game with no
+    the fading samples per estimate (0: exact utilities, no draw), and the
+    rule ``accept(delta, rng)`` that decides a switch from the estimated
+    utility drop delta.  Draw order per slot: player, trial channel, phase
+    I fading, phase II fading, then whatever ``accept`` draws.  A
+    self-trial cannot change the profile, so its estimation phases and
+    ``accept`` are skipped.  A game with no
     active player proposes nothing and draws nothing: it keeps its start.
     A start profile that ``CapGame.check_profile`` refuses is refused
     before the first slot.
@@ -252,8 +254,12 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
             traj.player[k], traj.trial[k] = player, trial
             if trial != profile.channels[player]:
                 proposal = game.with_channel(profile, player, trial)
-                delta = utility_mean(game, profile, player, n, rng) \
-                    - utility_mean(game, proposal, player, n, rng)
+                if n:
+                    delta = utility_mean(game, profile, player, n, rng) \
+                        - utility_mean(game, proposal, player, n, rng)
+                else:
+                    delta = game.utility_exact(profile, player) \
+                        - game.utility_exact(proposal, player)
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
                     left = int(profile.channels[player])
@@ -273,14 +279,14 @@ def run_blla(game: CapGame, schedule, noise, xi: float, horizon: int,
     """Run BLLA for ``horizon`` slots; deterministic for a fixed seed.
 
     Each slot's sample count is recomputed from tau(t) and ``xi``;
-    ``noise=None`` pairs with deterministic-mode games (single exact
-    evaluation per phase).  A proposal is adopted with probability
-    1/(1 + exp(delta/tau)).  Without an explicit initial profile, active
-    players start on uniformly random channels drawn from the same stream.
+    ``noise=None`` reads exact utilities and records 0 samples.  A proposal
+    is adopted with probability 1/(1 + exp(delta/tau)).  Without an
+    explicit initial profile, active players start on uniformly random
+    channels drawn from the same stream.
     """
     def slot(t: int):
         tau = schedule.tau_at(t)
-        n = 1 if noise is None else noise.required_samples(tau, xi)
+        n = 0 if noise is None else noise.required_samples(tau, xi)
         return tau, n, lambda delta, rng: \
             rng.random() < acceptance_probability(delta, tau)
 
@@ -291,12 +297,13 @@ def _improves(delta: float, rng) -> bool:
     return delta < 0.0  # ties keep the current action
 
 
-def run_br(game: CapGame, n_samples: int, horizon: int, rng_seed,
+def run_br(game: CapGame, n_samples: int | None, horizon: int, rng_seed,
            initial_profile: AssignmentProfile | None = None) -> Trajectory:
     """Better-response baseline with a fixed per-phase sample budget: the
     same protocol as BLLA, but a proposal is adopted only when its
-    estimated utility strictly exceeds the current one.  tau is NaN."""
-    if n_samples < 1:
+    estimated utility strictly exceeds the current one.  tau is NaN.
+    ``n_samples=None`` reads exact utilities and records 0 samples."""
+    if n_samples is not None and n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     return _run(game, horizon, rng_seed, initial_profile,
-                lambda t: (math.nan, n_samples, _improves))
+                lambda t: (math.nan, n_samples or 0, _improves))

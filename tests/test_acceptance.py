@@ -27,7 +27,7 @@ def small_game(num_uec, num_ued, num_channels, seed):
     cfg = ExperimentConfig(num_uec=num_uec, num_ued=num_ued,
                            num_channels=num_channels, topology_seed=seed,
                            cell_radius_m=60.0)
-    return cfg.game(cfg.topology(0), mode="deterministic")
+    return cfg.game(cfg.topology(0))
 
 
 def test_criterion_1_potential_identity(criterion):

@@ -315,7 +315,7 @@ def assert_gathered_tables_are_per_profile_values(game):
     equal a fresh game's per-profile evaluations bit for bit."""
     table = analysis_module._table(game)
     analysis_module._moves(game)
-    fresh = CapGame(game.topology, game.params, mode="deterministic")
+    fresh = CapGame(game.topology, game.params)
     profiles = profile_objects(fresh)
     phi = [fresh.normalized_potential(p) for p in profiles]
     utility = [[fresh.utility_exact(p, i) for i in fresh.active_players]
@@ -471,7 +471,7 @@ for n in (601, 2187):
 # the exact-729 benchmark game: 6 pairs on 3 channels
 cfg = ExperimentConfig(num_uec=0, num_ued=6, num_channels=3,
                        cell_radius_m=60.0, topology_seed=25)
-game = cfg.game(cfg.topology(0), mode="deterministic")
+game = cfg.game(cfg.topology(0))
 for tau in (0.1, 0.05):
     digest(exact_transition_matrix(game, tau))
 """

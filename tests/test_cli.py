@@ -194,14 +194,39 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_sampling_learning_and_analysis_leave_numpy_ma_unimported(tmp_path):
+    # numpy.ma costs a process 17-21 ms and 1.1 MB; only an integer
+    # np.unique imports it, and no path here calls one
+    cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=1,
+                                 noise_model="bounded", tau=0.1)
+    code = f"""
+import sys
+from d2dcap.cli import main
+from d2dcap.experiments import ExperimentConfig
+from d2dcap.game import potential
+
+config = ExperimentConfig.from_file({cfg_path!r})
+game = config.game(config.topology(0))
+potential(game, game.initial_profile(), num_mc=4, rng_seed=1)
+assert main(["run-blla", "--config", {cfg_path!r}]) == 0
+assert main(["analyze-stationary", "--config", {cfg_path!r}]) == 0
+print("numpy.ma" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(d2dcap.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=60)
+    assert out.stdout.splitlines()[-1] == "False"
+
+
 def test_worker_error_is_reported(tmp_path, capsys, monkeypatch):
     cfg_path = write_tiny_config(tmp_path / "tiny.cfg", realizations=3)
     real_run_one = expmod._run_one
 
-    def failing(config, topology, seed):
+    def failing(config, game, seed):
         if seed == config.base_seed + 1:
             raise ValueError("realization 1 failed")
-        return real_run_one(config, topology, seed)
+        return real_run_one(config, game, seed)
 
     monkeypatch.setattr(expmod, "_run_one", failing)
     _use_cpus(monkeypatch, 2)

@@ -43,3 +43,24 @@ def test_quickstart_demo():
     share = float(after(lines, "fraction of late slots"))
     assert 0.0 <= share <= 1.0
     assert 0.0 < float(after(lines, "ratio to optimum")) <= 1.0
+
+
+def test_sample_complexity_demo():
+    lines = run_demo("sample_complexity.py")
+    assert lines[0] == "failure budget xi = 1e-05"
+    # tau = 0.1: Hoeffding's 1645 and the closed-form Gaussian count
+    assert lines[4].split() == ["0.1", "1645", "6580", "0.10000"]
+    assert len(lines) == 9
+
+
+@pytest.mark.slow
+def test_temperature_schedules_demo():
+    lines = run_demo("temperature_schedules.py")
+    rows = lines[1:5]
+    assert [r[:22].strip() for r in rows] == [
+        "fixed tau=0.2", "fixed tau=0.1", "fixed tau=0.05",
+        "tau = 0.1/ln(1+t)"]
+    for row in rows:
+        occ, rate = map(float, row[22:].split())
+        assert 0.0 <= occ <= 1.0 and rate > 0.0
+    assert lines[-1].startswith("occupancy: fraction of the last 25%")

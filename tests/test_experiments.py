@@ -183,7 +183,7 @@ def test_gaussian_decreasing_runs_are_deterministic():
 def test_single_realization_matches_direct_run():
     cfg = tiny_config(realizations=1)
     point = run_experiment(cfg).points[0]
-    game = cfg.game(cfg.topology(0), mode="deterministic")
+    game = cfg.game(cfg.topology(0))
     traj = run_blla(game, cfg.schedule_obj(), None, cfg.xi, cfg.horizon,
                     cfg.base_seed)
     assert np.array_equal(point.mean_trace, traj.sum_rate)
@@ -273,7 +273,7 @@ def test_per_realization_topologies():
     # each realization is scored against its own topology's optimum
     occ = []
     for k in range(3):
-        game = cfg.game(cfg.topology(k), mode="deterministic")
+        game = cfg.game(cfg.topology(k))
         traj = run_blla(game, cfg.schedule_obj(), None, cfg.xi, cfg.horizon,
                         cfg.base_seed + k)
         keys = set(expmod.analysis.brute_force_optimum(game).keys)
@@ -306,7 +306,7 @@ def tracked_configs(draw):
 @given(config=tracked_configs(), k=st.integers(0, 3))
 def test_occupancy_from_the_potential_equals_the_key_count(config, k):
     topo = config.topology(k)
-    game = config.game(topo, mode="deterministic")
+    game = config.game(topo)
     optimum = expmod.analysis.brute_force_optimum(game)
     best = optimum.normalized_phi_star
     # profile by profile: a sum rate counts as optimal exactly when its
@@ -317,7 +317,7 @@ def test_occupancy_from_the_potential_equals_the_key_count(config, k):
             == (tuple(channels.tolist()) in optimum.keys)
     # the reference: final-window slots whose channel vector is one of
     # brute force's optimal profiles, counted by matching keys
-    traj = expmod._run_one(config, topo, config.base_seed + k)
+    traj = expmod._run_one(config, game, config.base_seed + k)
     rows = traj.profiles[learning._window_start(traj.horizon):].tolist()
     want = sum(tuple(row) in set(optimum.keys) for row in rows) / len(rows)
     assert expmod._realization(config, topo, best, k).occupancy == want
@@ -328,7 +328,7 @@ def _no_realization(monkeypatch):
     """Make any realization fail the test; returns the seeds tried."""
     calls = []
 
-    def spy(config, topology, seed):
+    def spy(config, game, seed):
         calls.append(seed)
         raise AssertionError("a realization ran")
 
@@ -421,9 +421,9 @@ def test_late_first_realization_is_still_reduced_first(monkeypatch):
     serial = run_experiment(cfg).points[0]
     real_run_one = expmod._run_one
 
-    def first_finishes_last(config, topology, seed):
+    def first_finishes_last(config, game, seed):
         time.sleep(0.3 if seed == config.base_seed else 0.0)
-        return real_run_one(config, topology, seed)
+        return real_run_one(config, game, seed)
 
     monkeypatch.setattr(expmod, "_run_one", first_finishes_last)
     _use_cpus(monkeypatch, 3)
@@ -450,10 +450,10 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     cfg = tiny_config(realizations=3)
     real_run_one = expmod._run_one
 
-    def failing(config, topology, seed):
+    def failing(config, game, seed):
         if seed == cfg.base_seed + 1:
             raise ValueError("realization 1 failed")
-        return real_run_one(config, topology, seed)
+        return real_run_one(config, game, seed)
 
     # forked workers inherit the patched module
     monkeypatch.setattr(expmod, "_run_one", failing)
@@ -469,10 +469,10 @@ from concurrent.futures.process import BrokenProcessPool
 
 real_run_one = expmod._run_one
 
-def dying(config, topology, seed):
+def dying(config, game, seed):
     if seed == config.base_seed + 1:
         os._exit(1)
-    return real_run_one(config, topology, seed)
+    return real_run_one(config, game, seed)
 
 expmod._run_one = dying
 os.sched_getaffinity = lambda pid: {0, 1}

@@ -29,15 +29,15 @@ DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
                [2.5e-11, 3.5e-11, 1.2e-9]]
 
 
-def dense_game(mode="deterministic", num_channels=3):
+def dense_game(num_channels=3):
     params = cell(num_channels=num_channels)
-    return CapGame(manual_topology(DENSE_GAINS), params, mode=mode)
+    return CapGame(manual_topology(DENSE_GAINS), params)
 
 
-def seeded_game(num_uec, num_ued, num_channels, seed, mode="deterministic"):
+def seeded_game(num_uec, num_ued, num_channels, seed):
     params = cell(cell_radius_m=60.0, num_channels=num_channels)
     topo = generate_topology(params, num_uec, num_ued, seed)
-    return CapGame(topo, params, mode=mode)
+    return CapGame(topo, params)
 
 
 # ----------------------------------------------------------------------
@@ -157,8 +157,7 @@ def exact_queries(draw):
     num_ued = draw(st.integers(1, 5))
     num_channels = draw(st.integers(max(1, num_uec), 4))
     game = seeded_game(num_uec, num_ued, num_channels,
-                       seed=draw(st.integers(0, 2 ** 16)),
-                       mode=draw(st.sampled_from(["deterministic", "noisy"])))
+                       seed=draw(st.integers(0, 2 ** 16)))
     base = game.initial_profile()
     players = [None, *game.active_players.tolist()]
     queries = []
@@ -177,7 +176,7 @@ def test_exact_evaluations_match_a_fresh_game(case):
     # one warm game answers every query as a new game's first evaluation
     game, queries = case
     for profile, player in queries:
-        fresh = CapGame(game.topology, game.params, mode=game.mode)
+        fresh = CapGame(game.topology, game.params)
         if player is None:
             assert game.potential_exact(profile) \
                 == fresh.potential_exact(profile)
@@ -186,27 +185,19 @@ def test_exact_evaluations_match_a_fresh_game(case):
                 == fresh.utility_exact(profile, player)
 
 
-def test_identity_check_requires_deterministic_mode():
-    game = dense_game(mode="noisy")
-    prof = AssignmentProfile([0, 0, 1])
-    with pytest.raises(ValueError):
-        verify_potential_identity(game, 0, 0, 1, prof)
-
-
 # ----------------------------------------------------------------------
 # sampled utilities
 
 
 def test_unit_fading_sample_equals_exact():
-    noisy = dense_game(mode="noisy")
-    exact = dense_game(mode="deterministic")
+    game = dense_game()
     prof = AssignmentProfile([0, 0, 0])
-    got = utility_sample(noisy, prof, 1, np.ones((3, 3)))
-    assert got == pytest.approx(exact.utility_exact(prof, 1), rel=1e-12)
+    got = utility_sample(game, prof, 1, np.ones((3, 3)))
+    assert got == pytest.approx(game.utility_exact(prof, 1), rel=1e-12)
 
 
 def test_single_sample_mean_is_bitwise_reproducible():
-    game = dense_game(mode="noisy", num_channels=1)
+    game = dense_game(num_channels=1)
     prof = game.initial_profile()
     g1 = np.random.Generator(np.random.SFC64(7))
     mean = utility_mean(game, prof, 1, 1, g1)
@@ -228,7 +219,7 @@ def sampled_utilities(game, profile, player, n_samples, rng_seed):
 
 
 def test_utility_mean_consistency_and_variance_scaling():
-    game = dense_game(mode="noisy")
+    game = dense_game()
     prof = AssignmentProfile([0, 0, 0])
     mean1 = utility_mean(game, prof, 0, 4000, rng_seed=1)
     mean2 = utility_mean(game, prof, 0, 4000, rng_seed=2)
@@ -243,15 +234,8 @@ def test_utility_mean_consistency_and_variance_scaling():
     assert 2.5 <= ratio <= 6.0  # ~4 expected for 16x the samples
 
 
-def test_deterministic_mode_mean_ignores_sampling():
-    game = dense_game()
-    prof = AssignmentProfile([0, 0, 1])
-    assert utility_mean(game, prof, 0, 50, rng_seed=0) \
-        == game.utility_exact(prof, 0)
-
-
 def test_utility_argument_guards():
-    game = seeded_game(1, 2, 3, seed=5, mode="noisy")
+    game = seeded_game(1, 2, 3, seed=5)
     prof = game.initial_profile()
     with pytest.raises(ValueError, match="player 0 is passive"):
         utility_mean(game, prof, 0, 4, rng_seed=0)
@@ -265,21 +249,48 @@ def test_utility_argument_guards():
 
 
 def test_monte_carlo_potential_tracks_exact():
-    noisy = dense_game(mode="noisy")
-    exact = dense_game(mode="deterministic")
+    game = dense_game()
     prof = AssignmentProfile([0, 0, 1])
-    det_value = potential(exact, prof)
-    assert det_value == exact.potential_exact(prof)
-    mc = potential(noisy, prof, num_mc=20000, rng_seed=11)
+    det_value = game.potential_exact(prof)
+    mc = potential(game, prof, num_mc=20000, rng_seed=11)
     # fading moves the mean; it must stay on the same scale and be finite
     assert 0.2 * det_value <= mc <= 3.0 * det_value
-    mc2 = potential(noisy, prof, num_mc=20000, rng_seed=11)
+    mc2 = potential(game, prof, num_mc=20000, rng_seed=11)
     assert mc == mc2
+    with pytest.raises(ValueError, match="player 2 holds channel 3"):
+        potential(game, AssignmentProfile([0, 0, 3]), num_mc=4)
 
 
-def test_game_mode_guard():
-    with pytest.raises(ValueError):
-        dense_game(mode="half-noisy")
+def test_player_index_outside_the_game_is_refused():
+    # 4 pairs on 2 channels, all on channel 0: a negative index would read
+    # the last player's passive flag and silence the first in the kernel
+    game = seeded_game(0, 4, 2, seed=25)
+    prof = game.initial_profile()
+    assert game.utility_exact(prof, 3) != game.utility_exact(prof, 0)
+    for player in (-1, 4):
+        with pytest.raises(ValueError, match=f"player {player} is outside "
+                                             r"0\.\.3"):
+            game.utility_exact(prof, player)
+        with pytest.raises(ValueError, match="outside"):
+            utility_mean(game, prof, player, 4, rng_seed=0)
+        with pytest.raises(ValueError, match="outside"):
+            utility_sample(game, prof, player, np.ones((4, 4)))
+        with pytest.raises(ValueError, match="outside"):
+            game.with_channel(prof, player, 1)
+
+
+def test_channel_outside_the_game_is_refused():
+    game = seeded_game(0, 4, 3, seed=25)
+    prof = game.initial_profile()
+    for channel in (7, 3, -1):
+        with pytest.raises(ValueError, match=f"channel {channel} is outside "
+                                             r"0\.\.2"):
+            game.with_channel(prof, 1, channel)
+        with pytest.raises(ValueError, match="outside"):
+            verify_potential_identity(game, 1, 0, channel, prof)
+        with pytest.raises(ValueError, match="outside"):
+            verify_potential_identity(game, 1, channel, 0, prof)
+    assert game.with_channel(prof, 1, 2).channels.tolist() == [0, 2, 0, 0]
 
 
 # ----------------------------------------------------------------------
@@ -303,7 +314,7 @@ def kernel_cases(draw):
     fading = draw(st.lists(st.floats(0.01, 10.0), min_size=num_links ** 2,
                            max_size=num_links ** 2))
     game = CapGame(manual_topology(gains, num_uec=num_uec),
-                   cell(num_channels=num_channels), mode="noisy")
+                   cell(num_channels=num_channels))
     prof = AssignmentProfile(channels)
     fad = np.array(fading).reshape(num_links, num_links)
     return game, prof, player, fad
@@ -388,7 +399,7 @@ GOLDEN_DIGESTS = {
 
 
 def golden_game():
-    return seeded_game(0, 4, 4, seed=21, mode="noisy")
+    return seeded_game(0, 4, 4, seed=21)
 
 
 def golden_profile(m):
@@ -420,7 +431,7 @@ def test_sampled_utilities_match_golden_values(m):
 
 
 def test_single_sample_utilities_match_golden_values():
-    game = seeded_game(0, 6, 1, seed=21, mode="noisy")
+    game = seeded_game(0, 6, 1, seed=21)
     prof = game.initial_profile()
     got = [utility_mean(game, prof, 2, 1, sfc(600 + s)) for s in range(8)]
     assert got == GOLDEN_SINGLE
@@ -471,7 +482,7 @@ def kernel_set_ups(draw):
     an active member."""
     num_uec = draw(st.integers(0, 2))
     game = seeded_game(num_uec, 6, max(num_uec, 1),
-                       seed=draw(st.integers(0, 2 ** 16)), mode="noisy")
+                       seed=draw(st.integers(0, 2 ** 16)))
     cells = draw(st.lists(st.integers(0, num_uec - 1), max_size=1)) \
         if num_uec else []
     pairs = draw(st.lists(st.integers(num_uec, num_uec + 5), unique=True,

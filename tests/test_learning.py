@@ -11,9 +11,12 @@ from scipy.optimize import minimize_scalar
 
 import d2dcap.experiments as experiments_module
 import d2dcap.learning as learning_module
-from d2dcap.analysis import _optimal_share, brute_force_optimum
+from d2dcap.analysis import (_optimal_share, brute_force_optimum,
+                             enumerate_profiles, exact_transition_matrix,
+                             gibbs_distribution)
 from d2dcap.experiments import ExperimentConfig
-from d2dcap.game import AssignmentProfile, utility_mean
+from d2dcap.game import (AssignmentProfile, utility_mean,
+                         verify_potential_identity)
 from d2dcap.learning import (
     BoundedNoise,
     FixedTemperature,
@@ -202,7 +205,7 @@ def test_sample_count_recomputed_each_slot():
 
 def test_better_response_is_monotone_in_deterministic_mode():
     game = seeded_game(0, 4, 3, seed=25)
-    traj = run_br(game, n_samples=1, horizon=200, rng_seed=3)
+    traj = run_br(game, n_samples=None, horizon=200, rng_seed=3)
     diffs = np.diff(traj.sum_rate)
     assert np.all(diffs >= -1e-9)
     # and it parks at a profile no unilateral switch improves
@@ -222,7 +225,7 @@ def test_better_response_is_monotone_in_deterministic_mode():
 
 
 def test_runs_are_seed_reproducible():
-    game = seeded_game(0, 3, 3, seed=7, mode="noisy")
+    game = seeded_game(0, 3, 3, seed=7)
     noise = BoundedNoise(interval_width=1.0)
     a = run_blla(game, FixedTemperature(0.2), noise, 1e-3, 30, rng_seed=9)
     b = run_blla(game, FixedTemperature(0.2), noise, 1e-3, 30, rng_seed=9)
@@ -233,7 +236,7 @@ def test_runs_are_seed_reproducible():
 
 
 def test_passive_players_never_move():
-    game = seeded_game(1, 3, 3, seed=7, mode="noisy")
+    game = seeded_game(1, 3, 3, seed=7)
     noise = BoundedNoise(interval_width=1.0)
     traj = run_blla(game, FixedTemperature(0.2), noise, 1e-3, 60, rng_seed=2)
     assert np.all(traj.profiles[:, 0] == 0)
@@ -242,7 +245,7 @@ def test_passive_players_never_move():
 
 def test_trajectory_windows_and_occupancy():
     game = seeded_game(0, 2, 2, seed=25)
-    traj = run_br(game, 1, horizon=8, rng_seed=1)
+    traj = run_br(game, None, horizon=8, rng_seed=1)
     # final 25% of 8 slots = the last 2
     assert _window_start(traj.horizon) == 6
     optimum = brute_force_optimum(game)
@@ -294,12 +297,50 @@ def test_better_response_step_tie_keeps_current():
     # a lone pair's utility is the same on every channel: every proposal
     # ties, and better response keeps its channel where BLLA would not
     game = seeded_game(0, 1, 3, seed=25)
-    traj = run_br(game, 1, horizon=30, rng_seed=1)
+    traj = run_br(game, None, horizon=30, rng_seed=1)
     moved = traj.trial != traj.initial_channels[0]
     assert moved.any() and np.all(traj.delta_hat[moved] == 0.0)
     assert not traj.accepted.any()
     assert np.all(traj.profiles == traj.initial_channels)
     assert np.all(np.isnan(traj.tau))
+
+def test_exact_runs_record_no_samples_and_draw_no_fading(monkeypatch):
+    game = seeded_game(1, 3, 3, seed=7)
+
+    def never(*args, **kwargs):
+        raise AssertionError("an exact run sampled a utility")
+
+    monkeypatch.setattr(learning_module, "utility_mean", never)
+    for traj in (run_blla(game, FixedTemperature(0.2), None, 1e-5, 60, 4),
+                 run_blla(game, LogDecreasingTemperature(0.5), None, 0.5, 60,
+                          5),
+                 run_br(game, None, 60, 6)):
+        assert np.all(traj.n_samples == 0)
+        assert (traj.delta_hat != 0.0).any() and traj.accepted.any()
+
+
+def test_one_game_serves_learning_and_exact_analysis():
+    # a sampled run fills the game's exact memos through its running
+    # potential; analysis on that game reads the same floats as on a new one
+    config = ExperimentConfig(num_uec=1, num_ued=3, num_channels=3,
+                              cell_radius_m=60.0, topology_seed=7)
+    game, fresh = (config.game(config.topology(0)) for _ in range(2))
+    traj = run_blla(game, FixedTemperature(0.2), BoundedNoise(1.0), 0.5, 60,
+                    rng_seed=8)
+    assert traj.accepted.any() and np.all(traj.n_samples > 0)
+    got, want = brute_force_optimum(game), brute_force_optimum(fresh)
+    assert (got.keys, got.phi_star) == (want.keys, want.phi_star)
+    assert gibbs_distribution(game, 0.05).probs.tobytes() \
+        == gibbs_distribution(fresh, 0.05).probs.tobytes()
+    assert exact_transition_matrix(game, 0.1).matrix.tobytes() \
+        == exact_transition_matrix(fresh, 0.1).matrix.tobytes()
+    for channels in enumerate_profiles(fresh):
+        prof = AssignmentProfile(channels)
+        for player in game.active_players:
+            for a, b in ((0, 1), (1, 2), (2, 0)):
+                assert verify_potential_identity(game, player, a, b, prof) \
+                    == verify_potential_identity(fresh, player, a, b, prof)
+
 
 # ----------------------------------------------------------------------
 # reference slot loop: the per-slot step functions and the zero-active
@@ -310,18 +351,26 @@ def reference_blla_step(profile, t, game, schedule, noise, xi, rng):
     """One BLLA slot; returns (profile, tau, n, player, trial, accepted,
     delta_hat).  Draw order: player, trial, phase I, phase II, coin."""
     tau = schedule.tau_at(t)
-    n = 1 if noise is None else noise.required_samples(tau, xi)
+    n = 0 if noise is None else noise.required_samples(tau, xi)
     active = game.active_players
     player = int(active[rng.integers(len(active))])
     trial = int(rng.integers(game.num_channels))
     if trial == int(profile.channels[player]):
         return profile, tau, n, player, trial, False, 0.0
     trial_profile = game.with_channel(profile, player, trial)
-    delta = (utility_mean(game, profile, player, n, rng)
-             - utility_mean(game, trial_profile, player, n, rng))
+    delta = reference_drop(game, profile, trial_profile, player, n, rng)
     accept = rng.random() < acceptance_probability(delta, tau)
     return (trial_profile if accept else profile, tau, n, player, trial,
             accept, delta)
+
+
+def reference_drop(game, profile, trial_profile, player, n, rng):
+    """Phase I minus phase II: exact utilities when n is 0."""
+    if n == 0:
+        return (game.utility_exact(profile, player)
+                - game.utility_exact(trial_profile, player))
+    return (utility_mean(game, profile, player, n, rng)
+            - utility_mean(game, trial_profile, player, n, rng))
 
 
 def reference_br_step(profile, t, game, n, rng):
@@ -331,8 +380,7 @@ def reference_br_step(profile, t, game, n, rng):
     if trial == int(profile.channels[player]):
         return profile, math.nan, n, player, trial, False, 0.0
     trial_profile = game.with_channel(profile, player, trial)
-    delta = (utility_mean(game, profile, player, n, rng)
-             - utility_mean(game, trial_profile, player, n, rng))
+    delta = reference_drop(game, profile, trial_profile, player, n, rng)
     accept = delta < 0.0
     return (trial_profile if accept else profile, math.nan, n, player,
             trial, accept, delta)
@@ -395,15 +443,14 @@ def learning_runs(draw):
     num_uec = draw(st.integers(0, 2))
     num_ued = draw(st.integers(1, 4))
     num_channels = draw(st.integers(max(1, num_uec), 5))
-    mode = draw(st.sampled_from(["noisy", "deterministic"]))
     game = seeded_game(num_uec, num_ued, num_channels,
-                       seed=draw(st.integers(0, 2 ** 16)), mode=mode)
+                       seed=draw(st.integers(0, 2 ** 16)))
     learner = draw(st.sampled_from(["fixed", "log", "gaussian", "none",
                                     "br"]))
     if learner == "br":
-        n = draw(st.sampled_from([1, 2, 7, 40]))
+        n = draw(st.sampled_from([None, 1, 2, 7, 40]))
         run = functools.partial(run_br, game, n)
-        step = functools.partial(reference_br_step, game=game, n=n)
+        step = functools.partial(reference_br_step, game=game, n=n or 0)
     else:
         schedule = LogDecreasingTemperature(scale=draw(st.sampled_from(
             [0.5, 2.0]))) if learner == "log" else FixedTemperature(
@@ -458,7 +505,7 @@ def test_running_potential_matches_reference_at_its_corners(
     # the slot loop keeps one rate per channel and re-reads the two a
     # switch moves; these runs take it through channels that empty and
     # refill, and through one that never holds a link
-    game = seeded_game(*links, seed=seed, mode="noisy")
+    game = seeded_game(*links, seed=seed)
     schedule, noise = FixedTemperature(tau), BoundedNoise(interval_width=1.0)
     got = run_blla(game, schedule, noise, 0.5, horizon, seed)
     step = functools.partial(reference_blla_step, game=game,
@@ -486,11 +533,9 @@ def test_zero_active_runs_match_reference(num_uec, num_channels, algorithm,
                               num_channels=num_channels, topology_seed=seed,
                               algorithm=algorithm, noise_model=noise_model,
                               schedule=schedule, horizon=horizon)
-    topo = config.topology(0)
-    mode = "deterministic" if noise_model == "none" else "noisy"
-    want = reference_constant_trajectory(config.game(topo, mode=mode),
-                                         horizon)
-    got = experiments_module._run_one(config, topo, seed)
+    game = config.game(config.topology(0))
+    want = reference_constant_trajectory(game, horizon)
+    got = experiments_module._run_one(config, game, seed)
     assert_same_trajectory(got, want, ("initial_channels", "profiles",
                                        "sum_rate", "accepted"))
     assert got.horizon == horizon
@@ -512,7 +557,8 @@ def test_full_shaped_trajectory_matches_its_golden_digest():
     config = ExperimentConfig(num_uec=5, num_ued=15, num_channels=5,
                               cell_radius_m=200.0, tau=0.1, horizon=40,
                               realizations=1, track_optimum=False)
-    traj = experiments_module._run_one(config, config.topology(0), 1000)
+    traj = experiments_module._run_one(config, config.game(config.topology(0)),
+                                       1000)
     assert set(traj.n_samples.tolist()) == {1645}
     assert int(traj.accepted.sum()) == 25
     digest = hashlib.sha256()

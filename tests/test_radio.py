@@ -290,7 +290,7 @@ def test_expected_rate_matches_quadrature():
     # single link, mid-range SINR so both clamps are in play
     params = cell(num_channels=1)
     s = 30.0 * params.noise_power_w / params.tx_power_ue_w
-    game = CapGame(manual_topology([[s]]), params, mode="noisy")
+    game = CapGame(manual_topology([[s]]), params)
     lo, hi = params.sinr_min, params.sinr_max
     w = params.bandwidth_hz
 
@@ -320,6 +320,6 @@ def test_expected_rate_matches_quadrature():
 
 def test_expected_rate_deterministic_path():
     params = cell(num_channels=1)
-    game = CapGame(manual_topology([[1e-3]]), params, mode="deterministic")
+    game = CapGame(manual_topology([[1e-3]]), params)
     value = game.potential_exact(game.initial_profile())
     assert value == pytest.approx(params.max_rate_per_ue, rel=1e-12)
