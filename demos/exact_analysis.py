@@ -35,9 +35,9 @@ def main() -> None:
     gibbs = analysis.gibbs_distribution(game, tau)
     tree = analysis.stationary_tree(kernel)
     print("\nstationary law, three ways:")
-    print("  elimination :", " ".join(f"{p:.6f}" for p in direct.probs))
-    print("  Gibbs form  :", " ".join(f"{p:.6f}" for p in gibbs.probs))
-    print("  tree theorem:", " ".join(f"{p:.6f}" for p in tree.probs))
+    print("  elimination :", " ".join(f"{p:.6f}" for p in direct))
+    print("  Gibbs form  :", " ".join(f"{p:.6f}" for p in gibbs))
+    print("  tree theorem:", " ".join(f"{p:.6f}" for p in tree))
 
     stable = analysis.stochastically_stable_states(game, (0.1, 0.05, 0.02))
     optimum = analysis.brute_force_optimum(game)

@@ -7,8 +7,7 @@ resistance calculus for the low-temperature limit.
 """
 
 from .analysis import (BruteForceResult, MinTreeReport, ResistanceExpr,
-                       ResistanceTerm, StationaryDistribution,
-                       TransitionKernel, brute_force_optimum,
+                       ResistanceTerm, TransitionKernel, brute_force_optimum,
                        empirical_resistance, enumerate_profiles,
                        exact_transition_matrix, game_resistance_kernel,
                        gibbs_distribution, min_resistance_tree_check,
@@ -18,15 +17,14 @@ from .analysis import (BruteForceResult, MinTreeReport, ResistanceExpr,
 from .experiments import (ExperimentConfig, PointResult, StationaryReport,
                           SweepResult, analyze_stationary, run_experiment,
                           sweep_channels, sweep_ues)
-from .game import (AssignmentProfile, CapGame, cochannel_set, potential,
-                   utility_mean, utility_sample, verify_potential_identity)
+from .game import (AssignmentProfile, CapGame, cochannel_set, utility_mean,
+                   verify_potential_identity)
 from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
                        LogDecreasingTemperature, Trajectory,
                        UnboundedSampleCalc, acceptance_probability, run_blla,
                        run_br)
 from .radio import (RadioParams, Topology, db_to_linear, dbm_to_watts,
-                    generate_topology, link_tx_powers, rate,
-                    sample_fading_block, sinr, thermal_noise_watts,
-                    watts_to_dbm)
+                    generate_topology, link_tx_powers, sample_fading_block,
+                    thermal_noise_watts, watts_to_dbm)
 
 __version__ = "0.1.0"

@@ -17,9 +17,10 @@ array, and their normalized potentials, all that brute force and Gibbs
 read, plus the neighbour index of every single-player switch and the exact
 utilities, filled when a kernel or the resistances first need them.  Both
 are gathered per distinct member set.  Dense kernels refuse > 4096 profiles.
-The channel array is the one state space: kernels, distributions and the
-resistance kernel carry it as their ``states``, and only the rows returned
-as optimal or stable sets become channel tuples.
+The channel array is the one state space: kernels and the resistance
+kernel carry it as their ``states``, and only the rows returned as optimal
+or stable sets become channel tuples.  A stationary law is a plain 1-D
+float64 probability vector, indexed like those states.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ __all__ = [
     "brute_force_optimum",
     "TransitionKernel",
     "exact_transition_matrix",
-    "StationaryDistribution",
     "stationary_direct",
     "gibbs_distribution",
     "stationary_tree",
@@ -221,7 +221,6 @@ class TransitionKernel:
 
     states: np.ndarray | list
     matrix: np.ndarray
-    tau: float | None = None
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -259,26 +258,16 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     # learning.acceptance_probability, elementwise and to the bit
     mat[frm, to] = pick * np.exp(-np.logaddexp(0.0, drop / tau))
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
-    return TransitionKernel(states=states, matrix=mat, tau=tau)
+    return TransitionKernel(states=states, matrix=mat)
 
 
 # ----------------------------------------------------------------------
 # stationary distributions, three ways
 
 
-@dataclass
-class StationaryDistribution:
-    """Stationary probabilities over an enumerated state space; ``states``
-    as in ``TransitionKernel``."""
-
-    states: np.ndarray | list
-    probs: np.ndarray
-    tau: float | None
-    method: str  # direct | gibbs | tree
-
-
-def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
-    """Solve pi P = pi, sum(pi) = 1 by direct elimination.
+def stationary_direct(kernel: TransitionKernel) -> np.ndarray:
+    """Solve pi P = pi, sum(pi) = 1 by direct elimination; returns pi,
+    indexed like ``kernel.states``.
 
     Uses elimination in the Grassmann-Taksar-Heyman form: every update adds
     nonnegative quantities, so the result keeps full entrywise relative
@@ -372,13 +361,13 @@ def stationary_direct(kernel: TransitionKernel) -> StationaryDistribution:
     if residual > 1e-10:
         raise ValueError(f"stationary solve residual {residual:.3e} "
                          "exceeds tolerance; use stationary_tree")
-    return StationaryDistribution(states=kernel.states, probs=pi,
-                                  tau=kernel.tau, method="direct")
+    return pi
 
 
-def gibbs_distribution(game: CapGame, tau: float) -> StationaryDistribution:
+def gibbs_distribution(game: CapGame, tau: float) -> np.ndarray:
     """pi(a) proportional to exp(phi(a)/tau) on the normalized potential
-    scale (the scale utilities live on), computed with a max shift.
+    scale (the scale utilities live on), computed with a max shift;
+    indexed like ``enumerate_profiles(game)``.
 
     This closed form is the exact stationary law of the one-slot kernel:
     proposals are symmetric and the acceptance ratio gives detailed balance.
@@ -389,8 +378,7 @@ def gibbs_distribution(game: CapGame, tau: float) -> StationaryDistribution:
     x = table.phi / tau
     x -= x.max()
     w = np.exp(x)
-    return StationaryDistribution(states=table.channels,
-                                  probs=w / w.sum(), tau=tau, method="gibbs")
+    return w / w.sum()
 
 
 def _in_trees(edges: np.ndarray, root: int):
@@ -425,9 +413,10 @@ def _in_trees(edges: np.ndarray, root: int):
             yield parent
 
 
-def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
+def stationary_tree(kernel: TransitionKernel) -> np.ndarray:
     """Markov-chain tree theorem: pi_c proportional to the sum over
-    in-trees rooted at c of the product of edge probabilities.
+    in-trees rooted at c of the product of edge probabilities; indexed
+    like ``kernel.states``.
 
     Exponential-cost cross-check oracle; rejects chains beyond
     8 states.
@@ -449,9 +438,7 @@ def stationary_tree(kernel: TransitionKernel) -> StationaryDistribution:
     if s <= 0:
         raise ValueError("all spanning trees have zero weight; "
                          "chain is not irreducible")
-    return StationaryDistribution(states=kernel.states,
-                                  probs=weights / s, tau=kernel.tau,
-                                  method="tree")
+    return weights / s
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +468,7 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
     """
     taus = _tau_grid(tau_grid)
     threshold = 0.5 / len(brute_force_optimum(game).keys)
-    masses = np.stack([gibbs_distribution(game, t).probs for t in taus])
+    masses = np.stack([gibbs_distribution(game, t) for t in taus])
     selected = np.nonzero(masses[-1] >= threshold)[0]
     for k in selected:
         col = masses[:, k]

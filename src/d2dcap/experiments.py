@@ -391,8 +391,8 @@ def _realization_pool(realizations: int):
 def _point_result(config: ExperimentConfig, param: str = "", value=None,
                   pool=None) -> PointResult:
     """Aggregate ``config.realizations`` runs, in ``pool`` if one is given;
-    the records are reduced in realization order either way."""
-    config.validate()
+    the records are reduced in realization order either way.  Its callers
+    have validated ``config`` (``_check_fading_block``)."""
     horizon = config.horizon
     reals = config.realizations
     window = horizon - _window_start(horizon)
@@ -604,15 +604,15 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     for tau in taus:
         kernel = analysis.exact_transition_matrix(game, tau)  # size guards
         try:
-            direct.append(analysis.stationary_direct(kernel).probs)
+            direct.append(analysis.stationary_direct(kernel))
         except ValueError:
             # very cold chains defeat the dense solve's residual contract;
             # the Gibbs form stays exact
             direct.append(np.full(kernel.num_states, math.nan))
             direct_failed.append(tau)
-        gibbs.append(analysis.gibbs_distribution(game, tau).probs)
+        gibbs.append(analysis.gibbs_distribution(game, tau))
         if kernel.num_states <= analysis._TREE_STATE_CAP:
-            tree.append(analysis.stationary_tree(kernel).probs)
+            tree.append(analysis.stationary_tree(kernel))
     states = kernel.states
     pi_direct = np.array(direct)
     pi_gibbs = np.array(gibbs)

@@ -9,17 +9,18 @@ expected sum rate is an exact potential of the game.
 
 A profile is only its read-only int16 channel vector.  Which players are
 passive, cellular links on fixed channels, is the game's ``passive_mask``
-alone, and the game checks profiles, moves and utilities against it.
+alone, and the game checks profiles, moves and utilities against it: the
+exact values refuse a profile that does not fit the game.
 
 A game holds no noise model: every game has exact and sampled values.
 Exact values freeze every fading coefficient to 1 and are float64, the
-regime the exact analysis tools operate in.  Sampled values,
-``utility_mean`` and the Monte Carlo ``potential``, average fresh Rayleigh
-fading in float32 for throughput, far below the estimation noise floor;
-a learner without a noise model reads the exact utilities instead.  Both
-go through one clamped SINR -> rate kernel over a fading block, a unit
-float64 block or float32 draws.  An estimate is a plain float, the sample
-mean; one fading draw, as ``utility_sample`` takes it, is an (L, L) array.
+regime the exact analysis tools operate in.  Sampled utilities,
+``utility_mean``, average fresh Rayleigh fading in float32 for throughput,
+far below the estimation noise floor; a learner without a noise model
+reads the exact utilities instead.  Both go through one clamped SINR ->
+rate kernel over a fading block, a unit float64 block or float32 draws,
+the program's only SINR -> rate path.  An estimate is a plain float, the
+sample mean.
 
 The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
@@ -54,9 +55,7 @@ __all__ = [
     "AssignmentProfile",
     "CapGame",
     "cochannel_set",
-    "utility_sample",
     "utility_mean",
-    "potential",
     "verify_potential_identity",
 ]
 
@@ -153,13 +152,19 @@ class CapGame:
 
     def check_profile(self, profile: AssignmentProfile) -> None:
         """Refuse a profile that does not fit the game: one channel per
-        link, each in range, and distinct channels for the cellular links."""
+        link, each in range, and distinct channels for the cellular links.
+
+        The exact values check every profile they are given, twice per slot
+        of an exact learning run, so the range test scans a list, several
+        times faster than numpy's elementwise test on arrays this small."""
         ch = profile.channels
         if len(ch) != self.num_players:
             raise ValueError(f"profile has {len(ch)} links, the game "
                              f"{self.num_players}")
-        bad = np.flatnonzero((ch < 0) | (ch >= self.num_channels))
-        if len(bad):
+        values = ch.tolist()
+        if values and not (min(values) >= 0
+                           and max(values) < self.num_channels):
+            bad = np.flatnonzero((ch < 0) | (ch >= self.num_channels))
             raise ValueError(f"player {bad[0]} holds channel {ch[bad[0]]}, "
                              f"outside 0..{self.num_channels - 1}")
         cellular = ch[self.passive_mask]
@@ -316,7 +321,9 @@ class CapGame:
         return total * self._bits_scale
 
     def potential_exact(self, profile: AssignmentProfile) -> float:
-        """Frozen-fading sum rate over all links, bits/s."""
+        """Frozen-fading sum rate over all links, bits/s, of a profile
+        that ``check_profile`` accepts."""
+        self.check_profile(profile)
         return self.rate_sum_bits([
             self.channel_rate_exact(profile.channels, c)
             for c in range(self.num_channels)])
@@ -329,7 +336,8 @@ class CapGame:
 
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:
         """Exact (frozen-fading) normalized marginal-contribution utility
-        of an active player."""
+        of an active player in a profile that ``check_profile`` accepts."""
+        self.check_profile(profile)
         self._check_active(player)
         return self.set_utility_exact(
             cochannel_set(profile, int(profile.channels[player])), player)
@@ -344,27 +352,17 @@ def cochannel_set(profile: AssignmentProfile, channel: int) -> np.ndarray:
     return np.nonzero(np.asarray(profile.channels) == channel)[0]
 
 
-def utility_sample(game: CapGame, profile: AssignmentProfile, player: int,
-                   fading: np.ndarray) -> float:
-    """One sampled utility of an active player under explicit fading.
-
-    ``fading`` is one (L, L) draw, as ``radio.sinr`` reads it;
-    ``np.ones((L, L))`` gives the frozen-fading utility.  The value depends
-    only on the coefficients among the player's co-channel set.  Arithmetic
-    follows the coefficient dtype, so float64 fading gives a full-precision
-    reference evaluation.
-    """
-    game._check_active(player)
-    members = cochannel_set(profile, int(profile.channels[player]))
-    block = np.asarray(fading)[np.ix_(members, members)]
-    acc = game._rate_kernel(members, block[:, :, None], player)
-    return float(acc.astype(np.float64)[0] * game._util_scale)
-
-
 def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
                  n_samples: int, rng_seed) -> float:
     """Mean of ``n_samples`` independent utility samples (fresh fading
-    each); ``CapGame.utility_exact`` gives the frozen-fading value."""
+    each); ``CapGame.utility_exact`` gives the frozen-fading value.
+
+    The player is checked, the profile is not: the learner calls this
+    twice per sampled slot, always on profiles that ``CapGame.with_channel``
+    built from a start ``check_profile`` accepted, so a whole-profile check
+    here would repeat that one on the hot path.  A caller holding a
+    profile of other origin checks it first.
+    """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     game._check_active(player)
@@ -374,27 +372,6 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     block = sample_fading_block(rng, (m, m, n_samples), np.float32)
     acc = game._rate_kernel(members, block, player)
     return float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
-
-
-def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
-              rng_seed=None) -> float:
-    """Network sum rate phi(profile) in bits/s, a Monte Carlo mean over
-    ``num_mc`` full fading draws, one block per occupied channel in
-    ascending order; ``CapGame.potential_exact`` gives the frozen-fading
-    value."""
-    if num_mc < 1:
-        raise ValueError("num_mc must be >= 1")
-    game.check_profile(profile)
-    rng = np.random.default_rng(rng_seed)  # a Generator passes through
-    total = np.zeros(num_mc, dtype=np.float64)
-    for c in range(game.num_channels):
-        members = np.flatnonzero(profile.channels == c)
-        if not len(members):
-            continue
-        block = sample_fading_block(rng, (len(members), len(members), num_mc),
-                                    np.float32)
-        total += game._rate_kernel(members, block)
-    return float(total.mean() * game._bits_scale)
 
 
 def verify_potential_identity(game: CapGame, player: int, chan_a: int,

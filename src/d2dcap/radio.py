@@ -1,10 +1,12 @@
-"""Radio layer: network topologies, link gains, SINR and Shannon rates.
+"""Radio layer: network topologies, link gains, transmit powers and fading.
 
 Models a single downlink cell with a base station at the origin, cellular
 users (UECs) served directly by the BS on dedicated channels, and D2D pairs
 (UEDs) reusing the same channels.  Mean link gains combine distance path
 loss with log-normal shadowing and are frozen per topology; Rayleigh fading
-is drawn per sample as unit-mean exponential power coefficients.
+is drawn per sample as unit-mean exponential power coefficients.  SINRs and
+Shannon rates are computed only by the game's rate kernel
+(``CapGame._rate_kernel``), from the powers, gains and clamps defined here.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ __all__ = [
     "thermal_noise_watts",
     "generate_topology",
     "link_tx_powers",
-    "sinr",
-    "rate",
 ]
 
 # Reference distance floor for the path-loss law, meters.
@@ -320,29 +320,3 @@ def link_tx_powers(topology: Topology, params: RadioParams) -> np.ndarray:
     if topology.num_uec:
         p[: topology.num_uec] = params.tx_power_bs_w / topology.num_uec
     return p
-
-
-def sinr(topology: Topology, params: RadioParams, profile, ue: int,
-         fading: np.ndarray) -> float:
-    """Linear SINR at the receiver of link ``ue`` under the given fading.
-
-    ``fading`` is one (L, L) draw of power coefficients: ``fading[j, i]``
-    multiplies the mean gain from the transmitter of link j to the receiver
-    of link i, and ``np.ones((L, L))`` freezes the fading.  Signal power
-    over co-channel interference plus noise, clamped into the configured
-    [sinr_min, sinr_max] interval (linear scale).  With ``rate`` this is the
-    scalar float64 reference for the game's vectorized rate kernel.
-    """
-    channels = np.asarray(getattr(profile, "channels", profile), dtype=np.int64)
-    g = topology.mean_gain_matrix * np.asarray(fading, dtype=float)
-    p = link_tx_powers(topology, params)
-    members = np.nonzero(channels == channels[ue])[0]
-    signal = p[ue] * g[ue, ue]
-    interference = sum(p[j] * g[j, ue] for j in members if j != ue)
-    value = signal / (interference + params.noise_power_w)
-    return float(min(max(value, params.sinr_min), params.sinr_max))
-
-
-def rate(sinr_linear, bandwidth_hz):
-    """Shannon rate W * log2(1 + SINR), bits/s."""
-    return bandwidth_hz * np.log2(1.0 + np.asarray(sinr_linear, dtype=float))

@@ -61,8 +61,8 @@ def test_criterion_2_direct_solve_vs_gibbs(criterion):
         for game in games:
             for tau in (0.5, 0.1, 0.02):
                 kernel = analysis.exact_transition_matrix(game, tau)
-                direct = analysis.stationary_direct(kernel).probs
-                gibbs = analysis.gibbs_distribution(game, tau).probs
+                direct = analysis.stationary_direct(kernel)
+                gibbs = analysis.gibbs_distribution(game, tau)
                 worst_gap = max(worst_gap,
                                 float(np.abs(direct - gibbs).max()))
                 resid = float(np.abs(direct @ kernel.matrix - direct).max())
@@ -80,17 +80,17 @@ def test_criterion_3_tree_theorem_cross_check(criterion):
         game = small_game(0, 2, 2, 25)  # 4-state profile chain
         for tau in (0.5, 0.1):
             kernel = analysis.exact_transition_matrix(game, tau)
-            tree = analysis.stationary_tree(kernel).probs
-            direct = analysis.stationary_direct(kernel).probs
+            tree = analysis.stationary_tree(kernel)
+            direct = analysis.stationary_direct(kernel)
             worst = max(worst, float(np.abs(tree - direct).max()))
             cases += 1
         rng = np.random.default_rng(9)
         for n in (3, 4, 5):
             mat = rng.dirichlet(2.0 * np.ones(n), size=n)
             kernel = analysis.TransitionKernel(
-                states=[(i,) for i in range(n)], matrix=mat, tau=1.0)
-            tree = analysis.stationary_tree(kernel).probs
-            direct = analysis.stationary_direct(kernel).probs
+                states=[(i,) for i in range(n)], matrix=mat)
+            tree = analysis.stationary_tree(kernel)
+            direct = analysis.stationary_direct(kernel)
             worst = max(worst, float(np.abs(tree - direct).max()))
             cases += 1
         info["ok"] = worst <= 1e-10

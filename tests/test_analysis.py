@@ -81,7 +81,7 @@ def single_switches(game):
 def random_chain(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.dirichlet(np.ones(n) * 2.0, size=n)
-    return TransitionKernel(states=list(range(n)), matrix=m, tau=None)
+    return TransitionKernel(states=list(range(n)), matrix=m)
 
 
 def sparse_chain(n, seed, density):
@@ -179,10 +179,12 @@ def test_every_state_space_is_the_profile_channel_array():
     assert not channels.flags.writeable
     kernel = exact_transition_matrix(game, 0.1)
     assert kernel.states is channels
-    assert stationary_direct(kernel).states is channels
-    assert stationary_tree(kernel).states is channels
-    assert gibbs_distribution(game, 0.1).states is channels
     assert game_resistance_kernel(game)[0] is channels
+    # a stationary law is its probability vector, indexed like the states
+    for pi in (stationary_direct(kernel), stationary_tree(kernel),
+               gibbs_distribution(game, 0.1)):
+        assert type(pi) is np.ndarray and pi.dtype == np.float64
+        assert pi.shape == (len(channels),)
 
 
 def test_profile_table_goes_with_its_game():
@@ -268,7 +270,7 @@ def test_kernel_satisfies_detailed_balance():
     game = seeded_game(0, 3, 2, seed=11)
     tau = 0.1
     kernel = exact_transition_matrix(game, tau)
-    pi = gibbs_distribution(game, tau).probs
+    pi = gibbs_distribution(game, tau)
     m = kernel.matrix
     for i in range(len(pi)):
         for j in range(len(pi)):
@@ -363,9 +365,7 @@ def test_brute_force_and_gibbs_are_potential_scans(game, tau):
     x = phi / tau
     x -= x.max()
     w = np.exp(x)
-    gibbs = gibbs_distribution(game, tau)
-    assert np.array_equal(gibbs.states, [p.channels for p in profiles])
-    assert np.array_equal(gibbs.probs, w / w.sum())
+    assert np.array_equal(gibbs_distribution(game, tau), w / w.sum())
 
 
 # ----------------------------------------------------------------------
@@ -376,15 +376,15 @@ def test_direct_solve_symmetric_two_state():
     k = TransitionKernel(states=["a", "b"],
                          matrix=np.array([[0.7, 0.3], [0.3, 0.7]]))
     pi = stationary_direct(k)
-    assert np.allclose(pi.probs, [0.5, 0.5], atol=1e-15)
+    assert np.allclose(pi, [0.5, 0.5], atol=1e-15)
 
 
 def test_direct_solve_matches_gibbs():
     game = seeded_game(0, 3, 3, seed=12)
     for tau in (0.5, 0.1, 0.02):
         kernel = exact_transition_matrix(game, tau)
-        pd = stationary_direct(kernel).probs
-        pg = gibbs_distribution(game, tau).probs
+        pd = stationary_direct(kernel)
+        pg = gibbs_distribution(game, tau)
         assert float(np.abs(pd - pg).max()) <= 1e-9
         assert float(np.abs(pd @ kernel.matrix - pd).max()) <= 1e-10
 
@@ -395,12 +395,12 @@ def test_direct_solve_refuses_frozen_chains():
         stationary_direct(exact_transition_matrix(game, 0.01))
     # the Gibbs form still answers there
     pg = gibbs_distribution(game, 0.01)
-    assert pg.probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert pg.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 @given(kernel=sparse_chains())
 def test_blocked_direct_solve_matches_state_by_state(kernel):
-    got = stationary_direct(kernel).probs
+    got = stationary_direct(kernel)
     want = state_by_state_gth(kernel.matrix)
     if kernel.num_states <= 33:  # one block: same arithmetic, same bits
         assert np.array_equal(got, want)
@@ -413,7 +413,7 @@ def test_blocked_direct_solve_matches_state_by_state(kernel):
 def test_blocked_direct_solve_splits_panel_products(kernel):
     # panel products of at most 256 columns (rows): the first blocks' panels
     # of 569 and 668 states split into two full pieces and a short last one
-    got = stationary_direct(kernel).probs
+    got = stationary_direct(kernel)
     want = state_by_state_gth(kernel.matrix)
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
@@ -463,7 +463,7 @@ from d2dcap.analysis import (TransitionKernel, exact_transition_matrix,
 from d2dcap.experiments import ExperimentConfig
 def digest(kernel):
     pi = stationary_direct(kernel)
-    print(hashlib.sha256(pi.probs.tobytes()).hexdigest())
+    print(hashlib.sha256(pi.tobytes()).hexdigest())
 for n in (601, 2187):
     m = np.random.default_rng(7).random((n, n))
     m /= m.sum(axis=1, keepdims=True)
@@ -503,7 +503,7 @@ def test_gibbs_two_point_ratio():
     a, b = profiles[0], profiles[3]
     want = math.exp((game.normalized_potential(a)
                      - game.normalized_potential(b)) / tau)
-    assert pi.probs[0] / pi.probs[3] == pytest.approx(want, rel=1e-12)
+    assert pi[0] / pi[3] == pytest.approx(want, rel=1e-12)
     with pytest.raises(ValueError):
         gibbs_distribution(game, 0.0)
 
@@ -512,13 +512,13 @@ def test_tree_theorem_two_state_closed_form():
     k = TransitionKernel(states=[0, 1],
                          matrix=np.array([[0.9, 0.1], [0.4, 0.6]]))
     pi = stationary_tree(k)
-    assert np.allclose(pi.probs, [0.8, 0.2], atol=1e-15)
+    assert np.allclose(pi, [0.8, 0.2], atol=1e-15)
 
 
 def test_tree_matches_direct_on_random_chains():
     for n, seed in ((3, 1), (4, 2), (5, 3)):
         k = random_chain(n, seed)
-        gap = np.abs(stationary_tree(k).probs - stationary_direct(k).probs)
+        gap = np.abs(stationary_tree(k) - stationary_direct(k))
         assert float(gap.max()) <= 1e-12
 
 
@@ -529,7 +529,7 @@ def test_tree_star_chain():
                   [0.3, 0.0, 0.7, 0.0],
                   [0.1, 0.0, 0.0, 0.9]])
     k = TransitionKernel(states=list(range(4)), matrix=m)
-    gap = np.abs(stationary_tree(k).probs - stationary_direct(k).probs)
+    gap = np.abs(stationary_tree(k) - stationary_direct(k))
     assert float(gap.max()) <= 1e-12
 
 

@@ -202,12 +202,6 @@ def test_sampling_learning_and_analysis_leave_numpy_ma_unimported(tmp_path):
     code = f"""
 import sys
 from d2dcap.cli import main
-from d2dcap.experiments import ExperimentConfig
-from d2dcap.game import potential
-
-config = ExperimentConfig.from_file({cfg_path!r})
-game = config.game(config.topology(0))
-potential(game, game.initial_profile(), num_mc=4, rng_seed=1)
 assert main(["run-blla", "--config", {cfg_path!r}]) == 0
 assert main(["analyze-stationary", "--config", {cfg_path!r}]) == 0
 print("numpy.ma" in sys.modules)

@@ -10,18 +10,12 @@ from d2dcap.game import (
     AssignmentProfile,
     CapGame,
     cochannel_set,
-    potential,
     utility_mean,
-    utility_sample,
     verify_potential_identity,
 )
-from d2dcap.radio import (
-    generate_topology,
-    rate,
-    sample_fading_block,
-    sinr,
-)
+from d2dcap.radio import generate_topology, sample_fading_block
 
+from reference import potential, rate, sinr, utility_sample
 from test_radio import cell, manual_topology
 
 DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
@@ -277,6 +271,27 @@ def test_player_index_outside_the_game_is_refused():
             utility_sample(game, prof, player, np.ones((4, 4)))
         with pytest.raises(ValueError, match="outside"):
             game.with_channel(prof, player, 1)
+
+
+def test_exact_values_refuse_a_profile_that_does_not_fit_the_game():
+    # unchecked, a channel outside the game left link 0 out of the sum
+    # rate, and a profile one link short summed the links it had
+    game = seeded_game(0, 4, 3, seed=25)
+    wide = AssignmentProfile([7, 0, 0, 0])
+    short = AssignmentProfile([0, 0, 0])
+    for prof, message in ((wide, r"player 0 holds channel 7, outside 0\.\.2"),
+                          (short, "profile has 3 links, the game 4")):
+        for value in (game.potential_exact, game.normalized_potential,
+                      lambda p: game.utility_exact(p, 0),
+                      lambda p: verify_potential_identity(game, 1, 0, 1, p)):
+            with pytest.raises(ValueError, match=message):
+                value(prof)
+    cellular = seeded_game(2, 2, 3, seed=25)
+    shared = AssignmentProfile([1, 1, 0, 2])
+    for value in (cellular.potential_exact,
+                  lambda p: cellular.utility_exact(p, 2)):
+        with pytest.raises(ValueError, match="must hold distinct channels"):
+            value(shared)
 
 
 def test_channel_outside_the_game_is_refused():

@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -330,8 +331,8 @@ def test_one_game_serves_learning_and_exact_analysis():
     assert traj.accepted.any() and np.all(traj.n_samples > 0)
     got, want = brute_force_optimum(game), brute_force_optimum(fresh)
     assert (got.keys, got.phi_star) == (want.keys, want.phi_star)
-    assert gibbs_distribution(game, 0.05).probs.tobytes() \
-        == gibbs_distribution(fresh, 0.05).probs.tobytes()
+    assert gibbs_distribution(game, 0.05).tobytes() \
+        == gibbs_distribution(fresh, 0.05).tobytes()
     assert exact_transition_matrix(game, 0.1).matrix.tobytes() \
         == exact_transition_matrix(fresh, 0.1).matrix.tobytes()
     for channels in enumerate_profiles(fresh):
@@ -476,6 +477,32 @@ def test_runner_matches_reference_slot_loop(case, horizon, seed):
     got = run(horizon, seed, initial)
     want = reference_run(game, horizon, seed, initial, step)
     assert_same_trajectory(got, want)
+
+
+@settings(max_examples=100)
+@given(case=learning_runs(), horizon=st.integers(0, 25),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_learner_hands_utility_mean_only_profiles_that_fit(case, horizon,
+                                                           seed):
+    # utility_mean checks its player, not its profile, on the grounds that
+    # the learner only passes it profiles that fit the game: wrapped with
+    # the check where the learner looks it up, every run completes with
+    # the same bits
+    game, run, _, initial = case
+    want = run(horizon, seed, initial)
+    calls = []
+
+    def checked(game_, profile, player, n_samples, rng):
+        game_.check_profile(profile)
+        calls.append(player)
+        return utility_mean(game_, profile, player, n_samples, rng)
+
+    with mock.patch.object(learning_module, "utility_mean", checked):
+        got = run(horizon, seed, initial)
+    assert_same_trajectory(got, want)
+    before = np.vstack([want.initial_channels, want.profiles])[:horizon]
+    moved = before[np.arange(horizon), want.player] != want.trial
+    assert len(calls) == 2 * int((moved & (want.n_samples > 0)).sum())
 
 
 def _channel_counts(traj, num_channels):

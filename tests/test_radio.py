@@ -17,13 +17,13 @@ from d2dcap.radio import (
     dbm_to_watts,
     generate_topology,
     link_tx_powers,
-    rate,
     sample_fading_block,
-    sinr,
     thermal_noise_watts,
     watts_to_dbm,
 )
 from d2dcap.radio import _PIECE, _RAW_MIN
+
+from reference import rate, sinr
 
 
 # the thermal noise floor of a 180 kHz channel, -174 dBm/Hz
