@@ -48,7 +48,8 @@ _SCHEDULES = ("fixed", "log_decreasing")
 _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
-# largest fading block, in bytes, that one utility estimate may draw
+# most bytes of float32 fading that one utility estimate may draw; an
+# estimate streams them in chunks, so this caps its work, not its memory
 _FADING_BLOCK_GUARD = 1 << 30
 
 _log = logging.getLogger(__name__)
@@ -296,9 +297,11 @@ def _run_one(config: ExperimentConfig, game: CapGame,
 def _check_fading_block(config: ExperimentConfig) -> None:
     """Refuse a config whose largest per-phase fading block exceeds
     ``_FADING_BLOCK_GUARD``, before anything is drawn.  An estimate draws
-    an m x m x N float32 block for its co-channel set of m links.  m is at
-    most every D2D pair plus one cellular link, since cellular links hold
-    distinct channels; N peaks in the coldest slot, the last one."""
+    m x m x N float32 coefficients for its co-channel set of m links, in
+    chunks that bound its memory, so the guard caps the coefficients one
+    estimate draws.  m is at most every D2D pair plus one cellular link,
+    since cellular links hold distinct channels; N peaks in the coldest
+    slot, the last one."""
     config.validate()
     if config.noise_model == "none":
         return  # exact utilities draw no fading

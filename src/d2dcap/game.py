@@ -20,7 +20,10 @@ far below the estimation noise floor; a learner without a noise model
 reads the exact utilities instead.  Both go through one clamped SINR ->
 rate kernel over a fading block, a unit float64 block or float32 draws,
 the program's only SINR -> rate path.  An estimate is a plain float, the
-sample mean.
+sample mean.  It streams its samples in chunks of about 2 MiB of fading
+coefficients, each drawn into one float32 buffer the game keeps and
+evaluated before the next is drawn, so its memory depends on the
+co-channel set's size and not on the sample count.
 
 The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
@@ -59,13 +62,21 @@ __all__ = [
     "verify_potential_identity",
 ]
 
-# samples per kernel pass, which keeps the kernel's temporaries small; the
-# whole block is still drawn at once, so the random stream does not depend
-# on it.  OpenBLAS (0.3.31) sums a matrix-vector product over more than
-# 16,384 samples in another float32 order than over fewer, so a last pass of
-# half a chunk or less joins the one before: every pass then sums in the
-# order one pass over the whole block would.
+# samples per kernel pass, which keeps the kernel's temporaries small.
+# OpenBLAS (0.3.31) sums a matrix-vector product over more than 16,384
+# samples in another float32 order than over fewer, so a last pass of half
+# a chunk or less joins the one before (``_passes``): every pass then sums
+# in the order one pass over the whole block would.
 _CHUNK = 32768
+# fading coefficients per estimate chunk, 2 MiB of float32 (utility_mean)
+_DRAW_COEFFS = 1 << 19
+
+
+def _passes(n: int, size: int):
+    """(start, stop) of each pass over ``n`` samples, ``size`` at a time;
+    a last pass of half a size or less joins the one before."""
+    starts = range(0, max(n - size // 2, 1), size)
+    return zip(starts, [*starts[1:], n])
 
 
 def _receiver_rows(m: int, pos: int, dtype) -> tuple:
@@ -92,12 +103,28 @@ class AssignmentProfile:
     """A channel assignment: one channel index per link, as a read-only
     int16 vector.  Which links are cellular (passive, on fixed dedicated
     channels) is the game's ``passive_mask``; ``CapGame.check_profile``
-    tests a profile against it."""
+    tests a profile against it.
+
+    Channels must be integers that int16 holds: a float or bool entry, or
+    one the cast would wrap, is refused rather than truncated or wrapped
+    into another channel."""
 
     channels: np.ndarray   # (L,) channel index per link
 
     def __post_init__(self):
-        ch = np.array(self.channels, dtype=np.int16)
+        ch = self.channels
+        if isinstance(ch, np.ndarray) and ch.dtype == np.int16:
+            ch = ch.copy()  # the int16 copy with_channel hands over
+        else:
+            raw = np.asarray(ch)
+            if raw.size and raw.dtype.kind not in "iu":
+                raise ValueError(f"channels must be integers, not "
+                                 f"{raw.dtype}: link 0 holds {raw.flat[0]}")
+            ch = raw.astype(np.int16)
+            bad = np.flatnonzero(ch != raw)
+            if len(bad):
+                raise ValueError(f"link {bad[0]} holds channel "
+                                 f"{raw.flat[bad[0]]}, outside int16")
         ch.setflags(write=False)
         object.__setattr__(self, "channels", ch)
 
@@ -138,6 +165,11 @@ class CapGame:
         # layouts per (m, player position, dtype)
         self._weights: dict = {}
         self._layouts: dict = {}
+        # the float32 buffer every estimate draws its fading chunks into,
+        # grown to the largest chunk so far.  Estimates share it, so two
+        # threads must not estimate on one game at once; forked workers
+        # each hold a copy
+        self._fading = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
     # profiles
@@ -264,8 +296,7 @@ class CapGame:
 
         n = f.shape[2]
         out = np.empty(n, dtype=dtype)
-        starts = range(0, max(n - _CHUNK // 2, 1), _CHUNK)
-        for start, stop in zip(starts, [*starts[1:], n]):
+        for start, stop in _passes(n, _CHUNK):
             fc = f[:, :, start:stop]
             q = np.matmul(weights, fc.transpose(1, 0, 2))
             q = q.reshape(-1, stop - start)[rows]
@@ -357,6 +388,14 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     """Mean of ``n_samples`` independent utility samples (fresh fading
     each); ``CapGame.utility_exact`` gives the frozen-fading value.
 
+    The samples stream in chunks of L = max(``_CHUNK``, ``_DRAW_COEFFS``
+    // m^2) for a co-channel set of m links, a last piece of half a chunk
+    or less joining the chunk before.  Each chunk's m x m x L float32
+    fading is drawn into the game's one reused buffer and passed through
+    the rate kernel, and its float64 sum is added to the estimate in chunk
+    order.  So an estimate's memory is set by m, not by ``n_samples``, and
+    an estimate of at most 1.5 chunks draws and sums as one block.
+
     The player is checked, the profile is not: the learner calls this
     twice per sampled slot, always on profiles that ``CapGame.with_channel``
     built from a start ``check_profile`` accepted, so a whole-profile check
@@ -369,9 +408,16 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     members = cochannel_set(profile, int(profile.channels[player]))
     m = len(members)
-    block = sample_fading_block(rng, (m, m, n_samples), np.float32)
-    acc = game._rate_kernel(members, block, player)
-    return float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
+    total = 0.0
+    for start, stop in _passes(n_samples, max(_CHUNK, _DRAW_COEFFS // m ** 2)):
+        shape, size = (m, m, stop - start), m * m * (stop - start)
+        if game._fading.size < size:
+            game._fading = np.empty(size, dtype=np.float32)
+        block = sample_fading_block(rng, shape, np.float32,
+                                    out=game._fading[:size].reshape(shape))
+        acc = game._rate_kernel(members, block, player)
+        total += float(acc.sum(dtype=np.float64))
+    return total / n_samples * game._util_scale
 
 
 def verify_potential_identity(game: CapGame, player: int, chan_a: int,

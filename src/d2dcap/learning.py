@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AssignmentProfile, CapGame, utility_mean
+from .game import AssignmentProfile, CapGame, cochannel_set, utility_mean
 
 __all__ = [
     "FixedTemperature",
@@ -220,7 +220,10 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     ``accept`` are skipped.  A game with no
     active player proposes nothing and draws nothing: it keeps its start.
     A start profile that ``CapGame.check_profile`` refuses is refused
-    before the first slot.
+    before the first slot.  Every later profile is a ``with_channel`` copy
+    of a checked one, so no phase checks it again: a sampled phase calls
+    ``utility_mean``, an exact one ``CapGame.set_utility_exact`` on the
+    player's co-channel set.
     """
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
@@ -252,17 +255,19 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
             player = int(active[rng.integers(len(active))])
             trial = int(rng.integers(game.num_channels))
             traj.player[k], traj.trial[k] = player, trial
-            if trial != profile.channels[player]:
+            left = int(profile.channels[player])
+            if trial != left:
                 proposal = game.with_channel(profile, player, trial)
                 if n:
                     delta = utility_mean(game, profile, player, n, rng) \
                         - utility_mean(game, proposal, player, n, rng)
                 else:
-                    delta = game.utility_exact(profile, player) \
-                        - game.utility_exact(proposal, player)
+                    delta = game.set_utility_exact(
+                        cochannel_set(profile, left), player) \
+                        - game.set_utility_exact(
+                            cochannel_set(proposal, trial), player)
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
-                    left = int(profile.channels[player])
                     profile = proposal
                     for c in (left, trial):
                         rates[c] = game.channel_rate_exact(profile.channels, c)

@@ -6,15 +6,17 @@ functions here are the test oracles for that kernel: a scalar float64
 SINR and Shannon rate per link (``sinr``, ``rate``), one sampled utility
 under an explicit (L, L) fading draw (``utility_sample``), and the Monte
 Carlo sum rate over full fading draws (``potential``).  No command,
-learner or analysis function calls them.  pytest does not collect this
-module, since its name does not start with ``test_``.
+learner or analysis function calls them.  ``chunked_utility_mean`` spells
+out the chunk-by-chunk estimate that ``utility_mean`` streams.  pytest does
+not collect this module, since its name does not start with ``test_``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from d2dcap.game import AssignmentProfile, CapGame, cochannel_set
+from d2dcap.game import (_CHUNK, _DRAW_COEFFS, AssignmentProfile, CapGame,
+                         cochannel_set)
 from d2dcap.radio import (RadioParams, Topology, link_tx_powers,
                           sample_fading_block)
 
@@ -81,3 +83,30 @@ def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
                                     np.float32)
         total += game._rate_kernel(members, block)
     return float(total.mean() * game._bits_scale)
+
+
+def estimate_chunk(m: int) -> int:
+    """Samples per chunk of an estimate on a co-channel set of m links."""
+    return max(_CHUNK, _DRAW_COEFFS // (m * m))
+
+
+def chunked_utility_mean(game: CapGame, profile: AssignmentProfile,
+                         player: int, n_samples: int, rng_seed) -> float:
+    """``utility_mean`` as fresh chunks: whole chunks while more than one
+    and a half remain, then the rest as one; each chunk drawn as a new
+    block, passed through the rate kernel, and its float64 sum added to
+    the estimate in chunk order."""
+    rng = np.random.default_rng(rng_seed)
+    members = cochannel_set(profile, int(profile.channels[player]))
+    m = len(members)
+    chunk = estimate_chunk(m)
+    sizes, left = [], n_samples
+    while left > chunk + chunk // 2:
+        sizes.append(chunk)
+        left -= chunk
+    total = 0.0
+    for size in [*sizes, left]:
+        block = sample_fading_block(rng, (m, m, size), np.float32)
+        acc = game._rate_kernel(members, block, player)
+        total += float(acc.sum(dtype=np.float64))
+    return total / n_samples * game._util_scale

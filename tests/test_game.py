@@ -1,9 +1,10 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from d2dcap.game import (
@@ -15,8 +16,9 @@ from d2dcap.game import (
 )
 from d2dcap.radio import generate_topology, sample_fading_block
 
-from reference import potential, rate, sinr, utility_sample
-from test_radio import cell, manual_topology
+from reference import (chunked_utility_mean, estimate_chunk, potential, rate,
+                       sinr, utility_sample)
+from test_radio import _state, cell, manual_topology
 
 DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
                [4e-11, 8e-10, 1.5e-11],
@@ -48,6 +50,27 @@ def test_profile_is_write_locked():
     moved = dense_game().with_channel(prof, 0, 1)
     assert tuple(moved.channels.tolist()) == (1, 1, 2)
     assert tuple(prof.channels.tolist()) == (0, 1, 2)
+
+
+def test_profile_refuses_channels_it_would_wrap_or_truncate():
+    # the int16 cast held each of these as [1 0 0 0] or [1 0], a profile
+    # the exact values then read
+    for channels, message in (
+            (np.array([65537, 0, 0, 0]), "link 0 holds channel 65537, "
+                                         "outside int16"),
+            ([0, -32769, 0, 0], "link 1 holds channel -32769"),
+            ([1.7, 0, 0, 0], "not float64: link 0 holds 1.7"),
+            (np.array([1.0, 0.0]), "not float64"),
+            (np.array([True, False]), "not bool")):
+        with pytest.raises(ValueError, match=message):
+            AssignmentProfile(channels)
+    for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
+        source = np.array([2, 0, 1], dtype)
+        prof = AssignmentProfile(source)
+        source[0] = 0  # the profile keeps its own copy
+        assert prof.channels.dtype == np.int16
+        assert prof.channels.tolist() == [2, 0, 1]
+    assert AssignmentProfile([]).channels.dtype == np.int16
 
 
 def test_profile_passive_rules():
@@ -201,15 +224,28 @@ def test_single_sample_mean_is_bitwise_reproducible():
     assert mean == single
 
 
-def sampled_utilities(game, profile, player, n_samples, rng_seed):
-    """The per-sample utilities ``utility_mean`` averages, from the same
-    draw and kernel, as float64."""
+def sampled_kernel(game, profile, player, n_samples, rng_seed):
+    """The float32 kernel values of one whole fading block of
+    ``n_samples``, drawn at once."""
     rng = np.random.default_rng(rng_seed)
     members = cochannel_set(profile, int(profile.channels[player]))
     block = sample_fading_block(rng, (len(members), len(members), n_samples),
                                 np.float32)
-    acc = game._rate_kernel(members, block, player)
+    return game._rate_kernel(members, block, player)
+
+
+def sampled_utilities(game, profile, player, n_samples, rng_seed):
+    """The per-sample utilities ``utility_mean`` averages, from the same
+    draw and kernel, as float64; one chunk's worth when ``n_samples`` is
+    at most 1.5 chunks."""
+    acc = sampled_kernel(game, profile, player, n_samples, rng_seed)
     return acc.astype(np.float64) * game._util_scale
+
+
+def whole_block_mean(game, profile, player, n_samples, rng_seed):
+    """The estimate as one whole block and one float64 sum."""
+    acc = sampled_kernel(game, profile, player, n_samples, rng_seed)
+    return float(acc.sum(dtype=np.float64)) / n_samples * game._util_scale
 
 
 def test_utility_mean_consistency_and_variance_scaling():
@@ -392,7 +428,8 @@ GOLDEN_MEANS = {
     (4, 1): 0.23745148878532302,
     (4, 5): 0.17953581347067546,
     (4, 40000): 0.19093379382383927,
-    (4, 65537): 0.1906126155291029,
+    # two chunks of 32,768 and 32,769 samples, drawn one after the other
+    (4, 65537): 0.19082842886508627,
 }
 GOLDEN_POTENTIAL = {
     1: 3244788.418661369,
@@ -440,7 +477,7 @@ def test_sampled_utilities_match_golden_values(m):
     samples = sampled_utilities(game, prof, 1, 40000, sfc(200 + m))
     digest = hashlib.sha256(samples.tobytes()).hexdigest()[:16]
     assert digest == GOLDEN_DIGESTS[m]
-    # two kernel passes
+    # two kernel passes; at m = 4, two estimate chunks
     assert utility_mean(game, prof, 1, 65537, sfc(500 + m)) \
         == GOLDEN_MEANS[m, 65537]
 
@@ -458,6 +495,107 @@ def test_noisy_potential_matches_golden_values():
     for num_mc in (1, 7, 40000):
         got = potential(game, prof, num_mc=num_mc, rng_seed=sfc(300 + num_mc))
         assert got == GOLDEN_POTENTIAL[num_mc]
+
+
+# ----------------------------------------------------------------------
+# estimates streamed in chunks through the game's one fading buffer
+
+
+def streaming_game():
+    return seeded_game(0, 6, 2, seed=21)
+
+
+def streaming_profile(m):
+    # links 0..m-1 share channel 0, the rest channel 1
+    return AssignmentProfile([0] * m + [1] * (6 - m))
+
+
+def chunk_counts(m):
+    """Sample counts on both sides of one estimate chunk L and past it."""
+    chunk = estimate_chunk(m)
+    return [1, chunk - 1, chunk, chunk + chunk // 2, chunk + chunk // 2 + 1,
+            2 * chunk, 3 * chunk + 1]
+
+
+def generator_factory(bit_generator, seed, spare):
+    """Fresh equal generators, holding a spare uint32 half if ``spare``,
+    as a learning slot leaves one after its integer draws."""
+    def fresh():
+        rng = np.random.Generator(bit_generator(seed))
+        if spare:
+            rng.integers(0, 3)
+        return rng
+    return fresh
+
+
+GENERATOR_CASES = given(
+    bit_generator=st.sampled_from([np.random.SFC64, np.random.PCG64]),
+    spare=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+
+
+def generator_examples(test):
+    for i, (bit_generator, spare) in enumerate(
+            [(np.random.SFC64, False), (np.random.SFC64, True),
+             (np.random.PCG64, False), (np.random.PCG64, True)]):
+        test = example(bit_generator=bit_generator, spare=spare,
+                       seed=i)(test)
+    return test
+
+
+@settings(max_examples=4)
+@GENERATOR_CASES
+@generator_examples
+def test_utility_mean_streams_chunks_as_the_oracle_does(bit_generator, spare,
+                                                         seed):
+    game = streaming_game()  # one game: its buffer serves every shape
+    fresh = generator_factory(bit_generator, seed, spare)
+    for m in range(1, 7):
+        prof = streaming_profile(m)
+        for n in chunk_counts(m):
+            got_rng, want_rng = fresh(), fresh()
+            got = utility_mean(game, prof, m - 1, n, got_rng)
+            want = chunked_utility_mean(game, prof, m - 1, n, want_rng)
+            assert got == want, (m, n)
+            assert _state(got_rng) == _state(want_rng)
+
+
+@settings(max_examples=4)
+@GENERATOR_CASES
+@generator_examples
+def test_one_chunk_estimate_is_the_whole_block_mean(bit_generator, spare,
+                                                    seed):
+    # up to 1.5 chunks an estimate draws and sums as one whole block; one
+    # sample more and the stream is chunk-major, which shows unless a lone
+    # link's rate sits at the SINR clamp
+    game = streaming_game()
+    fresh = generator_factory(bit_generator, seed, spare)
+    for m in range(1, 7):
+        prof = streaming_profile(m)
+        counts = chunk_counts(m)
+        for n in counts[:4]:
+            assert utility_mean(game, prof, 0, n, fresh()) \
+                == whole_block_mean(game, prof, 0, n, fresh()), (m, n)
+        if m > 1:
+            assert utility_mean(game, prof, 0, counts[4], fresh()) \
+                != whole_block_mean(game, prof, 0, counts[4], fresh())
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_warm_estimate_memory_does_not_grow_with_n(m):
+    # drawing the whole m x m x N block at once peaks at 19.7 MiB at
+    # m = 4, N = 265,179, and at 132 MiB at N = 2,000,000
+    game = streaming_game()
+    prof = streaming_profile(m)
+    for n in (49152, 265179, 2000000):
+        utility_mean(game, prof, 0, n, sfc(n))  # sizes the game's buffer
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            utility_mean(game, prof, 0, n, sfc(n))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2 ** 20, (n, peak)
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,7 @@ from d2dcap.analysis import (_optimal_share, brute_force_optimum,
                              enumerate_profiles, exact_transition_matrix,
                              gibbs_distribution)
 from d2dcap.experiments import ExperimentConfig
-from d2dcap.game import (AssignmentProfile, utility_mean,
+from d2dcap.game import (AssignmentProfile, CapGame, utility_mean,
                          verify_potential_identity)
 from d2dcap.learning import (
     BoundedNoise,
@@ -318,6 +318,27 @@ def test_exact_runs_record_no_samples_and_draw_no_fading(monkeypatch):
                  run_br(game, None, 60, 6)):
         assert np.all(traj.n_samples == 0)
         assert (traj.delta_hat != 0.0).any() and traj.accepted.any()
+
+
+def test_exact_runs_check_only_their_start(monkeypatch):
+    # every later profile is a with_channel copy of the checked start, so
+    # the exact phases do not check it again, as utility_mean's do not
+    game = seeded_game(1, 3, 3, seed=7)
+    want = [run_blla(game, FixedTemperature(0.2), None, 1e-5, 60, 4),
+            run_br(game, None, 60, 6)]
+    checks = []
+
+    def counted(profile):
+        checks.append(profile)
+        return CapGame.check_profile(game, profile)
+
+    monkeypatch.setattr(game, "check_profile", counted)
+    got = [run_blla(game, FixedTemperature(0.2), None, 1e-5, 60, 4),
+           run_br(game, None, 60, 6)]
+    for a, b in zip(got, want):
+        assert_same_trajectory(a, b)
+        assert (a.delta_hat != 0.0).any()
+    assert len(checks) == 2  # one start per run
 
 
 def test_one_game_serves_learning_and_exact_analysis():
