@@ -48,9 +48,9 @@ _SCHEDULES = ("fixed", "log_decreasing")
 _NOISE_MODELS = ("bounded", "gaussian", "none")
 
 _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
-# most bytes of float32 fading that one utility estimate may draw; an
-# estimate streams them in chunks, so this caps its work, not its memory
-_FADING_BLOCK_GUARD = 1 << 30
+# most fading coefficients that one utility estimate may draw, in chunks
+# of bounded memory: a cap on its work
+_FADING_COEFF_GUARD = 1 << 28
 
 _log = logging.getLogger(__name__)
 
@@ -295,13 +295,12 @@ def _run_one(config: ExperimentConfig, game: CapGame,
 
 
 def _check_fading_block(config: ExperimentConfig) -> None:
-    """Refuse a config whose largest per-phase fading block exceeds
-    ``_FADING_BLOCK_GUARD``, before anything is drawn.  An estimate draws
-    m x m x N float32 coefficients for its co-channel set of m links, in
-    chunks that bound its memory, so the guard caps the coefficients one
-    estimate draws.  m is at most every D2D pair plus one cellular link,
-    since cellular links hold distinct channels; N peaks in the coldest
-    slot, the last one."""
+    """Refuse a config one of whose estimates would draw more than
+    ``_FADING_COEFF_GUARD`` fading coefficients, before anything is drawn.
+    An estimate draws m x m x N coefficients for its co-channel set of m
+    links.  m is at most every D2D pair plus one cellular link, since
+    cellular links hold distinct channels; N peaks in the coldest slot, the
+    last one."""
     config.validate()
     if config.noise_model == "none":
         return  # exact utilities draw no fading
@@ -317,14 +316,13 @@ def _check_fading_block(config: ExperimentConfig) -> None:
             else ["tau_scale", "horizon"]
         keys += ["noise_model", "noise_width" if config.noise_model
                  == "bounded" else "noise_sigma", "xi"]
-    size = m_max * m_max * n_max * 4
-    if size > _FADING_BLOCK_GUARD:
+    coeffs = m_max * m_max * n_max
+    if coeffs > _FADING_COEFF_GUARD:
         named = ", ".join(f"{k}={getattr(config, k)!r}" for k in keys)
         raise ValueError(
-            f"the largest fading block, {m_max} x {m_max} x {n_max} float32 "
-            f"({size / 2 ** 30:.1f} GiB), exceeds the "
-            f"{_FADING_BLOCK_GUARD / 2 ** 30:g} GiB guard; it is set by "
-            f"{named}")
+            f"one estimate would draw {m_max} x {m_max} x {n_max} fading "
+            f"coefficients ({coeffs:.3g}), more than the guard of "
+            f"{_FADING_COEFF_GUARD:.3g}; it is set by {named}")
 
 
 class _Record(typing.NamedTuple):

@@ -21,9 +21,8 @@ reads the exact utilities instead.  Both go through one clamped SINR ->
 rate kernel over a fading block, a unit float64 block or float32 draws,
 the program's only SINR -> rate path.  An estimate is a plain float, the
 sample mean.  It streams its samples in chunks of about 2 MiB of fading
-coefficients, each drawn into one float32 buffer the game keeps and
-evaluated before the next is drawn, so its memory depends on the
-co-channel set's size and not on the sample count.
+coefficients, each drawn and evaluated before the next is drawn, so its
+memory depends on the co-channel set's size and not on the sample count.
 
 The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
@@ -48,6 +47,7 @@ not a key: few of them repeat in a learning run.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +98,28 @@ def _receiver_rows(m: int, pos: int, dtype) -> tuple:
     return rows, rx, sign
 
 
+def _bad_channels(raw: np.ndarray) -> str | None:
+    """Why channels held in a dtype other than a numpy integer are refused,
+    naming a link: the first entry that is not a whole number, else the
+    first outside int16, else the first that is a float, not an integer.
+    None for an object vector of int16 integers, which the cast keeps."""
+    values = raw.reshape(-1).tolist()
+    integer = [isinstance(v, numbers.Integral)
+               and not isinstance(v, (bool, np.bool_)) for v in values]
+    for i, v in enumerate(values):
+        if not (integer[i] or isinstance(v, float) and v.is_integer()):
+            return f"channels must be integers, not {raw.dtype}: " \
+                f"link {i} holds {v}"
+    for i, v in enumerate(values):
+        if not -2 ** 15 <= v < 2 ** 15:
+            return f"link {i} holds channel {v}, outside int16"
+    if not all(integer):
+        i = integer.index(False)
+        return f"channels must be integers, not {raw.dtype}: " \
+            f"link {i} holds {values[i]}"
+    return None
+
+
 @dataclass(frozen=True)
 class AssignmentProfile:
     """A channel assignment: one channel index per link, as a read-only
@@ -112,15 +134,13 @@ class AssignmentProfile:
     channels: np.ndarray   # (L,) channel index per link
 
     def __post_init__(self):
-        ch = self.channels
-        if isinstance(ch, np.ndarray) and ch.dtype == np.int16:
-            ch = ch.copy()  # the int16 copy with_channel hands over
-        else:
-            raw = np.asarray(ch)
-            if raw.size and raw.dtype.kind not in "iu":
-                raise ValueError(f"channels must be integers, not "
-                                 f"{raw.dtype}: link 0 holds {raw.flat[0]}")
-            ch = raw.astype(np.int16)
+        raw = np.asarray(self.channels)
+        if raw.size and raw.dtype.kind not in "iu":
+            bad = _bad_channels(raw)
+            if bad:
+                raise ValueError(bad)
+        ch = raw.astype(np.int16)  # always a copy
+        if raw.dtype.kind in "iu" and raw.dtype != np.int16:
             bad = np.flatnonzero(ch != raw)
             if len(bad):
                 raise ValueError(f"link {bad[0]} holds channel "
@@ -165,11 +185,6 @@ class CapGame:
         # layouts per (m, player position, dtype)
         self._weights: dict = {}
         self._layouts: dict = {}
-        # the float32 buffer every estimate draws its fading chunks into,
-        # grown to the largest chunk so far.  Estimates share it, so two
-        # threads must not estimate on one game at once; forked workers
-        # each hold a copy
-        self._fading = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
     # profiles
@@ -184,19 +199,13 @@ class CapGame:
 
     def check_profile(self, profile: AssignmentProfile) -> None:
         """Refuse a profile that does not fit the game: one channel per
-        link, each in range, and distinct channels for the cellular links.
-
-        The exact values check every profile they are given, twice per slot
-        of an exact learning run, so the range test scans a list, several
-        times faster than numpy's elementwise test on arrays this small."""
+        link, each in range, and distinct channels for the cellular links."""
         ch = profile.channels
         if len(ch) != self.num_players:
             raise ValueError(f"profile has {len(ch)} links, the game "
                              f"{self.num_players}")
-        values = ch.tolist()
-        if values and not (min(values) >= 0
-                           and max(values) < self.num_channels):
-            bad = np.flatnonzero((ch < 0) | (ch >= self.num_channels))
+        bad = np.flatnonzero((ch < 0) | (ch >= self.num_channels))
+        if len(bad):
             raise ValueError(f"player {bad[0]} holds channel {ch[bad[0]]}, "
                              f"outside 0..{self.num_channels - 1}")
         cellular = ch[self.passive_mask]
@@ -391,9 +400,8 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     The samples stream in chunks of L = max(``_CHUNK``, ``_DRAW_COEFFS``
     // m^2) for a co-channel set of m links, a last piece of half a chunk
     or less joining the chunk before.  Each chunk's m x m x L float32
-    fading is drawn into the game's one reused buffer and passed through
-    the rate kernel, and its float64 sum is added to the estimate in chunk
-    order.  So an estimate's memory is set by m, not by ``n_samples``, and
+    fading is drawn as a new block and passed through the rate kernel, and
+    its float64 sum is added to the estimate in chunk order.  So an estimate's memory is set by m, not by ``n_samples``, and
     an estimate of at most 1.5 chunks draws and sums as one block.
 
     The player is checked, the profile is not: the learner calls this
@@ -410,11 +418,7 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     m = len(members)
     total = 0.0
     for start, stop in _passes(n_samples, max(_CHUNK, _DRAW_COEFFS // m ** 2)):
-        shape, size = (m, m, stop - start), m * m * (stop - start)
-        if game._fading.size < size:
-            game._fading = np.empty(size, dtype=np.float32)
-        block = sample_fading_block(rng, shape, np.float32,
-                                    out=game._fading[:size].reshape(shape))
+        block = sample_fading_block(rng, (m, m, stop - start), np.float32)
         acc = game._rate_kernel(members, block, player)
         total += float(acc.sum(dtype=np.float64))
     return total / n_samples * game._util_scale

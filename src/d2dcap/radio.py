@@ -197,17 +197,12 @@ _SPLIT_WORD = (np.random.SFC64, np.random.PCG64) \
 
 
 def sample_fading_block(rng: np.random.Generator, shape,
-                        dtype=np.float64, out: np.ndarray | None = None
-                        ) -> np.ndarray:
+                        dtype=np.float64) -> np.ndarray:
     """Draw i.i.d. unit-mean exponential coefficients of the given shape.
 
     Uses the inverse CDF on uniforms, -log(1 - U), which never produces
     infinities.  The result is ``u = rng.random(shape, dtype);
-    -log(1 - u)`` bit for bit, and ``rng`` ends in the same state.  With
-    ``out``, a C-contiguous array of that shape and dtype, the draw fills
-    it, as ``rng.random(shape, dtype, out=out)`` would, and returns it;
-    nothing block-sized is allocated.  An ``out`` of another layout is
-    refused, as ``Generator.random`` refuses it.
+    -log(1 - u)`` bit for bit, and ``rng`` ends in the same state.
 
     Float32 blocks of more than ``_RAW_MIN`` coefficients on SFC64 and
     PCG64 skip ``Generator.random``'s per-element uint32 calls and read
@@ -228,17 +223,12 @@ def sample_fading_block(rng: np.random.Generator, shape,
     size = int(np.prod(shape))
     if dtype != np.float32 or size <= _RAW_MIN \
             or type(bitgen) not in _SPLIT_WORD:
-        u = rng.random(shape, dtype=dtype, out=out)  # it checks out itself
+        u = rng.random(shape, dtype=dtype)
         np.subtract(1.0, u, out=u)
         np.log(u, out=u)
         np.negative(u, out=u)
         return u
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif out.dtype != dtype or not out.flags.c_contiguous \
-            or out.shape != tuple(shape):
-        raise ValueError(f"out must be a C-contiguous {dtype} array of "
-                         f"shape {shape}")
+    out = np.empty(shape, dtype=np.float32)
     flat = out.reshape(-1)
     start = 0
     if bitgen.state["has_uint32"]:  # 2^24 - (x >> 8) of the held half

@@ -669,11 +669,12 @@ def test_exact_analysis_evaluates_each_cochannel_set_once(monkeypatch):
 def test_oversized_fading_block_is_refused_before_any_realization(
         monkeypatch):
     calls = _no_realization(monkeypatch)
-    # N = 242,745,533 at t = 500: a 4 x 4 x N float32 block is 14.5 GiB
+    # N = 242,745,533 at t = 500: 3.9e9 coefficients for a 4-link set
     cfg = tiny_config(num_ued=4, noise_model="bounded",
                       schedule="log_decreasing", tau_scale=0.01, horizon=500)
-    with pytest.raises(ValueError, match=r"4 x 4 x 242745533 float32 "
-                       r"\(14\.5 GiB\).*tau_scale=0\.01, horizon=500"):
+    with pytest.raises(ValueError, match=r"4 x 4 x 242745533 fading "
+                       r"coefficients \(3\.88e\+09\), more than the guard "
+                       r"of 2\.68e\+08.*tau_scale=0\.01, horizon=500"):
         run_experiment(cfg)
     br = tiny_config(num_uec=1, algorithm="br", br_samples=10 ** 9,
                      noise_model="bounded")
@@ -684,21 +685,22 @@ def test_oversized_fading_block_is_refused_before_any_realization(
 
 
 def test_fading_block_guard_counts_one_cellular_link(monkeypatch):
-    # 1 UEC + 2 UED pairs: co-channel sets of at most 3, so 3 x 3 x 10 x 4
+    # 1 UEC + 2 UED pairs: co-channel sets of at most 3, so 3 x 3 x 10
     cfg = tiny_config(num_uec=1, algorithm="br", br_samples=10,
                       noise_model="bounded")
-    monkeypatch.setattr(expmod, "_FADING_BLOCK_GUARD", 360)
+    monkeypatch.setattr(expmod, "_FADING_COEFF_GUARD", 90)
     expmod._check_fading_block(cfg)
     expmod._check_fading_block(replace(cfg, noise_model="none",
                                        br_samples=10 ** 9))
-    monkeypatch.setattr(expmod, "_FADING_BLOCK_GUARD", 359)
-    with pytest.raises(ValueError, match="exceeds"):
+    monkeypatch.setattr(expmod, "_FADING_COEFF_GUARD", 89)
+    with pytest.raises(ValueError, match="more than the guard"):
         expmod._check_fading_block(cfg)
 
 
 def test_sweep_checks_every_point_before_the_first_runs(monkeypatch):
     calls = _no_realization(monkeypatch)
-    # fixed tau = 0.01 gives N = 1,064,518: 4 MB for one pair, 14.3 GiB for 60
+    # fixed tau = 0.01 gives N = 1,064,518: 1.06e6 coefficients for one
+    # pair, 3.8e9 for 60
     cfg = tiny_config(noise_model="bounded", tau=0.01, track_optimum=False)
     with pytest.raises(ValueError, match="60 x 60 x 1064518"):
         sweep_ues(cfg, [1, 60])

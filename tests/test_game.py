@@ -60,8 +60,12 @@ def test_profile_refuses_channels_it_would_wrap_or_truncate():
                                          "outside int16"),
             ([0, -32769, 0, 0], "link 1 holds channel -32769"),
             ([1.7, 0, 0, 0], "not float64: link 0 holds 1.7"),
-            (np.array([1.0, 0.0]), "not float64"),
-            (np.array([True, False]), "not bool")):
+            ([0, 1.7, 0], "not float64: link 1 holds 1.7"),
+            ([0, 0.0, np.nan], "not float64: link 2 holds nan"),
+            (np.array([1.0, 0.0]), "not float64: link 0 holds 1.0"),
+            (np.array([0, 2.0], object), "not object: link 1 holds 2.0"),
+            ([0, 2 ** 70], f"link 1 holds channel {2 ** 70}, outside int16"),
+            (np.array([True, False]), "not bool: link 0 holds True")):
         with pytest.raises(ValueError, match=message):
             AssignmentProfile(channels)
     for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
@@ -70,6 +74,9 @@ def test_profile_refuses_channels_it_would_wrap_or_truncate():
         source[0] = 0  # the profile keeps its own copy
         assert prof.channels.dtype == np.int16
         assert prof.channels.tolist() == [2, 0, 1]
+    # Python ints past int64 make an object vector; in int16 it is kept
+    assert AssignmentProfile(np.array([2, 0, 1], object)).channels.tolist() \
+        == [2, 0, 1]
     assert AssignmentProfile([]).channels.dtype == np.int16
 
 
@@ -498,7 +505,7 @@ def test_noisy_potential_matches_golden_values():
 
 
 # ----------------------------------------------------------------------
-# estimates streamed in chunks through the game's one fading buffer
+# estimates streamed in chunks, each drawn and evaluated before the next
 
 
 def streaming_game():
@@ -547,7 +554,7 @@ def generator_examples(test):
 @generator_examples
 def test_utility_mean_streams_chunks_as_the_oracle_does(bit_generator, spare,
                                                          seed):
-    game = streaming_game()  # one game: its buffer serves every shape
+    game = streaming_game()
     fresh = generator_factory(bit_generator, seed, spare)
     for m in range(1, 7):
         prof = streaming_profile(m)
@@ -587,7 +594,7 @@ def test_warm_estimate_memory_does_not_grow_with_n(m):
     game = streaming_game()
     prof = streaming_profile(m)
     for n in (49152, 265179, 2000000):
-        utility_mean(game, prof, 0, n, sfc(n))  # sizes the game's buffer
+        utility_mean(game, prof, 0, n, sfc(n))  # builds the weight tables
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]

@@ -162,34 +162,27 @@ _OTHER_DRAWS = {
                                  st.integers(_PIECE + 3, 2 * _PIECE + 3)),
                        min_size=1, max_size=2),
        others=st.lists(st.lists(st.sampled_from(sorted(_OTHER_DRAWS)),
-                                max_size=3), min_size=3, max_size=3),
-       into=st.booleans())
+                                max_size=3), min_size=3, max_size=3))
 # each side of the raw-stream cut, from a fresh word and from a held half
 @example(bit_generator=np.random.SFC64, seed=1, lead=(),
-         counts=[_RAW_MIN, _RAW_MIN + 1], others=[[], [], []], into=False)
+         counts=[_RAW_MIN, _RAW_MIN + 1], others=[[], [], []])
 @example(bit_generator=np.random.SFC64, seed=2, lead=(),
          counts=[_RAW_MIN - 1, _RAW_MIN + 2],
-         others=[["integers"], ["integers"], ["random32"]], into=True)
+         others=[["integers"], ["integers"], ["random32"]])
 @example(bit_generator=np.random.PCG64, seed=3, lead=(1,),
          counts=[_RAW_MIN + 1, _RAW_MIN + 3],
-         others=[["integers"], [], ["integers"]], into=True)
+         others=[["integers"], [], ["integers"]])
 def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
-                                              counts, others, into):
+                                              counts, others):
     # SFC64 and PCG64 take the raw-stream path on blocks past _RAW_MIN
-    # coefficients; MT19937 always draws through Generator.random.  With
-    # ``into`` each block is drawn into a given array, stale values in it
+    # coefficients; MT19937 always draws through Generator.random
     got = np.random.Generator(bit_generator(seed))
     want = np.random.Generator(bit_generator(seed))
     for count, before in zip(counts, others):
         for name in before:
             assert _OTHER_DRAWS[name](got) == _OTHER_DRAWS[name](want)
         shape = lead + (count,)
-        if into:
-            out = np.full(shape, np.nan, dtype=np.float32)
-            block = sample_fading_block(got, shape, np.float32, out=out)
-            assert block is out
-        else:
-            block = sample_fading_block(got, shape, np.float32)
+        block = sample_fading_block(got, shape, np.float32)
         expect = _plain_fading(want, shape)
         assert block.dtype == np.float32 and block.shape == expect.shape
         assert block.tobytes() == expect.tobytes()
@@ -201,35 +194,19 @@ def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
 
 def test_large_fading_draw_allocates_one_block_and_one_piece():
     shape = (4, 4, 265179)
-    out = np.empty(shape, dtype=np.float32)
-    peaks = []
-    for given_out in (None, out):
-        rng = np.random.Generator(np.random.SFC64(5))
-        rng.integers(0, 3)  # leave a spare half, as a learning slot does
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            block = sample_fading_block(rng, shape, np.float32, out=given_out)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+    rng = np.random.Generator(np.random.SFC64(5))
+    rng.integers(0, 3)  # leave a spare half, as a learning slot does
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        block = sample_fading_block(rng, shape, np.float32)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
     piece_bytes = _PIECE * 4  # raw words of one piece
     # 16 KiB covers the interpreter's own objects; a second block-sized
-    # array would add 17 MB.  Into ``out``, the draw allocates the piece
-    assert block is out
-    assert out.nbytes <= peaks[0] <= out.nbytes + piece_bytes + 16384
-    assert piece_bytes <= peaks[1] <= piece_bytes + 16384
-
-
-def test_fading_draw_refuses_an_out_of_another_layout():
-    # on the raw-stream path, as Generator.random refuses it on the other
-    rng = np.random.Generator(np.random.SFC64(5))
-    for out in (np.empty((3, 40000), np.float64), np.empty((4, 40000),
-                                                           np.float32),
-                np.empty((40000, 3), np.float32),
-                np.empty((3, 80000), np.float32)[:, ::2]):
-        with pytest.raises(ValueError, match="C-contiguous float32 array"):
-            sample_fading_block(rng, (3, 40000), np.float32, out=out)
+    # array would add 17 MB
+    assert block.nbytes <= peak <= block.nbytes + piece_bytes + 16384
 
 
 # ----------------------------------------------------------------------
