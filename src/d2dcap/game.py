@@ -401,8 +401,9 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     // m^2) for a co-channel set of m links, a last piece of half a chunk
     or less joining the chunk before.  Each chunk's m x m x L float32
     fading is drawn as a new block and passed through the rate kernel, and
-    its float64 sum is added to the estimate in chunk order.  So an estimate's memory is set by m, not by ``n_samples``, and
-    an estimate of at most 1.5 chunks draws and sums as one block.
+    its float64 sum is added to the estimate in chunk order.  So an
+    estimate's memory is set by m, not by ``n_samples``, and an estimate
+    of at most 1.5 chunks draws and sums as one block.
 
     The player is checked, the profile is not: the learner calls this
     twice per sampled slot, always on profiles that ``CapGame.with_channel``
