@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .game import CapGame
+from .learning import acceptance_probability
 
 __all__ = [
     "enumerate_profiles",
@@ -48,7 +49,6 @@ __all__ = [
     "MinTreeReport",
     "min_resistance_tree_check",
     "game_resistance_kernel",
-    "ResistanceTerm",
     "ResistanceExpr",
     "res_of_const",
     "res_of_exp",
@@ -255,8 +255,7 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     pick = 1.0 / (n_active * game.num_channels)
     states, frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
-    # learning.acceptance_probability, elementwise and to the bit
-    mat[frm, to] = pick * np.exp(-np.logaddexp(0.0, drop / tau))
+    mat[frm, to] = pick * acceptance_probability(drop, tau)
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
     return TransitionKernel(states=states, matrix=mat)
 
@@ -504,7 +503,6 @@ class MinTreeReport:
 
     passes: bool              # every minimum tree has a zero-resistance edge
     min_resistance: float
-    min_roots: list           # roots achieving the minimum
     witness_root: int
     witness_edges: list       # (from_state, to_state, resistance) triples
     num_min_trees: int
@@ -539,9 +537,8 @@ def min_resistance_tree_check(resistances: np.ndarray) -> MinTreeReport:
                  for _, parent in min_trees)
     w_root, w_parent = min_trees[0]
     edges = [(v, pa, float(res[v, pa])) for v, pa in sorted(w_parent.items())]
-    roots = sorted({r for r, _ in min_trees})
     return MinTreeReport(passes=passes, min_resistance=float(best),
-                         min_roots=roots, witness_root=w_root,
+                         witness_root=w_root,
                          witness_edges=edges, num_min_trees=len(min_trees))
 
 
@@ -549,48 +546,38 @@ def min_resistance_tree_check(resistances: np.ndarray) -> MinTreeReport:
 # resistance algebra
 #
 # A positive function of tau is modeled as a finite sum of terms
-# g(tau) * exp(-R/tau) with sub-exponential g.  Only the tags and the
-# R values are tracked; g is never evaluated.
-
-
-@dataclass(frozen=True)
-class ResistanceTerm:
-    tag: str          # opaque label for the sub-exponential factor
-    resistance: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.resistance):
-            raise ValueError("term resistance must be finite")
+# g(tau) * exp(-R/tau) with sub-exponential g.  Only the R values are
+# tracked; g is never evaluated.
 
 
 @dataclass(frozen=True)
 class ResistanceExpr:
-    terms: tuple
+    terms: tuple      # each term's resistance R, finite
 
     def __post_init__(self):
         if len(self.terms) == 0:
             raise ValueError("expression needs at least one term")
+        if not all(math.isfinite(r) for r in self.terms):
+            raise ValueError("term resistance must be finite")
 
     @property
     def resistance(self) -> float:
         """Slowest decay rate wins: min over term resistances."""
-        return min(t.resistance for t in self.terms)
+        return min(self.terms)
 
 
-def res_of_const(tag: str = "c") -> ResistanceExpr:
+def res_of_const() -> ResistanceExpr:
     """A positive constant (or any sub-exponential factor): resistance 0."""
-    return ResistanceExpr(terms=(ResistanceTerm(tag=tag, resistance=0.0),))
+    return ResistanceExpr((0.0,))
 
 
-def res_of_exp(kappa: float, tag: str | None = None) -> ResistanceExpr:
+def res_of_exp(kappa: float) -> ResistanceExpr:
     """exp(-kappa/tau): resistance kappa."""
-    label = tag if tag is not None else f"e^(-{kappa}/tau)"
-    return ResistanceExpr(terms=(ResistanceTerm(tag=label,
-                                                resistance=float(kappa)),))
+    return ResistanceExpr((float(kappa),))
 
 
 def res_add(e1: ResistanceExpr, e2: ResistanceExpr) -> ResistanceExpr:
-    return ResistanceExpr(terms=e1.terms + e2.terms)
+    return ResistanceExpr(e1.terms + e2.terms)
 
 
 def res_sub(e1: ResistanceExpr, e2: ResistanceExpr) -> ResistanceExpr:
@@ -600,28 +587,20 @@ def res_sub(e1: ResistanceExpr, e2: ResistanceExpr) -> ResistanceExpr:
         raise ValueError("difference resistance is undefined unless the "
                          "minuend decays strictly slower "
                          f"({e1.resistance} vs {e2.resistance})")
-    tag = f"({'+'.join(t.tag for t in e1.terms)})-" \
-          f"({'+'.join(t.tag for t in e2.terms)})"
-    return ResistanceExpr(terms=(ResistanceTerm(tag=tag,
-                                                resistance=e1.resistance),))
+    return ResistanceExpr((e1.resistance,))
 
 
 def res_mul(e1: ResistanceExpr, e2: ResistanceExpr) -> ResistanceExpr:
-    terms = tuple(ResistanceTerm(tag=f"{a.tag}*{b.tag}",
-                                 resistance=a.resistance + b.resistance)
-                  for a in e1.terms for b in e2.terms)
-    return ResistanceExpr(terms=terms)
+    return ResistanceExpr(tuple(a + b for a in e1.terms for b in e2.terms))
 
 
 def res_inv(e: ResistanceExpr) -> ResistanceExpr:
     """1/f for a single-term f with nonzero resistance."""
     if len(e.terms) != 1:
         raise ValueError("inverse is defined for single-term expressions only")
-    t = e.terms[0]
-    if t.resistance == 0.0:
+    if e.terms[0] == 0.0:
         raise ValueError("inverse requires a nonzero resistance")
-    return ResistanceExpr(terms=(ResistanceTerm(tag=f"1/({t.tag})",
-                                                resistance=-t.resistance),))
+    return ResistanceExpr((-e.terms[0],))
 
 
 def empirical_resistance(f, tau_grid) -> float:

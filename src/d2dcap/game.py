@@ -98,14 +98,27 @@ def _receiver_rows(m: int, pos: int, dtype) -> tuple:
     return rows, rx, sign
 
 
+def _is_integer(x) -> bool:
+    """Python's and numpy's integers, not bools."""
+    return isinstance(x, numbers.Integral) \
+        and not isinstance(x, (bool, np.bool_))
+
+
+def _check_index(what: str, index, count: int) -> None:
+    """Refuse an index that is not an integer or lies outside 0..count-1."""
+    if not _is_integer(index):
+        raise ValueError(f"{what} {index!r} is not an integer")
+    if not 0 <= index < count:
+        raise ValueError(f"{what} {index} is outside 0..{count - 1}")
+
+
 def _bad_channels(raw: np.ndarray) -> str | None:
     """Why channels held in a dtype other than a numpy integer are refused,
     naming a link: the first entry that is not a whole number, else the
     first outside int16, else the first that is a float, not an integer.
     None for an object vector of int16 integers, which the cast keeps."""
-    values = raw.reshape(-1).tolist()
-    integer = [isinstance(v, numbers.Integral)
-               and not isinstance(v, (bool, np.bool_)) for v in values]
+    values = raw.tolist()
+    integer = [_is_integer(v) for v in values]
     for i, v in enumerate(values):
         if not (integer[i] or isinstance(v, float) and v.is_integer()):
             return f"channels must be integers, not {raw.dtype}: " \
@@ -127,14 +140,17 @@ class AssignmentProfile:
     channels) is the game's ``passive_mask``; ``CapGame.check_profile``
     tests a profile against it.
 
-    Channels must be integers that int16 holds: a float or bool entry, or
-    one the cast would wrap, is refused rather than truncated or wrapped
-    into another channel."""
+    Channels must be a vector of integers that int16 holds: another shape,
+    a float or bool entry, or one the cast would wrap, is refused rather
+    than truncated or wrapped into another channel."""
 
     channels: np.ndarray   # (L,) channel index per link
 
     def __post_init__(self):
         raw = np.asarray(self.channels)
+        if raw.ndim != 1:
+            raise ValueError("channels must be a vector, one per link, not "
+                             f"an array of shape {raw.shape}")
         if raw.size and raw.dtype.kind not in "iu":
             bad = _bad_channels(raw)
             if bad:
@@ -144,7 +160,7 @@ class AssignmentProfile:
             bad = np.flatnonzero(ch != raw)
             if len(bad):
                 raise ValueError(f"link {bad[0]} holds channel "
-                                 f"{raw.flat[bad[0]]}, outside int16")
+                                 f"{raw[bad[0]]}, outside int16")
         ch.setflags(write=False)
         object.__setattr__(self, "channels", ch)
 
@@ -190,9 +206,7 @@ class CapGame:
     # profiles
 
     def _check_active(self, player: int) -> None:
-        if not 0 <= player < self.num_players:
-            raise ValueError(f"player {player} is outside "
-                             f"0..{self.num_players - 1}")
+        _check_index("player", player, self.num_players)
         if self.passive_mask[player]:
             raise ValueError(f"player {player} is passive, a cellular link "
                              "on a fixed channel with no utility")
@@ -218,9 +232,7 @@ class CapGame:
                      channel: int) -> AssignmentProfile:
         """Copy of ``profile`` with one active player's channel replaced."""
         self._check_active(player)
-        if not 0 <= channel < self.num_channels:
-            raise ValueError(f"channel {channel} is outside "
-                             f"0..{self.num_channels - 1}")
+        _check_index("channel", channel, self.num_channels)
         ch = profile.channels.copy()
         ch[player] = channel
         return AssignmentProfile(ch)
@@ -419,7 +431,7 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     m = len(members)
     total = 0.0
     for start, stop in _passes(n_samples, max(_CHUNK, _DRAW_COEFFS // m ** 2)):
-        block = sample_fading_block(rng, (m, m, stop - start), np.float32)
+        block = sample_fading_block(rng, (m, m, stop - start))
         acc = game._rate_kernel(members, block, player)
         total += float(acc.sum(dtype=np.float64))
     return total / n_samples * game._util_scale

@@ -153,10 +153,11 @@ def acceptance_probability(delta: float, tau: float) -> float:
 
     1/(1 + exp(delta/tau)), evaluated as exp(-logaddexp(0, delta/tau)) so
     arbitrarily large |delta/tau| saturates to 0 or 1 without overflow.
+    Elementwise over an array of drops, as the exact kernel applies it.
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    return float(np.exp(-np.logaddexp(0.0, delta / tau)))
+    return np.exp(-np.logaddexp(0.0, delta / tau))
 
 
 # ----------------------------------------------------------------------

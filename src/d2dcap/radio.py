@@ -26,6 +26,7 @@ __all__ = [
     "thermal_noise_watts",
     "generate_topology",
     "link_tx_powers",
+    "sample_fading_block",
 ]
 
 # Reference distance floor for the path-loss law, meters.
@@ -196,34 +197,30 @@ _SPLIT_WORD = (np.random.SFC64, np.random.PCG64) \
     if sys.byteorder == "little" else ()
 
 
-def sample_fading_block(rng: np.random.Generator, shape,
-                        dtype=np.float64) -> np.ndarray:
-    """Draw i.i.d. unit-mean exponential coefficients of the given shape.
+def sample_fading_block(rng: np.random.Generator, shape) -> np.ndarray:
+    """Draw a block of i.i.d. unit-mean exponential float32 coefficients.
 
     Uses the inverse CDF on uniforms, -log(1 - U), which never produces
-    infinities.  The result is ``u = rng.random(shape, dtype);
+    infinities.  The result is ``u = rng.random(shape, np.float32);
     -log(1 - u)`` bit for bit, and ``rng`` ends in the same state.
 
-    Float32 blocks of more than ``_RAW_MIN`` coefficients on SFC64 and
-    PCG64 skip ``Generator.random``'s per-element uint32 calls and read
-    the raw 64-bit words ``_PIECE`` slots at a time, each piece turned
-    into coefficients in cache and written straight into the output.  numpy makes a float32 uniform from
-    the next uint32 x as (x >> 8) * 2^-24, so 1 - U is
-    float32(2^24 - (x >> 8)) * 2^-24: the integer subtraction, the
-    conversion (at most 2^24) and the power-of-two scale are all exact,
-    and the same ``np.log`` follows.  A spare high half the generator
-    already holds is taken first through ``rng.random``; at the end the
-    last word's high half is written back as the spare, held when the
-    block used only its low half, as ``next_uint32`` leaves it.  Other
-    dtypes, smaller blocks and other bit generators draw through
-    ``rng.random``.
+    Blocks of more than ``_RAW_MIN`` coefficients on SFC64 and PCG64 skip
+    ``Generator.random``'s per-element uint32 calls and read the raw
+    64-bit words ``_PIECE`` slots at a time, each piece turned into
+    coefficients in cache and written straight into the output.  numpy
+    makes a float32 uniform from the next uint32 x as (x >> 8) * 2^-24,
+    so 1 - U is float32(2^24 - (x >> 8)) * 2^-24: the integer
+    subtraction, the conversion (at most 2^24) and the power-of-two scale
+    are all exact, and the same ``np.log`` follows.  A spare high half the
+    generator already holds is taken first through ``rng.random``; at the
+    end the last word's high half is written back as the spare, held when
+    the block used only its low half, as ``next_uint32`` leaves it.
+    Smaller blocks and other bit generators draw through ``rng.random``.
     """
-    dtype = np.dtype(dtype)
     bitgen = rng.bit_generator
     size = int(np.prod(shape))
-    if dtype != np.float32 or size <= _RAW_MIN \
-            or type(bitgen) not in _SPLIT_WORD:
-        u = rng.random(shape, dtype=dtype)
+    if size <= _RAW_MIN or type(bitgen) not in _SPLIT_WORD:
+        u = rng.random(shape, dtype=np.float32)
         np.subtract(1.0, u, out=u)
         np.log(u, out=u)
         np.negative(u, out=u)

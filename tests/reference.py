@@ -79,8 +79,7 @@ def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
         members = np.flatnonzero(profile.channels == c)
         if not len(members):
             continue
-        block = sample_fading_block(rng, (len(members), len(members), num_mc),
-                                    np.float32)
+        block = sample_fading_block(rng, (len(members), len(members), num_mc))
         total += game._rate_kernel(members, block)
     return float(total.mean() * game._bits_scale)
 
@@ -106,7 +105,7 @@ def chunked_utility_mean(game: CapGame, profile: AssignmentProfile,
         left -= chunk
     total = 0.0
     for size in [*sizes, left]:
-        block = sample_fading_block(rng, (m, m, size), np.float32)
+        block = sample_fading_block(rng, (m, m, size))
         acc = game._rate_kernel(members, block, player)
         total += float(acc.sum(dtype=np.float64))
     return total / n_samples * game._util_scale

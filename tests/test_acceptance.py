@@ -13,10 +13,9 @@ import pytest
 
 from conftest import accept_config, br_point, decreasing_point, fixed_point
 from d2dcap import analysis
-from d2dcap.analysis import (ResistanceExpr, ResistanceTerm,
-                             empirical_resistance, game_resistance_kernel,
+from d2dcap.analysis import (empirical_resistance, game_resistance_kernel,
                              min_resistance_tree_check, res_add, res_inv,
-                             res_mul, res_sub)
+                             res_mul, res_of_exp, res_sub)
 from d2dcap.experiments import ExperimentConfig, sweep_channels, sweep_ues
 from d2dcap.game import AssignmentProfile, verify_potential_identity
 from d2dcap.learning import (BoundedNoise, GaussianNoise,
@@ -212,8 +211,9 @@ def _random_resistance_expr(rng, depth):
     """Random expression tree plus its hand-tracked decay rate."""
     if depth == 0 or rng.random() < 0.3:
         r = float(rng.integers(0, 7)) / 2.0
-        return ResistanceExpr((ResistanceTerm(f"t{int(rng.integers(10**6))}",
-                                              r),)), r
+        # a leaf makes two draws; the stream fixes the 100 expressions checked
+        rng.integers(10**6)
+        return res_of_exp(r), r
     a, ra = _random_resistance_expr(rng, depth - 1)
     b, rb = _random_resistance_expr(rng, depth - 1)
     op = int(rng.integers(0, 4))

@@ -15,7 +15,6 @@ import d2dcap
 import d2dcap.analysis as analysis_module
 from d2dcap.analysis import (
     ResistanceExpr,
-    ResistanceTerm,
     TransitionKernel,
     _in_trees,
     brute_force_optimum,
@@ -646,7 +645,7 @@ def test_algebra_error_rules():
     with pytest.raises(ValueError):
         ResistanceExpr(terms=())
     with pytest.raises(ValueError):
-        ResistanceTerm(tag="x", resistance=math.inf)
+        ResistanceExpr((math.inf,))
 
 
 def test_empirical_resistance_recovers_rates():

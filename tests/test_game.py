@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -65,7 +66,11 @@ def test_profile_refuses_channels_it_would_wrap_or_truncate():
             (np.array([1.0, 0.0]), "not float64: link 0 holds 1.0"),
             (np.array([0, 2.0], object), "not object: link 1 holds 2.0"),
             ([0, 2 ** 70], f"link 1 holds channel {2 ** 70}, outside int16"),
-            (np.array([True, False]), "not bool: link 0 holds True")):
+            (np.array([True, False]), "not bool: link 0 holds True"),
+            # not vectors: the 2-D one passed check_profile and failed in
+            # numpy's scalar conversion later, the 0-d one in len()
+            (np.array([[0], [1], [0]], np.int16), r"shape \(3, 1\)"),
+            (np.int16(1), r"not an array of shape \(\)")):
         with pytest.raises(ValueError, match=message):
             AssignmentProfile(channels)
     for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
@@ -226,7 +231,7 @@ def test_single_sample_mean_is_bitwise_reproducible():
     g1 = np.random.Generator(np.random.SFC64(7))
     mean = utility_mean(game, prof, 1, 1, g1)
     g2 = np.random.Generator(np.random.SFC64(7))
-    block = sample_fading_block(g2, (3, 3, 1), np.float32)
+    block = sample_fading_block(g2, (3, 3, 1))
     single = utility_sample(game, prof, 1, block[:, :, 0])
     assert mean == single
 
@@ -236,8 +241,7 @@ def sampled_kernel(game, profile, player, n_samples, rng_seed):
     ``n_samples``, drawn at once."""
     rng = np.random.default_rng(rng_seed)
     members = cochannel_set(profile, int(profile.channels[player]))
-    block = sample_fading_block(rng, (len(members), len(members), n_samples),
-                                np.float32)
+    block = sample_fading_block(rng, (len(members), len(members), n_samples))
     return game._rate_kernel(members, block, player)
 
 
@@ -314,6 +318,28 @@ def test_player_index_outside_the_game_is_refused():
             utility_sample(game, prof, player, np.ones((4, 4)))
         with pytest.raises(ValueError, match="outside"):
             game.with_channel(prof, player, 1)
+
+
+def test_non_integer_player_or_channel_is_refused():
+    # cast to int16, channel 1.9 became 1 and 0.7 became 0, a move that
+    # changed nothing, so the identity checked another switch than asked;
+    # a bool player failed inside numpy
+    game = seeded_game(0, 3, 2, seed=35)
+    prof = AssignmentProfile([0, 1, 0])
+    for value in (1.9, 0.7, 1.0, True, np.True_, np.array(1), "1"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"channel {value!r} is not an integer")):
+            game.with_channel(prof, 0, value)
+        for refused in (lambda: game.with_channel(prof, value, 1),
+                        lambda: verify_potential_identity(game, 0, value, 1,
+                                                          prof),
+                        lambda: game.utility_exact(prof, value),
+                        lambda: utility_mean(game, prof, value, 4, 0)):
+            with pytest.raises(ValueError, match="is not an integer"):
+                refused()
+    for index in (1, np.int64(1), np.uint8(1)):
+        assert game.with_channel(prof, index, index).channels.tolist() \
+            == [0, 1, 0]
 
 
 def test_exact_values_refuse_a_profile_that_does_not_fit_the_game():
@@ -674,7 +700,7 @@ def test_kernel_set_up_equals_the_per_call_set_up(case, n, seed):
     # and the kernel sums the same floats in the same order from either
     m = len(members)
     block = sample_fading_block(np.random.Generator(np.random.SFC64(seed)),
-                                (m, m, n), np.float32).astype(dtype)
+                                (m, m, n)).astype(dtype)
     fresh = game._rate_kernel(members, block, player)
     game._kernel_weights = lambda *args: want
     assert_same_array(fresh, game._rate_kernel(members, block, player))

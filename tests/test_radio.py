@@ -124,7 +124,7 @@ def test_watts_are_the_config_conversion_bit_for_bit(ue, bs, noise):
 
 def test_fading_draw_statistics():
     rng = np.random.default_rng(3)
-    block = sample_fading_block(rng, (200, 200), np.float32)
+    block = sample_fading_block(rng, (200, 200))
     assert block.dtype == np.float32
     assert np.all(block > 0) and np.all(np.isfinite(block))
     assert float(block.mean()) == pytest.approx(1.0, abs=0.02)
@@ -182,7 +182,7 @@ def test_fading_block_equals_the_plain_recipe(bit_generator, seed, lead,
         for name in before:
             assert _OTHER_DRAWS[name](got) == _OTHER_DRAWS[name](want)
         shape = lead + (count,)
-        block = sample_fading_block(got, shape, np.float32)
+        block = sample_fading_block(got, shape)
         expect = _plain_fading(want, shape)
         assert block.dtype == np.float32 and block.shape == expect.shape
         assert block.tobytes() == expect.tobytes()
@@ -199,7 +199,7 @@ def test_large_fading_draw_allocates_one_block_and_one_piece():
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        block = sample_fading_block(rng, shape, np.float32)
+        block = sample_fading_block(rng, shape)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -309,8 +309,7 @@ def test_expected_rate_matches_quadrature():
     # values come from the draw and kernel utility_mean runs
     mean = utility_mean(game, game.initial_profile(), 0, 20000,
                         rng_seed=5) * game.phi_max
-    block = sample_fading_block(np.random.default_rng(5), (1, 1, 20000),
-                                np.float32)
+    block = sample_fading_block(np.random.default_rng(5), (1, 1, 20000))
     samples = game._rate_kernel(np.array([0]), block, 0).astype(np.float64) \
         * game._util_scale
     se = samples.std(ddof=1) * game.phi_max / math.sqrt(20000)
