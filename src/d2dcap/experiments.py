@@ -603,6 +603,7 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     direct, gibbs, tree = [], [], []
     direct_failed = []
     for tau in taus:
+        kernel = None  # free the last tau's n x n kernel before the next
         kernel = analysis.exact_transition_matrix(game, tau)  # size guards
         try:
             direct.append(analysis.stationary_direct(kernel))

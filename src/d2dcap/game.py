@@ -149,8 +149,7 @@ class AssignmentProfile:
     def __post_init__(self):
         raw = np.asarray(self.channels)
         if raw.ndim != 1:
-            raise ValueError("channels must be a vector, one per link, not "
-                             f"an array of shape {raw.shape}")
+            raise ValueError(f"channels must be 1-D, not of shape {raw.shape}")
         if raw.size and raw.dtype.kind not in "iu":
             bad = _bad_channels(raw)
             if bad:

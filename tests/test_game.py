@@ -70,7 +70,7 @@ def test_profile_refuses_channels_it_would_wrap_or_truncate():
             # not vectors: the 2-D one passed check_profile and failed in
             # numpy's scalar conversion later, the 0-d one in len()
             (np.array([[0], [1], [0]], np.int16), r"shape \(3, 1\)"),
-            (np.int16(1), r"not an array of shape \(\)")):
+            (np.int16(1), r"must be 1-D, not of shape \(\)")):
         with pytest.raises(ValueError, match=message):
             AssignmentProfile(channels)
     for dtype in (np.int8, np.uint8, np.int16, np.int64, np.uint64):
