@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -584,6 +585,23 @@ def test_analyze_stationary_survives_frozen_direct_solve():
 def test_analyze_stationary_single_tau_has_no_verdict():
     report = analyze_stationary(tiny_config(), (0.1,))
     assert report.verdict is None and report.stable_keys is None
+
+
+def test_analyze_stationary_frees_each_kernel_before_the_next(monkeypatch):
+    # a grid kept the last temperature's dense kernel alive while it built
+    # the next: two n x n matrices, 256 MiB at the 4096-state guard
+    build = expmod.analysis.exact_transition_matrix
+    kernels = []
+
+    def spy(game, tau):
+        assert [k for k in kernels if k() is not None] == []
+        kernel = build(game, tau)
+        kernels.append(weakref.ref(kernel))
+        return kernel
+
+    monkeypatch.setattr(expmod.analysis, "exact_transition_matrix", spy)
+    analyze_stationary(tiny_config(), (0.1, 0.05, 0.02))
+    assert len(kernels) == 3
 
 
 def test_analyze_stationary_size_guard():
