@@ -28,7 +28,7 @@ def main() -> None:
     tau = 0.1
     kernel = analysis.exact_transition_matrix(game, tau)
     print(f"\none-slot kernel at tau={tau}:")
-    for row in kernel.matrix:
+    for row in kernel:
         print("  " + "  ".join(f"{x:8.5f}" for x in row))
 
     direct = analysis.stationary_direct(kernel)
@@ -46,15 +46,15 @@ def main() -> None:
     print("brute-force optimum:",
           ", ".join("|".join(str(c) for c in k) for k in optimum.keys))
 
-    keys, res = analysis.game_resistance_kernel(game)
+    res = analysis.game_resistance_kernel(game)
     print("\nedge resistances (inf where no single switch connects):")
     for row in res:
         print("  " + "  ".join(f"{x:8.4f}" if np.isfinite(x) else
                                "     inf" for x in row))
     report = analysis.min_resistance_tree_check(res)
     print(f"minimum in-tree resistance {report.min_resistance:.4f}, rooted "
-          f"at {'|'.join(str(c) for c in keys[report.witness_root])}; every "
-          f"minimizing tree has a zero-resistance edge: {report.passes}")
+          f"at {labels[report.witness_root]}; every minimizing tree has a "
+          f"zero-resistance edge: {report.passes}")
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ array, and their normalized potentials, all that brute force and Gibbs
 read, plus the neighbour index of every single-player switch and the exact
 utilities, filled when a kernel or the resistances first need them.  Both
 are gathered per distinct member set.  Dense kernels refuse > 4096 profiles.
-The channel array is the one state space: kernels and the resistance
-kernel carry it as their ``states``, and only the rows returned as optimal
-or stable sets become channel tuples.  A stationary law is a plain 1-D
-float64 probability vector, indexed like those states.
+The channel array is the one state space: a chain over it, kernel or
+resistances, is a plain float64 (n, n) matrix in ``enumerate_profiles``
+order, and only optimal or stable rows become channel tuples.  A
+stationary law is a plain 1-D float64 probability vector, in that order too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ __all__ = [
     "enumerate_profiles",
     "BruteForceResult",
     "brute_force_optimum",
-    "TransitionKernel",
     "exact_transition_matrix",
     "stationary_direct",
     "gibbs_distribution",
@@ -142,9 +141,8 @@ def _table(game: CapGame) -> _ProfileTable:
 
 
 def _moves(game: CapGame):
-    """(states, from, to, utility drop): the channel array, then index
-    arrays over every single-active-player switch, ordered by profile, then
-    player, then channel."""
+    """(from, to, utility drop): index arrays over every single-active-player
+    switch, ordered by profile, then player, then channel."""
     table = _table(game)
     if table.utility is None:
         # mixed radix: player j's digit is k // radix[j] % c; switching it
@@ -164,8 +162,7 @@ def _moves(game: CapGame):
     nb = table.neighbour
     frm, player, chan = np.nonzero(nb != np.arange(len(nb))[:, None, None])
     to = nb[frm, player, chan]
-    return table.channels, frm, to, \
-        table.utility[frm, player] - table.utility[to, player]
+    return frm, to, table.utility[frm, player] - table.utility[to, player]
 
 
 def _keys(channels: np.ndarray) -> tuple:
@@ -212,34 +209,23 @@ def brute_force_optimum(game: CapGame) -> BruteForceResult:
 # exact one-slot kernel
 
 
-@dataclass
-class TransitionKernel:
-    """Row-stochastic one-slot transition matrix over an enumerated state
-    space.  ``states`` labels the rows: the game's read-only (profiles,
-    links) channel array for game kernels, any sequence for synthetic
-    chains (only its length is read)."""
-
-    states: np.ndarray | list
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        n = len(self.states)
-        if self.matrix.shape != (n, n):
-            raise ValueError("matrix shape must match the state count")
-        if np.any(self.matrix < 0):
-            raise ValueError("transition probabilities must be non-negative")
-        rows = self.matrix.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
-            raise ValueError("rows must sum to 1 within 1e-12")
-
-    @property
-    def num_states(self) -> int:
-        return len(self.states)
+def _check_chain(p) -> np.ndarray:
+    """``p`` as a float64 array, refused unless a row-stochastic matrix: a
+    non-empty square of finite, non-negative entries whose rows sum to 1
+    within 1e-12.  Whole-matrix reductions only: no n x n temporary."""
+    p = np.asarray(p, dtype=np.float64)
+    if p.ndim != 2 or p.shape[0] != p.shape[1] or p.size == 0:
+        raise ValueError("a transition matrix must be a non-empty square")
+    if not 0.0 <= p.min() <= p.max() < np.inf:  # False for NaN
+        raise ValueError("entries must be finite and non-negative")
+    if not np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12:
+        raise ValueError("rows must sum to 1 within 1e-12")
+    return p
 
 
-def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
-    """One-slot chain over profiles under exact utilities.
+def exact_transition_matrix(game: CapGame, tau: float) -> np.ndarray:
+    """One-slot chain over profiles under exact utilities: a float64 (n, n)
+    row-stochastic matrix, rows and columns in ``enumerate_profiles`` order.
 
     Off-diagonal mass exists only between single-active-coordinate
     neighbors: pick player (1/#active), pick that channel (1/#channels),
@@ -253,20 +239,20 @@ def exact_transition_matrix(game: CapGame, tau: float) -> TransitionKernel:
     if n_active == 0:
         raise ValueError("at least one active player is required")
     pick = 1.0 / (n_active * game.num_channels)
-    states, frm, to, drop = _moves(game)
+    frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
     mat[frm, to] = pick * acceptance_probability(drop, tau)
     np.fill_diagonal(mat, 1.0 - mat.sum(axis=1))
-    return TransitionKernel(states=states, matrix=mat)
+    return mat
 
 
 # ----------------------------------------------------------------------
 # stationary distributions, three ways
 
 
-def stationary_direct(kernel: TransitionKernel) -> np.ndarray:
-    """Solve pi P = pi, sum(pi) = 1 by direct elimination; returns pi,
-    indexed like ``kernel.states``.
+def stationary_direct(p) -> np.ndarray:
+    """Solve pi P = pi, sum(pi) = 1 by direct elimination for the
+    row-stochastic matrix ``p``; returns pi, indexed like p's rows.
 
     Uses elimination in the Grassmann-Taksar-Heyman form: every update adds
     nonnegative quantities, so the result keeps full entrywise relative
@@ -301,10 +287,11 @@ def stationary_direct(kernel: TransitionKernel) -> np.ndarray:
     state-by-state steps, so chains of at most ``_GTH_BLOCK + 1`` states
     give the same bits as the state-by-state form.
     """
-    n = kernel.num_states
+    p = _check_chain(p)
+    n = len(p)
     # the off-diagonal entries, as a view: row i of the flat matrix past its
     # first entry, cut into rows of n + 1, holds a[i, i+1:] and a[i+1, :i+1]
-    off = kernel.matrix.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
+    off = p.ravel()[1:].reshape(n - 1, n + 1)[:, :n]
     if np.min(off, where=off > 0, initial=np.inf) < 1e-15:
         # edges below unit roundoff make the chain numerically reducible:
         # quasi-stationary mixtures also pass the residual check, so the
@@ -312,7 +299,7 @@ def stationary_direct(kernel: TransitionKernel) -> np.ndarray:
         raise ValueError("some transition probabilities are below unit "
                          "roundoff (tau too small?); use stationary_tree "
                          "or the Gibbs form")
-    a = kernel.matrix.astype(np.float64, copy=True)
+    a = p.copy()
     b = _GTH_BLOCK
     piece = _GTH_PANEL_MNK // (b * b)  # panel columns (rows) per product
     k1 = n
@@ -356,8 +343,8 @@ def stationary_direct(kernel: TransitionKernel) -> np.ndarray:
     for k in range(1, n):
         pi[k] = pi[:k] @ a[:k, k]
     pi /= pi.sum()
-    residual = float(np.max(np.abs(pi @ kernel.matrix - pi)))
-    if residual > 1e-10:
+    residual = float(np.max(np.abs(pi @ p - pi)))
+    if not residual <= 1e-10:  # a NaN residual is refused too
         raise ValueError(f"stationary solve residual {residual:.3e} "
                          "exceeds tolerance; use stationary_tree")
     return pi
@@ -412,16 +399,16 @@ def _in_trees(edges: np.ndarray, root: int):
             yield parent
 
 
-def stationary_tree(kernel: TransitionKernel) -> np.ndarray:
-    """Markov-chain tree theorem: pi_c proportional to the sum over
-    in-trees rooted at c of the product of edge probabilities; indexed
-    like ``kernel.states``.
+def stationary_tree(p) -> np.ndarray:
+    """Markov-chain tree theorem for the row-stochastic matrix ``p``: pi_c
+    proportional to the sum over in-trees rooted at c of the product of
+    edge probabilities; indexed like p's rows.
 
     Exponential-cost cross-check oracle; rejects chains beyond
     8 states.
     """
-    n = kernel.num_states
-    p = kernel.matrix
+    p = _check_chain(p)
+    n = len(p)
     weights = np.zeros(n)
     for root in range(n):
         total = 0.0
@@ -482,19 +469,19 @@ def stochastically_stable_states(game: CapGame, tau_grid) -> tuple:
 # resistances
 
 
-def game_resistance_kernel(game: CapGame):
-    """(states, resistance matrix) for the profile chain; ``states`` is
-    the read-only (profiles, links) channel array.
+def game_resistance_kernel(game: CapGame) -> np.ndarray:
+    """The profile chain's float64 (n, n) resistance matrix, rows and
+    columns in ``enumerate_profiles`` order.
 
     The resistance of a move is the positive part of its utility drop, the
     exponential cost of accepting it.  Pairs no single switch connects get
     resistance +inf.
     """
     n = _profile_count(game, _DENSE_GUARD, "dense kernel")
-    states, frm, to, drop = _moves(game)
+    frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
     res[frm, to] = np.maximum(drop, 0.0)
-    return states, res
+    return res
 
 
 @dataclass

@@ -254,7 +254,6 @@ class PointResult:
     param: str                 # swept parameter name, "" for single runs
     value: object              # swept value, None for single runs
     config: ExperimentConfig
-    config_hash: str
     seed_range: tuple          # (first, last) learning seeds
     window_slots: int          # final-window length used for statistics
     mean_trace: np.ndarray     # (T,) per-slot sum rate, mean over realizations
@@ -262,8 +261,8 @@ class PointResult:
     final_profiles: np.ndarray         # (R, L) final channel vectors
     final_window_mean: float
     final_window_se: float     # sample std over realizations / sqrt(R)
-    mean_occupancy: float | None = None  # of the optimal set, if tracked
-    phi_star: float | None = None        # brute-force optimum, bits/s
+    mean_occupancy: float | None  # of the optimal set, if tracked
+    phi_star: float | None        # brute-force optimum, bits/s
 
     def label(self) -> str:
         return "run" if not self.param else f"{self.param}_{self.value}"
@@ -389,11 +388,11 @@ def _realization_pool(realizations: int):
         yield pool
 
 
-def _point_result(config: ExperimentConfig, param: str = "", value=None,
-                  pool=None) -> PointResult:
-    """Aggregate ``config.realizations`` runs, in ``pool`` if one is given;
-    the records are reduced in realization order either way.  Its callers
-    have validated ``config`` (``_check_fading_block``)."""
+def _point_result(config: ExperimentConfig, param: str, value,
+                  pool) -> PointResult:
+    """Aggregate ``config.realizations`` runs, in ``pool`` unless it is
+    None; the records are reduced in realization order either way.
+    ``_run_points`` has validated ``config`` (``_check_fading_block``)."""
     horizon = config.horizon
     reals = config.realizations
     window = horizon - _window_start(horizon)
@@ -431,7 +430,6 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
     se = float(finals.std(ddof=1) / math.sqrt(reals)) if reals > 1 else 0.0
     return PointResult(
         param=param, value=value, config=replace(config),
-        config_hash=config.config_hash(),
         seed_range=(config.base_seed, config.base_seed + reals - 1),
         window_slots=window, mean_trace=trace_sum / reals,
         per_realization_final=finals,
@@ -442,6 +440,23 @@ def _point_result(config: ExperimentConfig, param: str = "", value=None,
         phi_star=None if shared_opt is None else shared_opt.phi_star)
 
 
+def _run_points(config: ExperimentConfig, param: str, values,
+                configs) -> SweepResult:
+    """Point k runs ``configs[k]``, labelled ``param`` = ``values[k]``.
+    Every point is checked before any runs, all share one realization pool,
+    and the tables go under ``config.out_dir`` when that is set."""
+    for cfg in configs:
+        _check_fading_block(cfg)
+    with _realization_pool(config.realizations) as pool:
+        points = [_point_result(cfg, param, v, pool)
+                  for v, cfg in zip(values, configs)]
+    result = SweepResult(points=points, base_config=replace(config),
+                         config_hash=config.config_hash())
+    if config.out_dir:
+        result.write(config.out_dir)
+    return result
+
+
 def run_experiment(config: ExperimentConfig) -> SweepResult:
     """Run ``config.realizations`` seeded trajectories and aggregate them.
 
@@ -449,14 +464,7 @@ def run_experiment(config: ExperimentConfig) -> SweepResult:
     The realizations run in forked workers, one per usable CPU; the tables
     are byte-identical for every worker count.
     """
-    _check_fading_block(config)
-    with _realization_pool(config.realizations) as pool:
-        point = _point_result(config, pool=pool)
-    result = SweepResult(points=[point], base_config=replace(config),
-                         config_hash=config.config_hash())
-    if config.out_dir:
-        result.write(config.out_dir)
-    return result
+    return _run_points(config, "", [None], [config])
 
 
 def _sweep(config: ExperimentConfig, param: str, key: str,
@@ -467,20 +475,10 @@ def _sweep(config: ExperimentConfig, param: str, key: str,
         raise ValueError("sweep needs at least one value")
     for v in values:  # a float or bool count would run as another int
         _check_type(key, v, f" in the {param} sweep")
-    configs = [replace(config, **{key: v}) for v in values]
-    # an invalid or oversized point is refused before any point runs
-    for cfg in configs:
-        _check_fading_block(cfg)
-        cfg.out_dir = ""  # points share the sweep's output directory
-    points = []
-    with _realization_pool(config.realizations) as pool:  # one for all points
-        for v, cfg in zip(values, configs):
-            points.append(_point_result(cfg, param=param, value=v, pool=pool))
-    result = SweepResult(points=points, base_config=replace(config),
-                         config_hash=config.config_hash())
-    if config.out_dir:
-        result.write(config.out_dir)
-    return result
+    # points share the sweep's output directory
+    return _run_points(config, param, values,
+                       [replace(config, **{key: v, "out_dir": ""})
+                        for v in values])
 
 
 def sweep_channels(config: ExperimentConfig, channel_counts) -> SweepResult:
@@ -573,7 +571,7 @@ class StationaryReport:
     optimum_keys: tuple
     verdict: bool | None       # stable set == brute-force optimum set
     max_direct_gibbs_gap: float
-    direct_failed_taus: tuple = ()  # too cold for a certified direct solve
+    direct_failed_taus: tuple  # too cold for a certified direct solve
 
     def to_csv_lines(self) -> list:
         lines = ["tau,state,pi_direct,pi_gibbs,pi_tree"]
@@ -610,12 +608,11 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
         except ValueError:
             # very cold chains defeat the dense solve's residual contract;
             # the Gibbs form stays exact
-            direct.append(np.full(kernel.num_states, math.nan))
+            direct.append(np.full(len(kernel), math.nan))
             direct_failed.append(tau)
         gibbs.append(analysis.gibbs_distribution(game, tau))
-        if kernel.num_states <= analysis._TREE_STATE_CAP:
+        if len(kernel) <= analysis._TREE_STATE_CAP:
             tree.append(analysis.stationary_tree(kernel))
-    states = kernel.states
     pi_direct = np.array(direct)
     pi_gibbs = np.array(gibbs)
     pi_tree = np.array(tree) if tree else None
@@ -631,9 +628,9 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     gap = float(np.max(np.abs(pi_direct[solved] - pi_gibbs[solved]))) \
         if solved.any() else math.nan
     report = StationaryReport(
-        states=states, taus=taus, pi_direct=pi_direct, pi_gibbs=pi_gibbs,
-        pi_tree=pi_tree, stable_keys=stable_keys, optimum_keys=opt_keys,
-        verdict=verdict, max_direct_gibbs_gap=gap,
+        states=analysis._table(game).channels, taus=taus, pi_direct=pi_direct,
+        pi_gibbs=pi_gibbs, pi_tree=pi_tree, stable_keys=stable_keys,
+        optimum_keys=opt_keys, verdict=verdict, max_direct_gibbs_gap=gap,
         direct_failed_taus=tuple(direct_failed))
     if config.out_dir:
         os.makedirs(config.out_dir, exist_ok=True)

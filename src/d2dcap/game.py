@@ -104,12 +104,12 @@ def _is_integer(x) -> bool:
         and not isinstance(x, (bool, np.bool_))
 
 
-def _check_index(what: str, index, count: int) -> None:
-    """Refuse an index that is not an integer or lies outside 0..count-1."""
-    if not _is_integer(index):
-        raise ValueError(f"{what} {index!r} is not an integer")
-    if not 0 <= index < count:
-        raise ValueError(f"{what} {index} is outside 0..{count - 1}")
+def _check_integer(what: str, value, low: int, high: float) -> None:
+    """Refuse a value that is not an integer or lies outside low..high."""
+    if not _is_integer(value):
+        raise ValueError(f"{what} {value!r} is not an integer")
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} is outside {low}..{high}")
 
 
 def _bad_channels(raw: np.ndarray) -> str | None:
@@ -205,7 +205,7 @@ class CapGame:
     # profiles
 
     def _check_active(self, player: int) -> None:
-        _check_index("player", player, self.num_players)
+        _check_integer("player", player, 0, self.num_players - 1)
         if self.passive_mask[player]:
             raise ValueError(f"player {player} is passive, a cellular link "
                              "on a fixed channel with no utility")
@@ -231,7 +231,7 @@ class CapGame:
                      channel: int) -> AssignmentProfile:
         """Copy of ``profile`` with one active player's channel replaced."""
         self._check_active(player)
-        _check_index("channel", channel, self.num_channels)
+        _check_integer("channel", channel, 0, self.num_channels - 1)
         ch = profile.channels.copy()
         ch[player] = channel
         return AssignmentProfile(ch)
@@ -400,6 +400,8 @@ class CapGame:
 
 def cochannel_set(profile: AssignmentProfile, channel: int) -> np.ndarray:
     """Indices of the UEs assigned to ``channel``, ascending."""
+    if not _is_integer(channel):
+        raise ValueError(f"channel {channel!r} is not an integer")
     return np.nonzero(np.asarray(profile.channels) == channel)[0]
 
 
@@ -422,8 +424,7 @@ def utility_mean(game: CapGame, profile: AssignmentProfile, player: int,
     here would repeat that one on the hot path.  A caller holding a
     profile of other origin checks it first.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    _check_integer("n_samples", n_samples, 1, math.inf)
     game._check_active(player)
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     members = cochannel_set(profile, int(profile.channels[player]))

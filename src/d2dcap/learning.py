@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .game import AssignmentProfile, CapGame, cochannel_set, utility_mean
+from .game import (AssignmentProfile, CapGame, _check_integer, cochannel_set,
+                   utility_mean)
 
 __all__ = [
     "FixedTemperature",
@@ -226,8 +227,7 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
     ``utility_mean``, an exact one ``CapGame.set_utility_exact`` on the
     player's co-channel set.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
+    _check_integer("horizon", horizon, 0, math.inf)
     # SFC64: numpy's fastest raw 64-bit stream, which sample_fading_block
     # reads directly for float32 fading, the bulk of a run's time
     rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
@@ -309,7 +309,7 @@ def run_br(game: CapGame, n_samples: int | None, horizon: int, rng_seed,
     same protocol as BLLA, but a proposal is adopted only when its
     estimated utility strictly exceeds the current one.  tau is NaN.
     ``n_samples=None`` reads exact utilities and records 0 samples."""
-    if n_samples is not None and n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
+    if n_samples is not None:
+        _check_integer("n_samples", n_samples, 1, math.inf)
     return _run(game, horizon, rng_seed, initial_profile,
                 lambda t: (math.nan, n_samples or 0, _improves))

@@ -64,7 +64,7 @@ def test_criterion_2_direct_solve_vs_gibbs(criterion):
                 gibbs = analysis.gibbs_distribution(game, tau)
                 worst_gap = max(worst_gap,
                                 float(np.abs(direct - gibbs).max()))
-                resid = float(np.abs(direct @ kernel.matrix - direct).max())
+                resid = float(np.abs(direct @ kernel - direct).max())
                 worst_res = max(worst_res, resid)
         info["ok"] = worst_gap <= 1e-9 and worst_res <= 1e-10
         info["detail"] = (f"max |pi_direct - pi_gibbs| {worst_gap:.3e} "
@@ -85,9 +85,7 @@ def test_criterion_3_tree_theorem_cross_check(criterion):
             cases += 1
         rng = np.random.default_rng(9)
         for n in (3, 4, 5):
-            mat = rng.dirichlet(2.0 * np.ones(n), size=n)
-            kernel = analysis.TransitionKernel(
-                states=[(i,) for i in range(n)], matrix=mat)
+            kernel = rng.dirichlet(2.0 * np.ones(n), size=n)
             tree = analysis.stationary_tree(kernel)
             direct = analysis.stationary_direct(kernel)
             worst = max(worst, float(np.abs(tree - direct).max()))
@@ -242,7 +240,7 @@ def test_criterion_11_resistance_calculus(criterion):
 
         trees_ok = True
         for game in (small_game(0, 2, 2, 25), small_game(1, 1, 2, 35)):
-            _, res = game_resistance_kernel(game)
+            res = game_resistance_kernel(game)
             report = min_resistance_tree_check(res)
             trees_ok = trees_ok and report.passes
         info["ok"] = worst <= 1e-2 and trees_ok

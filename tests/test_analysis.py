@@ -15,7 +15,6 @@ import d2dcap
 import d2dcap.analysis as analysis_module
 from d2dcap.analysis import (
     ResistanceExpr,
-    TransitionKernel,
     _in_trees,
     brute_force_optimum,
     empirical_resistance,
@@ -34,6 +33,7 @@ from d2dcap.analysis import (
     stationary_tree,
     stochastically_stable_states,
 )
+from d2dcap.experiments import ExperimentConfig, analyze_stationary
 from d2dcap.game import AssignmentProfile, CapGame
 from d2dcap.learning import acceptance_probability
 
@@ -79,8 +79,7 @@ def single_switches(game):
 
 def random_chain(n, seed):
     rng = np.random.default_rng(seed)
-    m = rng.dirichlet(np.ones(n) * 2.0, size=n)
-    return TransitionKernel(states=list(range(n)), matrix=m)
+    return rng.dirichlet(np.ones(n) * 2.0, size=n)
 
 
 def sparse_chain(n, seed, density):
@@ -94,7 +93,7 @@ def sparse_chain(n, seed, density):
     top = np.log10(1.0 / (edges.sum(axis=1, keepdims=True) + 1.0))
     m = np.where(edges, 10.0 ** rng.uniform(-14.0, top, (n, n)), 0.0)
     np.fill_diagonal(m, 1.0 - m.sum(axis=1))
-    return TransitionKernel(states=list(range(n)), matrix=m)
+    return m
 
 
 @st.composite
@@ -172,13 +171,19 @@ def test_profile_table_is_built_once_per_game():
     assert calls == dict(zip(names, (memberships, len(sets), 0, 0)))
 
 
-def test_every_state_space_is_the_profile_channel_array():
-    game = seeded_game(1, 2, 2, seed=25)
+def test_every_state_space_is_the_profile_channel_array(monkeypatch):
+    config = ExperimentConfig(num_uec=1, num_ued=2, num_channels=2,
+                              topology_seed=25)
+    game = config.game(config.topology(0))
     channels = analysis_module._table(game).channels
     assert not channels.flags.writeable
+    monkeypatch.setattr(ExperimentConfig, "game", lambda self, topo: game)
+    assert analyze_stationary(config, (0.1,)).states is channels
+    # a chain is its matrix, rows and columns in enumeration order
     kernel = exact_transition_matrix(game, 0.1)
-    assert kernel.states is channels
-    assert game_resistance_kernel(game)[0] is channels
+    for matrix in (kernel, game_resistance_kernel(game)):
+        assert type(matrix) is np.ndarray and matrix.dtype == np.float64
+        assert matrix.shape == (len(channels), len(channels))
     # a stationary law is its probability vector, indexed like the states
     for pi in (stationary_direct(kernel), stationary_tree(kernel),
                gibbs_distribution(game, 0.1)):
@@ -236,13 +241,24 @@ def test_brute_force_reports_relabeling_ties():
 # transition kernel
 
 
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        TransitionKernel(states=[0, 1], matrix=np.array([[0.5, 0.4],
-                                                         [0.5, 0.5]]))
-    with pytest.raises(ValueError):
-        TransitionKernel(states=[0, 1], matrix=np.array([[1.2, -0.2],
-                                                         [0.0, 1.0]]))
+@pytest.mark.parametrize("solver", [stationary_direct, stationary_tree],
+                         ids=["direct", "tree"])
+@pytest.mark.parametrize("matrix, message", [
+    ([[0.5, 0.5]], "non-empty square"),
+    ([0.5, 0.5], "non-empty square"),
+    (np.zeros((0, 0)), "non-empty square"),
+    ([[1.2, -0.2], [0.0, 1.0]], "non-negative"),
+    ([[math.nan, math.nan], [0.5, 0.5]], "finite"),
+    ([[0.5, 0.5], [math.nan, 0.5]], "finite"),
+    ([[math.inf, 0.5], [0.5, 0.5]], "finite"),
+    ([[0.5, 0.4], [0.5, 0.5]], "rows must sum to 1"),
+], ids=["not-square", "vector", "empty", "negative", "nan-row", "nan-entry",
+        "inf", "rows"])
+def test_solvers_refuse_what_is_not_a_chain(solver, matrix, message):
+    # a NaN once passed every comparison: the direct solve returned NaNs
+    # and the tree theorem the finite, wrong law [1, 0]
+    with pytest.raises(ValueError, match=message):
+        solver(matrix)
 
 
 def test_exact_kernel_matches_hand_values():
@@ -256,11 +272,11 @@ def test_exact_kernel_matches_hand_values():
             b = game.with_channel(a, player, 1 - int(a.channels[player]))
             du = game.utility_exact(a, player) - game.utility_exact(b, player)
             want = 0.5 * 0.5 * acceptance_probability(du, tau)
-            got = kernel.matrix[idx[key(a)], idx[key(b)]]
+            got = kernel[idx[key(a)], idx[key(b)]]
             assert got == pytest.approx(want, rel=1e-12)
-    assert np.allclose(kernel.matrix.sum(axis=1), 1.0, atol=1e-14)
+    assert np.allclose(kernel.sum(axis=1), 1.0, atol=1e-14)
     # high temperature: every move accepted with probability ~1/2
-    hot = exact_transition_matrix(game, 1e9).matrix
+    hot = exact_transition_matrix(game, 1e9)
     off = hot[~np.eye(4, dtype=bool)]
     assert np.all(np.abs(off[off > 0] - 0.125) < 1e-9)
 
@@ -268,9 +284,8 @@ def test_exact_kernel_matches_hand_values():
 def test_kernel_satisfies_detailed_balance():
     game = seeded_game(0, 3, 2, seed=11)
     tau = 0.1
-    kernel = exact_transition_matrix(game, tau)
+    m = exact_transition_matrix(game, tau)
     pi = gibbs_distribution(game, tau)
-    m = kernel.matrix
     for i in range(len(pi)):
         for j in range(len(pi)):
             if i != j and m[i, j] > 0:
@@ -282,14 +297,14 @@ def test_kernel_satisfies_detailed_balance():
        tau=st.sampled_from([1e9, 0.5, 0.1, 0.02, 0.005]))
 def test_kernel_entries_are_the_acceptance_rule(game, tau):
     kernel = exact_transition_matrix(game, tau)
-    index = state_index(kernel.states)
+    index = state_index(enumerate_profiles(game))
     pick = 1.0 / (len(game.active_players) * game.num_channels)
-    expected = np.zeros_like(kernel.matrix)
+    expected = np.zeros_like(kernel)
     for a, b, player in single_switches(game):
         du = game.utility_exact(a, player) - game.utility_exact(b, player)
         expected[index[key(a)], index[key(b)]] = \
             pick * acceptance_probability(du, tau)
-    m = kernel.matrix.copy()
+    m = kernel.copy()
     diag = np.diag(m).copy()
     np.fill_diagonal(m, 0.0)
     assert np.array_equal(m, expected)  # bit for bit, zeros off the moves
@@ -299,8 +314,8 @@ def test_kernel_entries_are_the_acceptance_rule(game, tau):
 
 @given(game=small_games())
 def test_resistances_are_positive_parts_of_drops(game):
-    states, res = game_resistance_kernel(game)
-    index = state_index(states)
+    res = game_resistance_kernel(game)
+    index = state_index(enumerate_profiles(game))
     adj = np.isfinite(res)
     want_adj = np.zeros_like(adj)
     for a, b, player in single_switches(game):
@@ -372,9 +387,7 @@ def test_brute_force_and_gibbs_are_potential_scans(game, tau):
 
 
 def test_direct_solve_symmetric_two_state():
-    k = TransitionKernel(states=["a", "b"],
-                         matrix=np.array([[0.7, 0.3], [0.3, 0.7]]))
-    pi = stationary_direct(k)
+    pi = stationary_direct(np.array([[0.7, 0.3], [0.3, 0.7]]))
     assert np.allclose(pi, [0.5, 0.5], atol=1e-15)
 
 
@@ -385,7 +398,7 @@ def test_direct_solve_matches_gibbs():
         pd = stationary_direct(kernel)
         pg = gibbs_distribution(game, tau)
         assert float(np.abs(pd - pg).max()) <= 1e-9
-        assert float(np.abs(pd @ kernel.matrix - pd).max()) <= 1e-10
+        assert float(np.abs(pd @ kernel - pd).max()) <= 1e-10
 
 
 def test_direct_solve_refuses_frozen_chains():
@@ -400,8 +413,8 @@ def test_direct_solve_refuses_frozen_chains():
 @given(kernel=sparse_chains())
 def test_blocked_direct_solve_matches_state_by_state(kernel):
     got = stationary_direct(kernel)
-    want = state_by_state_gth(kernel.matrix)
-    if kernel.num_states <= 33:  # one block: same arithmetic, same bits
+    want = state_by_state_gth(kernel)
+    if len(kernel) <= 33:  # one block: same arithmetic, same bits
         assert np.array_equal(got, want)
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
@@ -413,17 +426,17 @@ def test_blocked_direct_solve_splits_panel_products(kernel):
     # panel products of at most 256 columns (rows): the first blocks' panels
     # of 569 and 668 states split into two full pieces and a short last one
     got = stationary_direct(kernel)
-    want = state_by_state_gth(kernel.matrix)
+    want = state_by_state_gth(kernel)
     assert float(np.max(np.abs(got - want) / want)) <= 1e-12
 
 
 def closed_class(first, last):
     """A 100-state chain in which states first..last form a closed class."""
-    m = random_chain(100, 4).matrix
+    m = random_chain(100, 4)
     m[first:last + 1, :first] = 0.0
     m[first:last + 1, last + 1:] = 0.0
     m /= m.sum(axis=1, keepdims=True)
-    return TransitionKernel(states=list(range(100)), matrix=m)
+    return m
 
 
 def test_direct_solve_refuses_reducible_chain_in_a_later_block():
@@ -447,18 +460,17 @@ def test_direct_solve_refuses_reducible_chain_in_the_leading_block():
 
 
 def test_direct_solve_refuses_sub_roundoff_chain():
-    m = random_chain(100, 5).matrix
+    m = random_chain(100, 5)
     m[70, 70] += m[70, 3] - 1e-16
     m[70, 3] = 1e-16
     with pytest.raises(ValueError, match="below unit roundoff"):
-        stationary_direct(TransitionKernel(states=list(range(100)), matrix=m))
+        stationary_direct(m)
 
 
 _DIGEST_SCRIPT = """
 import hashlib
 import numpy as np
-from d2dcap.analysis import (TransitionKernel, exact_transition_matrix,
-                             stationary_direct)
+from d2dcap.analysis import exact_transition_matrix, stationary_direct
 from d2dcap.experiments import ExperimentConfig
 def digest(kernel):
     pi = stationary_direct(kernel)
@@ -466,7 +478,7 @@ def digest(kernel):
 for n in (601, 2187):
     m = np.random.default_rng(7).random((n, n))
     m /= m.sum(axis=1, keepdims=True)
-    digest(TransitionKernel(states=list(range(n)), matrix=m))
+    digest(m)
 # the exact-729 benchmark game: 6 pairs on 3 channels
 cfg = ExperimentConfig(num_uec=0, num_ued=6, num_channels=3,
                        cell_radius_m=60.0, topology_seed=25)
@@ -508,9 +520,7 @@ def test_gibbs_two_point_ratio():
 
 
 def test_tree_theorem_two_state_closed_form():
-    k = TransitionKernel(states=[0, 1],
-                         matrix=np.array([[0.9, 0.1], [0.4, 0.6]]))
-    pi = stationary_tree(k)
+    pi = stationary_tree(np.array([[0.9, 0.1], [0.4, 0.6]]))
     assert np.allclose(pi, [0.8, 0.2], atol=1e-15)
 
 
@@ -527,8 +537,7 @@ def test_tree_star_chain():
                   [0.5, 0.5, 0.0, 0.0],
                   [0.3, 0.0, 0.7, 0.0],
                   [0.1, 0.0, 0.0, 0.9]])
-    k = TransitionKernel(states=list(range(4)), matrix=m)
-    gap = np.abs(stationary_tree(k) - stationary_direct(k))
+    gap = np.abs(stationary_tree(m) - stationary_direct(m))
     assert float(gap.max()) <= 1e-12
 
 
@@ -573,7 +582,7 @@ def test_stable_states_grid_guards():
 
 def test_edge_resistances_complementarity():
     game = seeded_game(0, 2, 2, seed=25)
-    states, res = game_resistance_kernel(game)
+    res = game_resistance_kernel(game)
     adj = np.isfinite(res)
     for i, j in zip(*np.nonzero(adj)):
         assert adj[j, i] and min(res[i, j], res[j, i]) == 0.0
@@ -582,13 +591,13 @@ def test_edge_resistances_complementarity():
     a = AssignmentProfile([0, 0])
     b = game.with_channel(a, 0, 1)
     du = game.utility_exact(a, 0) - game.utility_exact(b, 0)
-    index = state_index(states)
+    index = state_index(enumerate_profiles(game))
     assert res[index[key(a)], index[key(b)]] == max(0.0, du)
 
 
 def test_min_resistance_tree_check_on_game():
     game = seeded_game(0, 2, 2, seed=25)
-    keys, res = game_resistance_kernel(game)
+    res = game_resistance_kernel(game)
     assert res.shape == (4, 4)
     assert res[0, 3] == np.inf  # two-coordinate moves are not adjacent
     report = min_resistance_tree_check(res)

@@ -646,7 +646,7 @@ def test_stationary_csv_lines_match_golden_bytes():
         pi_gibbs=np.array([[1 / 3, 1e-300, 2 / 3], [0.0, 0.25, 0.75]]),
         pi_tree=np.array([[1 / 3, 1e-300, 2 / 3], [1e-17, 0.5, 0.5 - 1e-17]]),
         stable_keys=None, optimum_keys=((2, 12),), verdict=None,
-        max_direct_gibbs_gap=nan)
+        max_direct_gibbs_gap=nan, direct_failed_taus=(0.005,))
     rows = ["0.1,0|1,0.30000000000000004,0.3333333333333333,",
             "0.1,1|0,5e-324,1e-300,",
             "0.1,2|12,0.7,0.6666666666666666,",

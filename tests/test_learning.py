@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import hashlib
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,8 @@ from d2dcap.analysis import (_optimal_share, brute_force_optimum,
                              enumerate_profiles, exact_transition_matrix,
                              gibbs_distribution)
 from d2dcap.experiments import ExperimentConfig
-from d2dcap.game import (AssignmentProfile, CapGame, utility_mean,
-                         verify_potential_identity)
+from d2dcap.game import (AssignmentProfile, CapGame, cochannel_set,
+                         utility_mean, verify_potential_identity)
 from d2dcap.learning import (
     BoundedNoise,
     FixedTemperature,
@@ -278,6 +279,30 @@ def test_runner_argument_guards():
             run_br(cells, 1, 5, 1, initial_profile=start)
 
 
+def test_non_integer_count_or_channel_is_refused():
+    # True ran as one sample, 0.5 as a channel no link holds, and a whole
+    # float such as 2.0 died in Python's TypeError
+    config = ExperimentConfig(num_uec=0, num_ued=3, num_channels=2)
+    game = config.game(config.topology(0))
+    prof = AssignmentProfile([0, 1, 0])
+    blla = functools.partial(run_blla, game, FixedTemperature(0.1),
+                             BoundedNoise(1.0), 0.1)
+    for value in (True, np.True_, 2.0, 0.5, np.array(2), "2"):
+        for name, refused in (
+                ("n_samples", lambda: utility_mean(game, prof, 0, value, 0)),
+                ("n_samples", lambda: run_br(game, value, 5, 0)),
+                ("channel", lambda: cochannel_set(prof, value)),
+                ("horizon", lambda: run_br(game, None, value, 0)),
+                ("horizon", lambda: blla(value, 0))):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{name} {value!r} is not an integer")):
+                refused()
+    # Python's and numpy's integers still count
+    assert cochannel_set(prof, np.int16(0)).tolist() == [0, 2]
+    assert run_br(game, np.int64(2), np.uint8(3), 0).horizon == 3
+    assert math.isfinite(utility_mean(game, prof, 1, np.int32(2), 0))
+
+
 def test_zero_active_players_keep_their_start():
     game = seeded_game(1, 0, 3, seed=5)
     start = game.initial_profile()
@@ -354,8 +379,8 @@ def test_one_game_serves_learning_and_exact_analysis():
     assert (got.keys, got.phi_star) == (want.keys, want.phi_star)
     assert gibbs_distribution(game, 0.05).tobytes() \
         == gibbs_distribution(fresh, 0.05).tobytes()
-    assert exact_transition_matrix(game, 0.1).matrix.tobytes() \
-        == exact_transition_matrix(fresh, 0.1).matrix.tobytes()
+    assert exact_transition_matrix(game, 0.1).tobytes() \
+        == exact_transition_matrix(fresh, 0.1).tobytes()
     for channels in enumerate_profiles(fresh):
         prof = AssignmentProfile(channels)
         for player in game.active_players:
