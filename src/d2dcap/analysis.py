@@ -499,11 +499,14 @@ def min_resistance_tree_check(resistances: np.ndarray) -> MinTreeReport:
     """Enumerate all rooted spanning in-trees over the resistance graph,
     whose edges are the finite resistances, find the minimum total
     resistance, and verify every minimizing tree contains at least one
-    (near-)zero-resistance edge."""
+    (near-)zero-resistance edge.  Resistances are decay rates: each entry
+    is non-negative, or +inf for a missing edge."""
     res = np.asarray(resistances, dtype=np.float64)
-    n = res.shape[0]
-    if res.shape != (n, n):
-        raise ValueError("resistance matrix must be square")
+    if res.ndim != 2 or res.shape[0] != res.shape[1] or res.size == 0:
+        raise ValueError("resistance matrix must be a non-empty square")
+    if not res.min() >= 0.0:  # True for NaN
+        raise ValueError("resistances must be non-negative or +inf")
+    n = len(res)
     edges = np.isfinite(res)
 
     best = math.inf
@@ -601,8 +604,8 @@ def empirical_resistance(f, tau_grid) -> float:
     if len(taus) < 2:
         raise ValueError("tau_grid needs at least two points")
     vals = np.array([float(f(t)) for t in taus])
-    if np.any(vals <= 0):
-        raise ValueError("f must be positive on the grid")
+    if not 0.0 < vals.min() <= vals.max() < np.inf:  # False for NaN
+        raise ValueError("f must be finite and positive on the grid")
     y = -taus * np.log(vals)
     slope, intercept = np.polyfit(taus, y, 1)
     resid = float(np.max(np.abs(intercept + slope * taus - y)))

@@ -20,16 +20,8 @@ _PRESETS = {
 }
 
 
-def _preset_config(name: str) -> ExperimentConfig:
-    try:
-        return ExperimentConfig(**_PRESETS[name])
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; choose from "
-                         f"{sorted(_PRESETS)}") from None
-
-
 def _resolve_config(args) -> ExperimentConfig:
-    config = _preset_config(args.preset)
+    config = ExperimentConfig(**_PRESETS[args.preset])
     if args.config is not None:
         config = ExperimentConfig.from_file(args.config)
     overrides = {"base_seed": args.seed, "realizations": args.realizations,

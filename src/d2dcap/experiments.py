@@ -3,7 +3,9 @@ parameter sweeps with paired seeds, and deterministic table emitters.
 
 Configs carry radio quantities in dBm/dB, so files stay human-auditable;
 ``RadioParams`` takes them by the same names and units and converts them to
-linear units itself.  The config's defaults are the only ones.  Every emitted
+linear units itself.  The config's defaults are the only ones.  A point's
+statistic is the final-window mean sum rate: each realization's mean over
+its last quarter of slots, averaged over realizations.  Every emitted
 table is reproducible byte for byte from (config, seeds): no timestamps, no
 environment-dependent content.
 """
@@ -27,8 +29,7 @@ import numpy as np
 from . import analysis
 from .game import CapGame
 from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
-                       LogDecreasingTemperature, Trajectory, _window_start,
-                       run_blla, run_br)
+                       LogDecreasingTemperature, Trajectory, run_blla, run_br)
 from .radio import (RadioParams, Topology, generate_topology,
                     thermal_noise_watts, watts_to_dbm)
 
@@ -51,6 +52,7 @@ _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
 # most fading coefficients that one utility estimate may draw, in chunks
 # of bounded memory: a cap on its work
 _FADING_COEFF_GUARD = 1 << 28
+_FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
 
 _log = logging.getLogger(__name__)
 
@@ -293,19 +295,26 @@ def _run_one(config: ExperimentConfig, game: CapGame,
     return run_br(game, n, config.horizon, seed)
 
 
-def _check_fading_block(config: ExperimentConfig) -> None:
-    """Refuse a config one of whose estimates would draw more than
-    ``_FADING_COEFF_GUARD`` fading coefficients, before anything is drawn.
-    An estimate draws m x m x N coefficients for its co-channel set of m
-    links.  m is at most every D2D pair plus one cellular link, since
-    cellular links hold distinct channels; N peaks in the coldest slot, the
-    last one."""
+def _window_start(horizon: int) -> int:
+    """Index of the first slot in the final ``_FINAL_WINDOW_FRAC`` of a run."""
+    return int(math.floor(horizon * (1.0 - _FINAL_WINDOW_FRAC)))
+
+
+def _check_point(config: ExperimentConfig) -> None:
+    """Refuse a point before anything is drawn: an invalid config, then one
+    estimate that would draw more than ``_FADING_COEFF_GUARD`` fading
+    coefficients, then a tracked optimum over more profiles than brute
+    force enumerates.  An estimate draws m x m x N coefficients for its
+    co-channel set of m links.  m is at most every D2D pair plus one
+    cellular link, since cellular links hold distinct channels; N peaks in
+    the coldest slot, the last one.  The profile count does not depend on
+    the layout."""
     config.validate()
-    if config.noise_model == "none":
-        return  # exact utilities draw no fading
     m_max = config.num_ued + (1 if config.num_uec else 0)
     keys = ["num_uec", "num_ued"]
-    if config.algorithm == "br":
+    if config.noise_model == "none":
+        n_max = 0  # exact utilities draw no fading
+    elif config.algorithm == "br":
         n_max = config.br_samples
         keys.append("br_samples")
     else:
@@ -322,27 +331,27 @@ def _check_fading_block(config: ExperimentConfig) -> None:
             f"one estimate would draw {m_max} x {m_max} x {n_max} fading "
             f"coefficients ({coeffs:.3g}), more than the guard of "
             f"{_FADING_COEFF_GUARD:.3g}; it is set by {named}")
+    if config.track_optimum:
+        analysis._profile_count(config.game(config.topology(0)),
+                                analysis._SPACE_GUARD, "profile space")
 
 
 class _Record(typing.NamedTuple):
     """What the aggregate keeps of one realization."""
 
     sum_rate: np.ndarray       # (T,) per-slot sum rate
-    final_window_mean: float
     final_channels: np.ndarray  # (L,) channel vector after the last slot
     occupancy: float | None    # of the optimal set, if tracked
     wall_s: float
 
 
-def _realization(config: ExperimentConfig, topology: Topology | None,
-                 best: float | None, k: int) -> _Record:
-    """Run realization ``k``.  ``topology`` None draws the realization's
-    own layout, and with ``best`` None the tracked optimum is that layout's
-    brute-force best normalized potential.  One game serves the learner
-    and the optimum."""
+def _realization(config: ExperimentConfig, best: float | None,
+                 k: int) -> _Record:
+    """Run realization ``k`` on ``config.topology(k)``.  With ``best``
+    None the tracked optimum is that layout's brute-force best normalized
+    potential.  One game serves the learner and the optimum."""
     t0 = time.perf_counter()
-    game = config.game(topology if topology is not None
-                       else config.topology(k))
+    game = config.game(config.topology(k))
     seed = config.base_seed + k
     traj = _run_one(config, game, seed)
     if traj.horizon != config.horizon:
@@ -354,8 +363,8 @@ def _realization(config: ExperimentConfig, topology: Topology | None,
             best = analysis.brute_force_optimum(game).normalized_phi_star
         occupancy = analysis._optimal_share(
             game, traj.sum_rate[_window_start(traj.horizon):], best)
-    return _Record(traj.sum_rate, traj.final_window_mean_sum_rate(),
-                   traj.profiles[-1], occupancy, time.perf_counter() - t0)
+    return _Record(traj.sum_rate, traj.profiles[-1], occupancy,
+                   time.perf_counter() - t0)
 
 
 def _pool_size(realizations: int) -> int:
@@ -392,22 +401,15 @@ def _point_result(config: ExperimentConfig, param: str, value,
                   pool) -> PointResult:
     """Aggregate ``config.realizations`` runs, in ``pool`` unless it is
     None; the records are reduced in realization order either way.
-    ``_run_points`` has validated ``config`` (``_check_fading_block``)."""
+    ``_run_points`` has checked ``config`` (``_check_point``)."""
     horizon = config.horizon
     reals = config.realizations
-    window = horizon - _window_start(horizon)
+    start = _window_start(horizon)
 
-    shared_topo = config.topology(0) if config.shared_topology else None
     shared_opt = None
-    if config.track_optimum:
-        if shared_topo is not None:
-            shared_opt = analysis.brute_force_optimum(
-                config.game(shared_topo))
-        else:
-            # the profile-space size does not depend on the layout, so an
-            # oversized one is refused before any realization runs
-            analysis._profile_count(config.game(config.topology(0)),
-                                    analysis._SPACE_GUARD, "profile space")
+    if config.track_optimum and config.shared_topology:
+        shared_opt = analysis.brute_force_optimum(
+            config.game(config.topology(0)))
 
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
@@ -415,12 +417,12 @@ def _point_result(config: ExperimentConfig, param: str, value,
     final_profiles = []
 
     best = None if shared_opt is None else shared_opt.normalized_phi_star
-    run = functools.partial(_realization, config, shared_topo, best)
+    run = functools.partial(_realization, config, best)
     records = map(run, range(reals)) if pool is None \
         else pool.map(run, range(reals))
     for k, rec in enumerate(records):
         trace_sum += rec.sum_rate
-        finals[k] = rec.final_window_mean
+        finals[k] = rec.sum_rate[start:].mean()
         final_profiles.append(rec.final_channels)
         if occupancies is not None:
             occupancies[k] = rec.occupancy
@@ -431,7 +433,7 @@ def _point_result(config: ExperimentConfig, param: str, value,
     return PointResult(
         param=param, value=value, config=replace(config),
         seed_range=(config.base_seed, config.base_seed + reals - 1),
-        window_slots=window, mean_trace=trace_sum / reals,
+        window_slots=horizon - start, mean_trace=trace_sum / reals,
         per_realization_final=finals,
         final_profiles=np.array(final_profiles, dtype=np.int16),
         final_window_mean=float(finals.mean()), final_window_se=se,
@@ -446,7 +448,7 @@ def _run_points(config: ExperimentConfig, param: str, values,
     Every point is checked before any runs, all share one realization pool,
     and the tables go under ``config.out_dir`` when that is set."""
     for cfg in configs:
-        _check_fading_block(cfg)
+        _check_point(cfg)
     with _realization_pool(config.realizations) as pool:
         points = [_point_result(cfg, param, v, pool)
                   for v, cfg in zip(values, configs)]

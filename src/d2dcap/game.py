@@ -267,7 +267,7 @@ class CapGame:
         return tables
 
     def _kernel_weights(self, members: np.ndarray, dtype,
-                        player: int | None = None) -> tuple:
+                        player: int | None) -> tuple:
         """(stack, signal, rows, rx, sign): the kernel's set-up for one
         member set, as ``_rate_kernel`` describes it.
 

@@ -165,14 +165,6 @@ def acceptance_probability(delta: float, tau: float) -> float:
 # trajectories
 
 
-_FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
-
-
-def _window_start(horizon: int) -> int:
-    """Index of the first slot in the final ``_FINAL_WINDOW_FRAC`` of a run."""
-    return int(math.floor(horizon * (1.0 - _FINAL_WINDOW_FRAC)))
-
-
 @dataclass
 class Trajectory:
     """Per-slot record of one learning run.
@@ -199,10 +191,6 @@ class Trajectory:
     @property
     def horizon(self) -> int:
         return len(self.sum_rate)
-
-    def final_window_mean_sum_rate(self) -> float:
-        tail = self.sum_rate[_window_start(self.horizon):]
-        return float(tail.mean()) if len(tail) else math.nan
 
 
 # ----------------------------------------------------------------------

@@ -621,6 +621,21 @@ def test_min_resistance_tree_check_guards():
         min_resistance_tree_check(np.full((3, 3), np.inf))
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ([[math.inf, math.nan], [0.0, math.inf]], "non-negative or \\+inf"),
+    ([[math.inf, -1.0], [0.0, math.inf]], "non-negative or \\+inf"),
+    ([[math.inf, -math.inf], [0.0, math.inf]], "non-negative or \\+inf"),
+    (np.zeros((0, 0)), "non-empty square"),
+    ([[0.0, 1.0]], "non-empty square"),
+], ids=["nan", "negative", "minus-inf", "empty", "not-square"])
+def test_min_resistance_tree_check_refuses_what_is_not_a_decay_rate(
+        matrix, message):
+    # a NaN read as a missing edge and -1 as a zero-resistance one: both
+    # once passed with a minimum tree of resistance 0 or -1
+    with pytest.raises(ValueError, match=message):
+        min_resistance_tree_check(matrix)
+
+
 # ----------------------------------------------------------------------
 # resistance algebra
 
@@ -678,3 +693,14 @@ def test_empirical_resistance_guards_and_warning():
         empirical_resistance(lambda t: 1.0, [0.1])
     with pytest.warns(UserWarning):
         empirical_resistance(lambda t: t ** 5 * math.exp(-0.3 / t), grid)
+
+
+@pytest.mark.parametrize("f", [
+    lambda t: math.nan,
+    lambda t: math.nan if t == 0.2 else math.exp(-0.5 / t),
+    lambda t: math.inf,
+], ids=["all-nan", "one-nan", "inf"])
+def test_empirical_resistance_refuses_non_finite_samples(f):
+    # NaN samples once gave a NaN resistance without an error
+    with pytest.raises(ValueError, match="finite and positive"):
+        empirical_resistance(f, [0.1, 0.2, 0.3])

@@ -16,7 +16,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import d2dcap.experiments as expmod
-import d2dcap.learning as learning
 from d2dcap.experiments import (
     ExperimentConfig,
     StationaryReport,
@@ -188,7 +187,8 @@ def test_single_realization_matches_direct_run():
     traj = run_blla(game, cfg.schedule_obj(), None, cfg.xi, cfg.horizon,
                     cfg.base_seed)
     assert np.array_equal(point.mean_trace, traj.sum_rate)
-    assert point.final_window_mean == traj.final_window_mean_sum_rate()
+    assert point.final_window_mean \
+        == traj.sum_rate[expmod._window_start(cfg.horizon):].mean()
     assert point.final_window_se == 0.0
     assert point.seed_range == (100, 100)
 
@@ -319,10 +319,10 @@ def test_occupancy_from_the_potential_equals_the_key_count(config, k):
     # the reference: final-window slots whose channel vector is one of
     # brute force's optimal profiles, counted by matching keys
     traj = expmod._run_one(config, game, config.base_seed + k)
-    rows = traj.profiles[learning._window_start(traj.horizon):].tolist()
+    rows = traj.profiles[expmod._window_start(traj.horizon):].tolist()
     want = sum(tuple(row) in set(optimum.keys) for row in rows) / len(rows)
-    assert expmod._realization(config, topo, best, k).occupancy == want
-    assert expmod._realization(config, None, None, k).occupancy == want
+    assert expmod._realization(config, best, k).occupancy == want
+    assert expmod._realization(config, None, k).occupancy == want
 
 
 def _no_realization(monkeypatch):
@@ -707,12 +707,11 @@ def test_fading_block_guard_counts_one_cellular_link(monkeypatch):
     cfg = tiny_config(num_uec=1, algorithm="br", br_samples=10,
                       noise_model="bounded")
     monkeypatch.setattr(expmod, "_FADING_COEFF_GUARD", 90)
-    expmod._check_fading_block(cfg)
-    expmod._check_fading_block(replace(cfg, noise_model="none",
-                                       br_samples=10 ** 9))
+    expmod._check_point(cfg)
+    expmod._check_point(replace(cfg, noise_model="none", br_samples=10 ** 9))
     monkeypatch.setattr(expmod, "_FADING_COEFF_GUARD", 89)
     with pytest.raises(ValueError, match="more than the guard"):
-        expmod._check_fading_block(cfg)
+        expmod._check_point(cfg)
 
 
 def test_sweep_checks_every_point_before_the_first_runs(monkeypatch):
@@ -722,6 +721,11 @@ def test_sweep_checks_every_point_before_the_first_runs(monkeypatch):
     cfg = tiny_config(noise_model="bounded", tau=0.01, track_optimum=False)
     with pytest.raises(ValueError, match="60 x 60 x 1064518"):
         sweep_ues(cfg, [1, 60])
+    # one shared layout: 3^13 = 1,594,323 profiles at the second point
+    tracked = tiny_config(num_channels=3, track_optimum=True, horizon=20,
+                          realizations=2)
+    with pytest.raises(ValueError, match="profile space of size 1594323"):
+        sweep_ues(tracked, [2, 13])
     assert calls == []
 
 

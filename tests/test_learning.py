@@ -16,7 +16,7 @@ import d2dcap.learning as learning_module
 from d2dcap.analysis import (_optimal_share, brute_force_optimum,
                              enumerate_profiles, exact_transition_matrix,
                              gibbs_distribution)
-from d2dcap.experiments import ExperimentConfig
+from d2dcap.experiments import ExperimentConfig, _window_start
 from d2dcap.game import (AssignmentProfile, CapGame, cochannel_set,
                          utility_mean, verify_potential_identity)
 from d2dcap.learning import (
@@ -25,7 +25,6 @@ from d2dcap.learning import (
     GaussianNoise,
     LogDecreasingTemperature,
     Trajectory,
-    _window_start,
     acceptance_probability,
     run_blla,
     run_br,
@@ -255,8 +254,6 @@ def test_trajectory_windows_and_occupancy():
     hits = sum(1 for row in traj.profiles[6:].tolist()
                if tuple(row) in optimum.keys)
     assert occ == hits / 2
-    mean = traj.final_window_mean_sum_rate()
-    assert mean == pytest.approx(traj.sum_rate[6:].mean(), rel=1e-15)
 
 
 def test_runner_argument_guards():
