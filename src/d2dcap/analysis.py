@@ -83,9 +83,9 @@ _REDUCIBLE = ("reducible chain: eliminated state has no path back; use "
 # profile space
 
 
-def _profile_count(game: CapGame, guard: int, what: str) -> int:
-    """Profile-space size; raises above ``guard``, before enumerating."""
-    size = game.num_channels ** len(game.active_players)
+def _profile_count(channels: int, players: int, guard: int, what: str) -> int:
+    """``channels ** players`` profiles; raises above ``guard``."""
+    size = channels ** players
     if size > guard:
         raise ValueError(f"{what} of size {size} exceeds the {guard} guard")
     return size
@@ -95,7 +95,8 @@ def enumerate_profiles(game: CapGame) -> np.ndarray:
     """All valid profiles as rows of a read-only int16 array, mixed radix."""
     base = game.initial_profile()
     active = game.active_players
-    size = _profile_count(game, _SPACE_GUARD, "profile space")
+    size = _profile_count(game.num_channels, len(active), _SPACE_GUARD,
+                          "profile space")
     radix = game.num_channels ** np.arange(len(active))
     channels = np.tile(base.channels, (size, 1))
     channels[:, active] = np.arange(size)[:, None] // radix % game.num_channels
@@ -234,8 +235,9 @@ def exact_transition_matrix(game: CapGame, tau: float) -> np.ndarray:
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
-    n = _profile_count(game, _DENSE_GUARD, "dense kernel")
     n_active = len(game.active_players)
+    n = _profile_count(game.num_channels, n_active, _DENSE_GUARD,
+                       "dense kernel")
     if n_active == 0:
         raise ValueError("at least one active player is required")
     pick = 1.0 / (n_active * game.num_channels)
@@ -477,7 +479,8 @@ def game_resistance_kernel(game: CapGame) -> np.ndarray:
     exponential cost of accepting it.  Pairs no single switch connects get
     resistance +inf.
     """
-    n = _profile_count(game, _DENSE_GUARD, "dense kernel")
+    n = _profile_count(game.num_channels, len(game.active_players),
+                       _DENSE_GUARD, "dense kernel")
     frm, to, drop = _moves(game)
     res = np.full((n, n), np.inf)
     res[frm, to] = np.maximum(drop, 0.0)

@@ -29,7 +29,8 @@ import numpy as np
 from . import analysis
 from .game import CapGame
 from .learning import (BoundedNoise, FixedTemperature, GaussianNoise,
-                       LogDecreasingTemperature, Trajectory, run_blla, run_br)
+                       LogDecreasingTemperature, Trajectory, _check_scale,
+                       run_blla, run_br)
 from .radio import (RadioParams, Topology, generate_topology,
                     thermal_noise_watts, watts_to_dbm)
 
@@ -52,6 +53,8 @@ _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
 # most fading coefficients that one utility estimate may draw, in chunks
 # of bounded memory: a cap on its work
 _FADING_COEFF_GUARD = 1 << 28
+# most bytes that one realization's records and a point's trace may take
+_RUN_BYTES_GUARD = 1 << 30
 _FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
 
 _log = logging.getLogger(__name__)
@@ -137,11 +140,13 @@ class ExperimentConfig:
             if value < 0:
                 raise ValueError(f"config key {key!r} must be non-negative, "
                                  f"got {value!r}")
-        for key in ("tau", "tau_scale", "noise_width", "noise_sigma"):
+        for key in ("tau", "tau_scale"):
             value = getattr(self, key)
             if not value > 0:
                 raise ValueError(f"config key {key!r} must be positive, "
                                  f"got {value!r}")
+        for key in ("noise_width", "noise_sigma"):
+            _check_scale(f"config key {key!r}", getattr(self, key))
         if not 0.0 < self.xi < 1.0:
             raise ValueError("config key 'xi' must lie strictly inside "
                              f"(0, 1), got {self.xi!r}")
@@ -301,15 +306,25 @@ def _window_start(horizon: int) -> int:
 
 
 def _check_point(config: ExperimentConfig) -> None:
-    """Refuse a point before anything is drawn: an invalid config, then one
-    estimate that would draw more than ``_FADING_COEFF_GUARD`` fading
-    coefficients, then a tracked optimum over more profiles than brute
-    force enumerates.  An estimate draws m x m x N coefficients for its
-    co-channel set of m links.  m is at most every D2D pair plus one
-    cellular link, since cellular links hold distinct channels; N peaks in
-    the coldest slot, the last one.  The profile count does not depend on
-    the layout."""
+    """Refuse a point before anything is drawn: an invalid config, then T
+    slots on L links whose records, T x (2 L + 41) bytes, and the point's
+    float64 trace exceed ``_RUN_BYTES_GUARD`` bytes, then an estimate of
+    m x m x N fading coefficients over ``_FADING_COEFF_GUARD`` (m at most
+    every D2D pair plus one cellular link, N that of the last, coldest
+    slot), then a tracked optimum over more profiles, channels to the power
+    of D2D pairs, than brute force enumerates."""
     config.validate()
+
+    def set_by(names) -> str:
+        return "; it is set by " + ", ".join(f"{k}={getattr(config, k)!r}"
+                                             for k in names)
+
+    run_bytes = config.horizon * (2 * (config.num_uec + config.num_ued) + 49)
+    if run_bytes > _RUN_BYTES_GUARD:
+        raise ValueError(f"one run's slot records and the point's trace "
+                         f"would take {run_bytes:.3g} bytes, more than the "
+                         f"guard of {_RUN_BYTES_GUARD:.3g}"
+                         + set_by(["horizon", "num_uec", "num_ued"]))
     m_max = config.num_ued + (1 if config.num_uec else 0)
     keys = ["num_uec", "num_ued"]
     if config.noise_model == "none":
@@ -326,13 +341,12 @@ def _check_point(config: ExperimentConfig) -> None:
                  == "bounded" else "noise_sigma", "xi"]
     coeffs = m_max * m_max * n_max
     if coeffs > _FADING_COEFF_GUARD:
-        named = ", ".join(f"{k}={getattr(config, k)!r}" for k in keys)
         raise ValueError(
             f"one estimate would draw {m_max} x {m_max} x {n_max} fading "
             f"coefficients ({coeffs:.3g}), more than the guard of "
-            f"{_FADING_COEFF_GUARD:.3g}; it is set by {named}")
+            f"{_FADING_COEFF_GUARD:.3g}{set_by(keys)}")
     if config.track_optimum:
-        analysis._profile_count(config.game(config.topology(0)),
+        analysis._profile_count(config.num_channels, config.num_ued,
                                 analysis._SPACE_GUARD, "profile space")
 
 

@@ -39,9 +39,10 @@ casts its received-power matrix, keeps the diagonal as the signal powers
 and zeroes it into an interference table with a row of zeros below, the
 row a silenced player's transmitter reads; a call then takes its (m, m)
 weights, or the (2, m, m) pair with and without the player, by one
-gather.  The receiver-row layout of a marginal depends only on (m, the
-player's position), so a game keeps one per that key.  Member sets are
-not a key: few of them repeat in a learning run.
+gather.  The kernel keeps the matrix product's (weights, receiver,
+sample) layout and adds each sample's rates receiver by receiver: its
+rate and then, for a marginal, minus its rate with the player silenced,
+except at the player itself.
 """
 
 from __future__ import annotations
@@ -77,25 +78,6 @@ def _passes(n: int, size: int):
     a last pass of half a size or less joins the one before."""
     starts = range(0, max(n - size // 2, 1), size)
     return zip(starts, [*starts[1:], n])
-
-
-def _receiver_rows(m: int, pos: int, dtype) -> tuple:
-    """(rows, rx, sign) of a marginal's SINR rows, m members, the player
-    at position ``pos``.
-
-    Each receiver's rate with the player comes first and then, except for
-    the player itself, minus its rate with the player silenced: ``rows``
-    picks those rows from the stacked (2 m, n) result, ``rx`` names each
-    row's receiver and ``sign`` its (rows, 1) sign in ``dtype``.  A game
-    keeps each layout for its later calls, so the arrays are read-only.
-    """
-    rows = np.array(sorted([*range(m), *(m + j for j in range(m) if j != pos)],
-                           key=lambda r: r % m))
-    rx = rows % m
-    sign = np.where(rows < m, 1, -1).astype(dtype)[:, None]
-    for a in (rows, rx, sign):
-        a.setflags(write=False)
-    return rows, rx, sign
 
 
 def _is_integer(x) -> bool:
@@ -196,10 +178,8 @@ class CapGame:
         # the per-set memos, keyed by the ascending link indices as bytes
         self._set_rate: dict = {}
         self._set_utility: dict = {}
-        # the kernel's set-up: weight tables per dtype, receiver-row
-        # layouts per (m, player position, dtype)
+        # the kernel's set-up: weight tables per dtype
         self._weights: dict = {}
-        self._layouts: dict = {}
 
     # ------------------------------------------------------------------
     # profiles
@@ -268,31 +248,22 @@ class CapGame:
 
     def _kernel_weights(self, members: np.ndarray, dtype,
                         player: int | None) -> tuple:
-        """(stack, signal, rows, rx, sign): the kernel's set-up for one
-        member set, as ``_rate_kernel`` describes it.
+        """(stack, signal, pos): the kernel's set-up for one member set.
 
         ``stack`` is a C-contiguous (1, m, m) array of interference
         weights, or (2, m, m) with the player's row zeroed in the second;
-        ``signal`` the (m, 1) signal powers; ``rows``, ``rx`` and ``sign``
-        the receiver-row layout: whole slices and no sign for a plain rate
-        sum, else the one ``_receiver_rows`` gives for (m, the player's
-        position), kept per game.
+        ``signal`` the (m, 1) signal powers; ``pos`` the player's position
+        in ``members``, None for a plain rate sum.
         """
         m = len(members)
         table, power = self._weight_tables(dtype)
         signal = power[members][:, None]
         if player is None or m == 1:  # a lone member contributes its rate
-            every = slice(None)
-            return (table[members[:, None], members][None], signal, every,
-                    every, None)
+            return table[members[:, None], members][None], signal, None
         pos = int(np.searchsorted(members, player))
         senders = np.array((members, members))
         senders[1, pos] = self.num_players  # the zero row: silenced
-        layout = self._layouts.get((m, pos, dtype))
-        if layout is None:
-            layout = self._layouts[m, pos, dtype] = _receiver_rows(m, pos,
-                                                                   dtype)
-        return (table[senders[:, :, None], members], signal, *layout)
+        return table[senders[:, :, None], members], signal, pos
 
     def _rate_kernel(self, members: np.ndarray, f: np.ndarray,
                      player: int | None = None) -> np.ndarray:
@@ -302,37 +273,32 @@ class CapGame:
         mean gain from member k's transmitter to member j's receiver.  With
         ``player``, returns that member's marginal contribution instead:
         the rate sum with it transmitting minus the sum over the others with
-        it silenced, the two terms of each receiver adjacent in the running
-        sum.  Arithmetic follows the block's dtype; a unit float64 block
-        gives the exact frozen-fading values.  The weights come from
-        per-game tables by one gather (``_kernel_weights``).
+        it silenced.  Arithmetic follows the block's dtype; a unit float64
+        block gives the exact frozen-fading values.
         """
-        dtype = f.dtype
-        stack, signal, rows, rx, sign = self._kernel_weights(members, dtype,
-                                                             player)
+        stack, signal, pos = self._kernel_weights(members, f.dtype, player)
         # receiver-major view; BLAS gets each receiver's weights as a strided
         # column, whose float32 sums differ from those of a contiguous copy
         weights = stack.transpose(0, 2, 1)[:, :, None, :]
 
-        n = f.shape[2]
-        out = np.empty(n, dtype=dtype)
+        m, n = len(members), f.shape[2]
+        out = np.empty(n, dtype=f.dtype)
         for start, stop in _passes(n, _CHUNK):
             fc = f[:, :, start:stop]
-            q = np.matmul(weights, fc.transpose(1, 0, 2))
-            q = q.reshape(-1, stop - start)[rows]
+            # SINRs as (stack, receiver, sample), rates in place
+            q = np.matmul(weights, fc.transpose(1, 0, 2))[:, :, 0]
             q += self._noise_w  # python scalars act in the block's dtype
             own = fc.diagonal(axis1=0, axis2=1).T  # (m, n): fading k -> k
-            np.divide((signal * own)[rx], q, out=q)
+            np.divide(signal * own, q, out=q)
             np.clip(q, self._lo, self._hi, out=q)
             np.log1p(q, out=q)
-            if sign is not None:
-                q *= sign
-            # rows add up in order: row by row across samples; a single
-            # sample needs accumulate, since sum pairs up long columns
-            if stop - start == 1:
-                out[start:stop] = np.add.accumulate(q)[-1]
-            else:
-                q.sum(axis=0, out=out[start:stop])
+            acc = out[start:stop]  # summed in the module docstring's order
+            acc[:] = q[0, 0]
+            for j in range(m):
+                if j:
+                    acc += q[0, j]
+                if pos is not None and j != pos:
+                    acc -= q[1, j]
         return out
 
     # ------------------------------------------------------------------

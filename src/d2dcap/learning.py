@@ -83,6 +83,25 @@ def _check_tau_xi(tau: float, xi: float) -> None:
         raise ValueError("xi must lie strictly inside (0, 1)")
 
 
+def _check_scale(name: str, value: float) -> None:
+    """Refuse a noise scale unless it is positive and its square, which a
+    sample count scales with, is a positive finite float."""
+    if not (value > 0 and 0.0 < value * value < math.inf):
+        raise ValueError(f"{name} must be positive with a positive finite "
+                         f"square, got {value!r}")
+
+
+def _sample_count(numerator: float, denominator: float, tau: float,
+                  xi: float, noise) -> int:
+    """ceil(numerator / denominator), at least 1 since a count of 0 has
+    underflowed; refused when not finite (an overflow, or 0 below)."""
+    raw = numerator / denominator if denominator else math.inf
+    if not math.isfinite(raw):
+        raise ValueError(f"the sample count at tau={tau!r} and xi={xi!r} "
+                         f"of {noise!r} is not finite")
+    return max(1, int(math.ceil(raw)))
+
+
 @dataclass(frozen=True)
 class BoundedNoise:
     """Estimation noise confined to an interval of width interval_width."""
@@ -90,8 +109,7 @@ class BoundedNoise:
     interval_width: float
 
     def __post_init__(self):
-        if not self.interval_width > 0:
-            raise ValueError("interval_width must be positive")
+        _check_scale("interval_width", self.interval_width)
 
     def required_samples(self, tau: float, xi: float) -> int:
         """Samples per utility estimate, by Hoeffding's bound:
@@ -99,9 +117,8 @@ class BoundedNoise:
         """
         _check_tau_xi(tau, xi)
         width = self.interval_width
-        raw = (math.log(4.0 / xi) + 2.0 / tau) * width * width \
-            / (2.0 * (1.0 - xi) ** 2 * tau * tau)
-        return int(math.ceil(raw))
+        return _sample_count((math.log(4.0 / xi) + 2.0 / tau) * width * width,
+                             2.0 * (1.0 - xi) ** 2 * tau * tau, tau, xi, self)
 
 
 @dataclass
@@ -121,8 +138,7 @@ class GaussianNoise:
     sigma: float
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        _check_scale("sigma", self.sigma)
 
     def sample_calc(self, tau: float, xi: float) -> UnboundedSampleCalc:
         """Size the estimate by the optimized Chernoff bound.
@@ -136,10 +152,10 @@ class GaussianNoise:
         variance = self.sigma * self.sigma
         numerator = math.log(4.0 / xi) + 2.0 / tau
         denominator = target * target / (2.0 * variance)
-        return UnboundedSampleCalc(n=int(math.ceil(numerator / denominator)),
-                                   theta_star=target / variance,
-                                   numerator=numerator,
-                                   denominator=denominator)
+        return UnboundedSampleCalc(
+            n=_sample_count(numerator, denominator, tau, xi, self),
+            theta_star=target / variance, numerator=numerator,
+            denominator=denominator)
 
     def required_samples(self, tau: float, xi: float) -> int:
         return self.sample_calc(tau, xi).n

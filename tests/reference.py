@@ -7,8 +7,13 @@ SINR and Shannon rate per link (``sinr``, ``rate``), one sampled utility
 under an explicit (L, L) fading draw (``utility_sample``), and the Monte
 Carlo sum rate over full fading draws (``potential``).  No command,
 learner or analysis function calls them.  ``chunked_utility_mean`` spells
-out the chunk-by-chunk estimate that ``utility_mean`` streams.  pytest does
-not collect this module, since its name does not start with ``test_``.
+out the chunk-by-chunk estimate that ``utility_mean`` streams.
+``gathered_rate_kernel`` is the rate kernel as it once ran, gathering each
+receiver's rows into a signed stack before summing them, with the weights
+built per call from the received-power matrix
+(``reference_kernel_weights``); the kernel must equal it bit for bit.
+pytest does not collect this module, since its name does not start with
+``test_``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from d2dcap.game import (_CHUNK, _DRAW_COEFFS, AssignmentProfile, CapGame,
-                         cochannel_set)
+                         _passes, cochannel_set)
 from d2dcap.radio import (RadioParams, Topology, link_tx_powers,
                           sample_fading_block)
 
@@ -109,3 +114,69 @@ def chunked_utility_mean(game: CapGame, profile: AssignmentProfile,
         acc = game._rate_kernel(members, block, player)
         total += float(acc.sum(dtype=np.float64))
     return total / n_samples * game._util_scale
+
+
+def reference_kernel_weights(game: CapGame, members: np.ndarray, dtype,
+                             player=None) -> tuple:
+    """(stack, signal) of the rate kernel as each call once built them from
+    the received-power matrix: the (1, m, m) interference weights, or
+    (2, m, m) with the player's row zeroed in the second, and the (m, 1)
+    signal powers."""
+    m = len(members)
+    w = game._recv_power[members[:, None], members].astype(dtype)
+    signal = w.diagonal().copy()[:, None]
+    np.fill_diagonal(w, 0.0)
+    if player is None or m == 1:
+        return w[None], signal
+    silenced = w.copy()
+    silenced[int(np.searchsorted(members, player)), :] = 0.0
+    return np.array((w, silenced)), signal
+
+
+def _receiver_rows(m: int, pos: int, dtype) -> tuple:
+    """(rows, rx, sign) of a marginal's SINR rows, m members, the player
+    at position ``pos``: each receiver's rate with the player first and
+    then, except for the player itself, minus its rate with the player
+    silenced.  ``rows`` picks those rows from the stacked (2 m, n) result,
+    ``rx`` names each row's receiver and ``sign`` its (rows, 1) sign."""
+    rows = np.array(sorted([*range(m), *(m + j for j in range(m) if j != pos)],
+                           key=lambda r: r % m))
+    rx = rows % m
+    sign = np.where(rows < m, 1, -1).astype(dtype)[:, None]
+    return rows, rx, sign
+
+
+def gathered_rate_kernel(game: CapGame, members: np.ndarray, f: np.ndarray,
+                         player=None) -> np.ndarray:
+    """``CapGame._rate_kernel`` by gathered receiver rows: the stacked
+    SINRs' rows are picked in receiver order, signed, and summed down the
+    stack, a single sample by ``np.add.accumulate``."""
+    dtype = f.dtype
+    m = len(members)
+    stack, signal = reference_kernel_weights(game, members, dtype, player)
+    if player is None or m == 1:
+        rows = rx = slice(None)
+        sign = None
+    else:
+        rows, rx, sign = _receiver_rows(
+            m, int(np.searchsorted(members, player)), dtype)
+    weights = stack.transpose(0, 2, 1)[:, :, None, :]
+
+    n = f.shape[2]
+    out = np.empty(n, dtype=dtype)
+    for start, stop in _passes(n, _CHUNK):
+        fc = f[:, :, start:stop]
+        q = np.matmul(weights, fc.transpose(1, 0, 2))
+        q = q.reshape(-1, stop - start)[rows]
+        q += game._noise_w
+        own = fc.diagonal(axis1=0, axis2=1).T
+        np.divide((signal * own)[rx], q, out=q)
+        np.clip(q, game._lo, game._hi, out=q)
+        np.log1p(q, out=q)
+        if sign is not None:
+            q *= sign
+        if stop - start == 1:
+            out[start:stop] = np.add.accumulate(q)[-1]
+        else:
+            q.sum(axis=0, out=out[start:stop])
+    return out

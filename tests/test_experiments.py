@@ -742,6 +742,82 @@ def test_cli_reports_an_oversized_fading_block(tmp_path, monkeypatch,
     assert calls == []
 
 
+@pytest.mark.parametrize("text, message", [
+    pytest.param("noise_width = 1e200",
+                 "'noise_width' must be positive with a positive finite "
+                 "square",
+                 id="noise_width-overflow"),
+    pytest.param("noise_width = 1e-200",
+                 "'noise_width' must be positive with a positive finite "
+                 "square",
+                 id="noise_width-underflow"),
+    pytest.param("noise_model = 'gaussian'\nnoise_sigma = 1e200",
+                 "'noise_sigma' must be positive with a positive finite "
+                 "square",
+                 id="noise_sigma-overflow"),
+    pytest.param("tau = 1e-300", "sample count at tau=1e-300 and xi=1e-05 "
+                 "of BoundedNoise(interval_width=1.0) is not finite",
+                 id="tau-count-not-finite"),
+])
+def test_cli_names_a_noise_scale_or_count_it_refuses(tmp_path, monkeypatch,
+                                                     capsys, text, message):
+    # a width of 1e-200 ran on exact utilities (N = 0) and the others
+    # escaped main as OverflowError or ZeroDivisionError tracebacks
+    from d2dcap.cli import main
+
+    calls = _no_realization(monkeypatch)
+    path = tmp_path / "noise.cfg"
+    path.write_text(text + "\n")
+    assert main(["run-blla", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert calls == []
+
+
+def test_an_oversized_horizon_is_refused_before_anything_is_drawn(
+        tmp_path, monkeypatch, capsys):
+    # 10^11 slots of 2 pairs: 10^11 x 49 bytes of slot records and trace;
+    # the point's trace alone was a 745 GiB allocation
+    from d2dcap.cli import main
+
+    calls = _no_realization(monkeypatch)
+    layouts = []
+    monkeypatch.setattr(expmod, "generate_topology",
+                        lambda *args: layouts.append(args))
+    message = (r"one run's slot records and the point's trace would take "
+               r"5\.3e\+12 bytes, more than the guard of 1\.07e\+09; it is "
+               r"set by horizon=100000000000, num_uec=0, num_ued=2")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(tiny_config(horizon=10 ** 11, track_optimum=False))
+    path = tmp_path / "long.cfg"
+    path.write_text("noise_model = 'none'\nhorizon = 100000000000\n")
+    assert main(["run-blla", "--config", str(path)]) == 2
+    assert "set by horizon=100000000000" in capsys.readouterr().err
+    assert calls == [] and layouts == []
+
+
+def test_horizon_guard_counts_slot_records_and_the_trace(monkeypatch):
+    cfg = tiny_config(num_uec=1, horizon=40)  # 40 x (2 x 3 + 41 + 8) bytes
+    monkeypatch.setattr(expmod, "_RUN_BYTES_GUARD", 40 * 55)
+    expmod._check_point(cfg)
+    monkeypatch.setattr(expmod, "_RUN_BYTES_GUARD", 40 * 55 - 1)
+    with pytest.raises(ValueError, match="more than the guard"):
+        expmod._check_point(cfg)
+
+
+def test_a_point_check_draws_no_layout(monkeypatch):
+    # the profile count comes from the config: a command on one shared
+    # layout draws it for the tracked optimum and for its realization only
+    layouts = []
+    draw = expmod.generate_topology
+    monkeypatch.setattr(expmod, "generate_topology",
+                        lambda *args: layouts.append(args) or draw(*args))
+    cfg = tiny_config(realizations=1)
+    expmod._check_point(cfg)
+    assert layouts == []
+    run_experiment(cfg)
+    assert len(layouts) == 2
+
+
 @pytest.mark.parametrize("overrides, message", [
     pytest.param(dict(base_seed=-3), "'base_seed' must be non-negative",
                  id="base_seed"),

@@ -17,8 +17,9 @@ from d2dcap.game import (
 )
 from d2dcap.radio import generate_topology, sample_fading_block
 
-from reference import (chunked_utility_mean, estimate_chunk, potential, rate,
-                       sinr, utility_sample)
+from reference import (chunked_utility_mean, estimate_chunk,
+                       gathered_rate_kernel, potential, rate,
+                       reference_kernel_weights, sinr, utility_sample)
 from test_radio import _state, cell, manual_topology
 
 DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
@@ -633,26 +634,8 @@ def test_warm_estimate_memory_does_not_grow_with_n(m):
 
 # ----------------------------------------------------------------------
 # the kernel's set-up from per-game tables against the per-call set-up it
-# replaced, kept here to pin it bit for bit
-
-
-def reference_kernel_weights(game, members, dtype, player=None):
-    """(stack, signal, rows, rx, sign) as each kernel call built them
-    from the received-power matrix."""
-    m = len(members)
-    w = game._recv_power[members[:, None], members].astype(dtype)
-    signal = w.diagonal().copy()[:, None]
-    np.fill_diagonal(w, 0.0)
-    if player is None or m == 1:
-        return w[None], signal, slice(None), np.arange(m), None
-    pos = int(np.searchsorted(members, player))
-    silenced = w.copy()
-    silenced[pos, :] = 0.0
-    rows = sorted([*range(m), *(m + j for j in range(m) if j != pos)],
-                  key=lambda r: r % m)
-    rx = np.array([r % m for r in rows])
-    sign = np.where(np.array(rows) < m, 1, -1).astype(dtype)[:, None]
-    return np.array((w, silenced)), signal, rows, rx, sign
+# replaced, and the kernel against the gathered-row kernel it replaced,
+# both kept in reference.py to pin them bit for bit
 
 
 def assert_same_array(got, want):
@@ -664,7 +647,7 @@ def assert_same_array(got, want):
 @st.composite
 def kernel_set_ups(draw):
     """A game with or without cellular links, one channel's member set of
-    1..5 links (at most one of them cellular), a dtype, and no player or
+    1..6 links (at most one of them cellular), a dtype, and no player or
     an active member."""
     num_uec = draw(st.integers(0, 2))
     game = seeded_game(num_uec, 6, max(num_uec, 1),
@@ -672,7 +655,7 @@ def kernel_set_ups(draw):
     cells = draw(st.lists(st.integers(0, num_uec - 1), max_size=1)) \
         if num_uec else []
     pairs = draw(st.lists(st.integers(num_uec, num_uec + 5), unique=True,
-                          min_size=1 - len(cells), max_size=5 - len(cells)))
+                          min_size=1 - len(cells), max_size=6 - len(cells)))
     members = np.array(sorted(cells + pairs))
     player = draw(st.one_of(st.none(), st.sampled_from(pairs))) \
         if pairs else None
@@ -681,26 +664,29 @@ def kernel_set_ups(draw):
 
 
 @settings(max_examples=150)
-@given(case=kernel_set_ups(), n=st.sampled_from([1, 2, 1645]),
-       seed=st.integers(0, 2 ** 16))
-def test_kernel_set_up_equals_the_per_call_set_up(case, n, seed):
+@given(case=kernel_set_ups())
+def test_kernel_set_up_equals_the_per_call_set_up(case):
     game, members, dtype, player = case
-    got = game._kernel_weights(members, dtype, player)
+    stack, signal, pos = game._kernel_weights(members, dtype, player)
     want = reference_kernel_weights(game, members, dtype, player)
-    for a, b in zip(got[:2], want[:2]):  # the weight stack and signal
-        assert_same_array(a, b)
-    assert got[0].flags.c_contiguous
-    rows, rx, sign = got[2:]
-    if isinstance(want[2], slice):  # one row per receiver, in order
-        assert rows == rx == want[2] and sign is None and want[4] is None
+    assert_same_array(stack, want[0])
+    assert_same_array(signal, want[1])
+    assert stack.flags.c_contiguous
+    if player is None or len(members) == 1:  # a plain rate sum
+        assert pos is None and len(stack) == 1
     else:
-        assert np.array_equal(rows, want[2])
-        assert np.array_equal(rx, want[3])
-        assert_same_array(sign, want[4])
-    # and the kernel sums the same floats in the same order from either
+        assert members[pos] == player and len(stack) == 2
+
+
+# one sample, one pass, one pass joining a last half chunk, and two passes
+# whose second holds just over half a chunk and just over a chunk
+@pytest.mark.parametrize("n", [1, 2, 1645, 49152, 49153, 65537])
+@settings(max_examples=25)
+@given(case=kernel_set_ups(), seed=st.integers(0, 2 ** 16))
+def test_rate_kernel_equals_the_gathered_row_kernel(n, case, seed):
+    game, members, dtype, player = case
     m = len(members)
     block = sample_fading_block(np.random.Generator(np.random.SFC64(seed)),
                                 (m, m, n)).astype(dtype)
-    fresh = game._rate_kernel(members, block, player)
-    game._kernel_weights = lambda *args: want
-    assert_same_array(fresh, game._rate_kernel(members, block, player))
+    assert_same_array(game._rate_kernel(members, block, player),
+                      gathered_rate_kernel(game, members, block, player))

@@ -114,6 +114,41 @@ def test_gaussian_closed_form_equals_the_optimized_chernoff_count(sigma):
             assert calc.theta_star == pytest.approx(theta, rel=1e-7)
 
 
+@pytest.mark.parametrize("make, name", [
+    (BoundedNoise, "interval_width"), (GaussianNoise, "sigma")])
+@pytest.mark.parametrize("scale", [1e-200, 1e200, math.inf, math.nan])
+def test_noise_scales_without_a_positive_finite_square_are_refused(
+        make, name, scale):
+    # 1e-200 squares to 0.0, and a bounded width of 1e-200 sized every
+    # estimate to 0 samples, a run on exact utilities; 1e200 squares to inf
+    with pytest.raises(ValueError, match=name):
+        make(scale)
+
+
+def test_sample_counts_that_are_not_finite_are_refused():
+    # tau^2 underflows to 0.0: the counts divided by zero
+    with pytest.raises(ValueError, match=r"sample count at tau=1e-300 and "
+                       r"xi=1e-05 of BoundedNoise\(interval_width=1\.0\) "
+                       r"is not finite"):
+        BoundedNoise(1.0).required_samples(1e-300, 1e-5)
+    with pytest.raises(ValueError, match=r"sample count at tau=1e-200 and "
+                       r"xi=1e-05 of GaussianNoise\(sigma=1\.0\) is not "
+                       r"finite"):
+        GaussianNoise(1.0).required_samples(1e-200, 1e-5)
+    with pytest.raises(ValueError, match="not finite"):
+        BoundedNoise(1e150).required_samples(1e-10, 1e-5)  # overflows
+
+
+def test_a_sample_count_that_rounds_to_zero_is_one():
+    # tau^2 overflows to inf, so both bounds computed N = 0: the run read
+    # exact utilities
+    assert BoundedNoise(1.0).required_samples(1e300, 1e-5) == 1
+    assert GaussianNoise(1.0).required_samples(1e300, 1e-5) == 1
+    traj = run_blla(seeded_game(0, 2, 2, seed=25), FixedTemperature(1e300),
+                    BoundedNoise(1.0), 1e-5, horizon=5, rng_seed=1)
+    assert traj.n_samples.tolist() == [1] * 5
+
+
 # ----------------------------------------------------------------------
 # acceptance rule
 
