@@ -16,7 +16,10 @@ A weakly memoized table per game holds the profiles, as rows of one channel
 array, and their normalized potentials, all that brute force and Gibbs
 read, plus the neighbour index of every single-player switch and the exact
 utilities, filled when a kernel or the resistances first need them.  Both
-are gathered per distinct member set.  Dense kernels refuse > 4096 profiles.
+are gathered per distinct member set; the potentials add their channel
+columns through ``CapGame.rate_sum_bits``, the potential's one order.
+Dense kernels refuse > 4096 profiles, counted without building a power
+more than one factor past the guard.
 The channel array is the one state space: a chain over it, kernel or
 resistances, is a plain float64 (n, n) matrix in ``enumerate_profiles``
 order, and only optimal or stable rows become channel tuples.  A
@@ -84,10 +87,17 @@ _REDUCIBLE = ("reducible chain: eliminated state has no path back; use "
 
 
 def _profile_count(channels: int, players: int, guard: int, what: str) -> int:
-    """``channels ** players`` profiles; raises above ``guard``."""
-    size = channels ** players
-    if size > guard:
-        raise ValueError(f"{what} of size {size} exceeds the {guard} guard")
+    """``channels ** players`` profiles; raises above ``guard``.  The power
+    is built factor by factor and given up one factor past the guard, so
+    a refusal costs the same at any exponent and names an unbuilt size as
+    ``channels^players``."""
+    size = 1
+    for done in range(1, players + 1):
+        size *= channels
+        if size > guard:
+            shown = size if done == players else f"{channels}^{players}"
+            raise ValueError(f"{what} of size {shown} exceeds the {guard} "
+                             "guard")
     return size
 
 
@@ -121,13 +131,12 @@ class _ProfileTable:
 
     def __init__(self, game: CapGame):
         self.channels = enumerate_profiles(game)
-        total = np.zeros(len(self.channels))
-        for c in range(game.num_channels):  # normalized_potential's order
+        columns = []  # per-channel rate sums, summed as the potential is
+        for c in range(game.num_channels):
             sets, index = _member_sets(self.channels == c)
-            total += np.array([game.set_rate_exact(m) if len(m) else 0.0
-                               for m in sets])[index]
-        self.phi = total * game._bits_scale / game.phi_max \
-            if game.num_players else total
+            columns.append(np.array([game.set_rate_exact(m) if len(m) else 0.0
+                                     for m in sets])[index])
+        self.phi = game.rate_sum_bits(columns) / game.phi_max
         # filled by _moves on first use: (n, active, channels), (n, active)
         self.neighbour = self.utility = None
 
@@ -179,8 +188,7 @@ def _ties(phi, best: float) -> np.ndarray:
 def _optimal_share(game: CapGame, sum_rate: np.ndarray, best: float) -> float:
     """Share of frozen-fading sum rates (bits/s) that are optimal: brute
     force's rule on the normalized floats its table holds."""
-    phi = sum_rate / game.phi_max if game.num_players \
-        else np.zeros_like(sum_rate)
+    phi = sum_rate / game.phi_max
     return int(np.count_nonzero(_ties(phi, best))) / len(phi)
 
 

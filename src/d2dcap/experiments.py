@@ -55,6 +55,11 @@ _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
 _FADING_COEFF_GUARD = 1 << 28
 # most bytes that one realization's records and a point's trace may take
 _RUN_BYTES_GUARD = 1 << 30
+# most bytes that one layout's L x L arrays may take, counted at their
+# peak of 48 per ordered link pair in generate_topology: the (L, L, 2)
+# float64 offsets, their conjugate copy and their squares; a game then
+# holds 28, its gains, received powers and weight tables
+_LAYOUT_BYTES_GUARD = 1 << 30
 _FINAL_WINDOW_FRAC = 0.25  # trailing share of a run that its statistics read
 
 _log = logging.getLogger(__name__)
@@ -305,26 +310,39 @@ def _window_start(horizon: int) -> int:
     return int(math.floor(horizon * (1.0 - _FINAL_WINDOW_FRAC)))
 
 
+def _set_by(config: ExperimentConfig, names) -> str:
+    """A refusal's tail: the config keys that set the refused size."""
+    return "; it is set by " + ", ".join(f"{k}={getattr(config, k)!r}"
+                                         for k in names)
+
+
+def _check_layout(config: ExperimentConfig) -> None:
+    """Refuse L links whose L x L arrays exceed ``_LAYOUT_BYTES_GUARD``."""
+    layout_bytes = 48 * (config.num_uec + config.num_ued) ** 2
+    if layout_bytes > _LAYOUT_BYTES_GUARD:
+        raise ValueError(f"the layout's L x L arrays would take "
+                         f"{layout_bytes:.3g} bytes, more than the guard of "
+                         f"{_LAYOUT_BYTES_GUARD:.3g}"
+                         + _set_by(config, ["num_uec", "num_ued"]))
+
+
 def _check_point(config: ExperimentConfig) -> None:
     """Refuse a point before anything is drawn: an invalid config, then T
     slots on L links whose records, T x (2 L + 41) bytes, and the point's
-    float64 trace exceed ``_RUN_BYTES_GUARD`` bytes, then an estimate of
-    m x m x N fading coefficients over ``_FADING_COEFF_GUARD`` (m at most
-    every D2D pair plus one cellular link, N that of the last, coldest
-    slot), then a tracked optimum over more profiles, channels to the power
-    of D2D pairs, than brute force enumerates."""
+    float64 trace exceed ``_RUN_BYTES_GUARD`` bytes, then a layout too
+    large for ``_check_layout``, then an estimate of m x m x N fading
+    coefficients over ``_FADING_COEFF_GUARD`` (m at most every D2D pair
+    plus one cellular link, N that of the last, coldest slot), then a
+    tracked optimum over more profiles, channels to the power of D2D
+    pairs, than brute force enumerates."""
     config.validate()
-
-    def set_by(names) -> str:
-        return "; it is set by " + ", ".join(f"{k}={getattr(config, k)!r}"
-                                             for k in names)
-
     run_bytes = config.horizon * (2 * (config.num_uec + config.num_ued) + 49)
     if run_bytes > _RUN_BYTES_GUARD:
         raise ValueError(f"one run's slot records and the point's trace "
                          f"would take {run_bytes:.3g} bytes, more than the "
                          f"guard of {_RUN_BYTES_GUARD:.3g}"
-                         + set_by(["horizon", "num_uec", "num_ued"]))
+                         + _set_by(config, ["horizon", "num_uec", "num_ued"]))
+    _check_layout(config)
     m_max = config.num_ued + (1 if config.num_uec else 0)
     keys = ["num_uec", "num_ued"]
     if config.noise_model == "none":
@@ -344,7 +362,7 @@ def _check_point(config: ExperimentConfig) -> None:
         raise ValueError(
             f"one estimate would draw {m_max} x {m_max} x {n_max} fading "
             f"coefficients ({coeffs:.3g}), more than the guard of "
-            f"{_FADING_COEFF_GUARD:.3g}{set_by(keys)}")
+            f"{_FADING_COEFF_GUARD:.3g}{_set_by(config, keys)}")
     if config.track_optimum:
         analysis._profile_count(config.num_channels, config.num_ued,
                                 analysis._SPACE_GUARD, "profile space")
@@ -609,10 +627,14 @@ def analyze_stationary(config: ExperimentConfig, tau_grid) -> StationaryReport:
     Computes the one-slot kernel's stationary law per grid temperature by
     direct solve and Gibbs form (and the tree theorem when the state space
     is small enough), plus the stochastic-stability verdict for grids of
-    length >= 2.
+    length >= 2.  The grid, the layout's size and the dense kernel's
+    profile count are checked before the layout is drawn.
     """
     config.validate()
     taus = analysis._tau_grid(tau_grid)  # before any kernel is built
+    _check_layout(config)
+    analysis._profile_count(config.num_channels, config.num_ued,
+                            analysis._DENSE_GUARD, "dense kernel")
     game = config.game(config.topology(0))
     direct, gibbs, tree = [], [], []
     direct_failed = []

@@ -4,8 +4,9 @@ and the sum-rate potential.
 Each link (UE) is a player whose action is a channel index.  A player's
 utility is the sum rate of its co-channel set with the player transmitting
 minus the same sum with the player's transmitter silenced, normalized by an
-analytic upper bound on the network sum rate.  With that definition the
-expected sum rate is an exact potential of the game.
+analytic upper bound on the network sum rate, ``phi_max``: L links' top
+rate, or one link's for a game with no links, whose potential is 0.  With
+that definition the expected sum rate is an exact potential of the game.
 
 A profile is only its read-only int16 channel vector.  Which players are
 passive, cellular links on fixed channels, is the game's ``passive_mask``
@@ -132,7 +133,7 @@ class AssignmentProfile:
         raw = np.asarray(self.channels)
         if raw.ndim != 1:
             raise ValueError(f"channels must be 1-D, not of shape {raw.shape}")
-        if raw.size and raw.dtype.kind not in "iu":
+        if raw.dtype.kind not in "iu":
             bad = _bad_channels(raw)
             if bad:
                 raise ValueError(bad)
@@ -164,17 +165,16 @@ class CapGame:
 
         # Received-power matrix: recv_power[j, i] = P_j * G[j, i].
         powers = link_tx_powers(topology, params)
-        self._recv_power = powers[:, None] * topology.mean_gain_matrix \
-            if self.num_players else np.zeros((0, 0))
+        self._recv_power = powers[:, None] * topology.mean_gain_matrix
         self._noise_w = float(params.noise_power_w)
         self._lo = params.sinr_min
         self._hi = params.sinr_max
-        # Certified upper bound on any profile's sum rate, bits/s.
-        self.phi_max = self.num_players * params.max_rate_per_ue
+        # Certified upper bound on any profile's sum rate, bits/s; a
+        # linkless game's potentials are all 0, so one link's rate bounds it
+        self.phi_max = max(self.num_players, 1) * params.max_rate_per_ue
         # bits/s per unit of natural-log rate sum.
         self._bits_scale = params.bandwidth_hz / math.log(2.0)
-        self._util_scale = self._bits_scale / self.phi_max \
-            if self.num_players else 0.0
+        self._util_scale = self._bits_scale / self.phi_max
         # the per-set memos, keyed by the ascending link indices as bytes
         self._set_rate: dict = {}
         self._set_utility: dict = {}
@@ -222,7 +222,7 @@ class CapGame:
         (uniform) when an rng is given, channel 0 otherwise."""
         ch = np.zeros(self.num_players, dtype=np.int16)
         ch[self.passive_mask] = np.arange(self.topology.num_uec)
-        if rng is not None and len(self.active_players):
+        if rng is not None:
             ch[self.active_players] = rng.integers(
                 0, self.num_channels, size=len(self.active_players))
         return AssignmentProfile(ch)
@@ -329,9 +329,11 @@ class CapGame:
 
     def rate_sum_bits(self, rates) -> float:
         """Sum rate in bits/s of per-channel natural-log rate sums, listed
-        by ascending channel.  The one summation order of the frozen-fading
-        potential: ``potential_exact`` and the learning loop's running
-        potential both add their channel values here."""
+        by ascending channel: floats for one profile, or equal-length
+        arrays, one per channel, for many at once.  The one summation order
+        of the frozen-fading potential: ``potential_exact``, the learning
+        loop's running potential and the analysis profile table all add
+        their channel values here."""
         total = 0.0
         for r in rates:
             total += r
@@ -347,8 +349,6 @@ class CapGame:
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate divided by the phi_max bound, in [0, 1]."""
-        if self.num_players == 0:
-            return 0.0
         return self.potential_exact(profile) / self.phi_max
 
     def utility_exact(self, profile: AssignmentProfile, player: int) -> float:

@@ -7,6 +7,9 @@ loss with log-normal shadowing and are frozen per topology; Rayleigh fading
 is drawn per sample as unit-mean exponential power coefficients.  SINRs and
 Shannon rates are computed only by the game's rate kernel
 (``CapGame._rate_kernel``), from the powers, gains and clamps defined here.
+A cell of at most 2^15 channels fits the game's int16 profiles.  Layouts
+without links or D2D pairs take the general path, as (0, 2) position and
+(0, 0) gain arrays.
 """
 
 from __future__ import annotations
@@ -86,8 +89,9 @@ class RadioParams:
                              f"{self.shadowing_sigma_db!r}")
         if self.cell_radius_m <= self.d2d_radius_m or self.d2d_radius_m <= 0:
             raise ValueError("require cell_radius_m > d2d_radius_m > 0")
-        if self.num_channels < 1:
-            raise ValueError("num_channels must be >= 1")
+        if not 1 <= self.num_channels <= 2 ** 15:  # profiles are int16
+            raise ValueError("'num_channels' must lie in 1..32768, the "
+                             f"channels int16 holds, got {self.num_channels}")
         for name in ("ue_power_dbm", "bs_power_dbm", "noise_dbm"):
             with np.errstate(over="ignore", under="ignore"):  # refused here
                 power = float(dbm_to_watts(getattr(self, name)))
@@ -168,17 +172,16 @@ class Topology:
         """Check layout invariants against the given parameters."""
         if self.mean_gain_matrix.shape != (self.num_links, self.num_links):
             raise ValueError("gain matrix shape mismatch")
-        if self.num_links and not np.all(self.mean_gain_matrix > 0):
+        if not np.all(self.mean_gain_matrix > 0):
             raise ValueError("all mean gains must be positive")
-        if self.num_ued:
-            d2d = np.linalg.norm(self.ued_rx_positions - self.ued_tx_positions,
-                                 axis=1)
-            if np.any(d2d > params.d2d_radius_m + 1e-9):
-                raise ValueError("D2D receiver outside d2d radius")
+        d2d = np.linalg.norm(self.ued_rx_positions - self.ued_tx_positions,
+                             axis=1)
+        if np.any(d2d > params.d2d_radius_m + 1e-9):
+            raise ValueError("D2D receiver outside d2d radius")
         for pts in (self.uec_positions, self.ued_tx_positions,
                     self.ued_rx_positions):
-            if len(pts) and np.any(np.linalg.norm(pts - self.bs_position, axis=1)
-                                   > params.cell_radius_m + 1e-9):
+            if np.any(np.linalg.norm(pts - self.bs_position, axis=1)
+                      > params.cell_radius_m + 1e-9):
                 raise ValueError("UE outside cell radius")
 
 
@@ -292,9 +295,8 @@ def generate_topology(params: RadioParams, num_uec: int, num_ued: int,
         ued_rx[k] = rx
 
     n = num_uec + num_ued
-    tx_pos = np.concatenate([np.broadcast_to(bs, (num_uec, 2)), ued_tx]) \
-        if n else np.zeros((0, 2))
-    rx_pos = np.concatenate([uec, ued_rx]) if n else np.zeros((0, 2))
+    tx_pos = np.concatenate([np.broadcast_to(bs, (num_uec, 2)), ued_tx])
+    rx_pos = np.concatenate([uec, ued_rx])
     dist = np.linalg.norm(tx_pos[:, None, :] - rx_pos[None, :, :], axis=2)
     np.maximum(dist, PATHLOSS_FLOOR_M, out=dist)
     shadow_db = rng.normal(0.0, params.shadowing_sigma_db, size=(n, n))

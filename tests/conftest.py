@@ -86,3 +86,15 @@ def fixed_point(tau: float):
 def br_point(n_samples: int):
     cfg = accept_config(algorithm="br", br_samples=n_samples)
     return run_experiment(cfg).points[0]
+
+
+@lru_cache(maxsize=None)
+def sweep_point(num_channels: int, num_ued: int):
+    """Criterion 9's sweep point as its one-point run, which a sweep's point
+    equals bit for bit (test_experiments pins that); memoized, so the point
+    both of its sweeps hold, 4 channels with 4 pairs, runs once."""
+    cfg = ExperimentConfig(num_uec=1, num_ued=num_ued,
+                           num_channels=num_channels, topology_seed=35,
+                           cell_radius_m=60.0, base_seed=2000,
+                           track_optimum=False)
+    return run_experiment(cfg).points[0]

@@ -11,12 +11,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import accept_config, br_point, decreasing_point, fixed_point
+from conftest import (accept_config, br_point, decreasing_point, fixed_point,
+                      sweep_point)
 from d2dcap import analysis
 from d2dcap.analysis import (empirical_resistance, game_resistance_kernel,
                              min_resistance_tree_check, res_add, res_inv,
                              res_mul, res_of_exp, res_sub)
-from d2dcap.experiments import ExperimentConfig, sweep_channels, sweep_ues
+from d2dcap.experiments import ExperimentConfig
 from d2dcap.game import AssignmentProfile, verify_potential_identity
 from d2dcap.learning import (BoundedNoise, GaussianNoise,
                              acceptance_probability)
@@ -164,22 +165,14 @@ def test_criterion_8_decreasing_schedule_helps(criterion):
                           "(fixed tau = 0.1), paired seeds")
 
 
-def _sweep_base() -> ExperimentConfig:
-    return ExperimentConfig(num_uec=1, num_ued=4, num_channels=3,
-                            topology_seed=35, cell_radius_m=60.0,
-                            base_seed=2000, track_optimum=False)
-
-
 @pytest.mark.slow
 def test_criterion_9_capacity_trends(criterion):
     with criterion(9, "capacity trends under sweeps") as info:
-        chan = sweep_channels(_sweep_base(), (2, 3, 4))
-        chan_means = [p.final_window_mean for p in chan.points]
+        # channels 2, 3, 4 with 4 pairs; pairs 2, 4, 8 on 4 channels
+        chan_means = [sweep_point(c, 4).final_window_mean for c in (2, 3, 4)]
         chan_ok = all(b >= a for a, b in zip(chan_means, chan_means[1:]))
 
-        from dataclasses import replace
-        ued = sweep_ues(replace(_sweep_base(), num_channels=4), (2, 4, 8))
-        ued_means = [p.final_window_mean for p in ued.points]
+        ued_means = [sweep_point(4, n).final_window_mean for n in (2, 4, 8)]
         ued_up = all(b > a for a, b in zip(ued_means, ued_means[1:]))
         # growth rate per added pair, over the unequal count gaps
         g1 = (ued_means[1] - ued_means[0]) / 2.0

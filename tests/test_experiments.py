@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 import logging
 import math
@@ -250,6 +251,55 @@ def test_no_active_players_gives_constant_trace():
     point = run_experiment(cfg).points[0]
     assert np.all(point.mean_trace == point.mean_trace[0])
     assert point.mean_occupancy == 1.0
+
+
+@given(num_uec=st.integers(0, 3), extra_channels=st.integers(0, 2),
+       algorithm=st.sampled_from(["blla", "br"]),
+       noise_model=st.sampled_from(["bounded", "gaussian", "none"]),
+       schedule=st.sampled_from(["fixed", "log_decreasing"]),
+       track_optimum=st.booleans(), shared_topology=st.booleans(),
+       horizon=st.integers(1, 12), seed=st.integers(0, 2 ** 16))
+def test_games_without_active_players_hold_their_start(
+        num_uec, extra_channels, algorithm, noise_model, schedule,
+        track_optimum, shared_topology, horizon, seed):
+    # no D2D pair: every profile is the start, whose potential is the
+    # trace, the optimum and, without links, 0.0
+    config = tiny_config(num_uec=num_uec, num_ued=0,
+                         num_channels=max(num_uec, 1) + extra_channels,
+                         topology_seed=seed, algorithm=algorithm,
+                         noise_model=noise_model, schedule=schedule,
+                         track_optimum=track_optimum,
+                         shared_topology=shared_topology, horizon=horizon,
+                         realizations=1, base_seed=seed)
+    topo = config.topology(0)
+    assert topo.mean_gain_matrix.shape == (num_uec, num_uec)
+    assert topo.uec_positions.shape == (num_uec, 2)
+    assert topo.ued_tx_positions.shape == topo.ued_rx_positions.shape \
+        == (0, 2)
+    game = config.game(topo)
+    start = game.initial_profile(np.random.default_rng(seed))
+    phi = game.potential_exact(start)
+    if num_uec == 0:
+        assert phi == 0.0 and game.normalized_potential(start) == 0.0
+    optimum = expmod.analysis.brute_force_optimum(game)
+    assert optimum.keys == (tuple(start.channels.tolist()),)
+    assert optimum.num_evaluated == 1
+    assert optimum.normalized_phi_star == game.normalized_potential(start)
+    assert optimum.phi_star == pytest.approx(phi, rel=1e-15, abs=0.0)
+    trace = np.full(horizon, phi)
+    assert expmod.analysis._optimal_share(
+        game, trace, optimum.normalized_phi_star) == 1.0
+
+    point = run_experiment(config).points[0]
+    np.testing.assert_array_equal(point.mean_trace, trace)
+    assert point.final_window_mean == pytest.approx(phi, rel=1e-15, abs=0.0)
+    if track_optimum:
+        assert point.mean_occupancy == 1.0
+        # a layout per realization has no one optimum to report
+        assert point.phi_star == (optimum.phi_star if shared_topology
+                                  else None)
+    else:
+        assert point.mean_occupancy is None and point.phi_star is None
 
 
 def test_truncated_trajectory_is_an_error(monkeypatch):
@@ -556,6 +606,24 @@ def test_sweep_ues_runs():
     assert result.points[0].config.num_ued == 1
 
 
+@pytest.mark.parametrize("sweep, key, values", [
+    pytest.param(sweep_channels, "num_channels", (2, 3), id="channels"),
+    pytest.param(sweep_ues, "num_ued", (1, 2), id="ueds"),
+])
+def test_a_sweep_point_is_the_one_point_run_of_its_config(sweep, key, values):
+    # criterion 9 runs the point its two sweeps share once, as a one-point
+    # run: a sweep's point must be that run bit for bit, up to its label
+    cfg = tiny_config(num_uec=1, num_channels=2, noise_model="bounded",
+                      tau=0.1, horizon=12, realizations=2)
+    for point, value in zip(sweep(cfg, values).points, values):
+        alone = run_experiment(replace(cfg, **{key: value})).points[0]
+        assert (point.value, alone.param, alone.value) == (value, "", None)
+        for field in dataclasses.fields(expmod.PointResult):
+            if field.name not in ("param", "value"):
+                np.testing.assert_array_equal(getattr(point, field.name),
+                                              getattr(alone, field.name))
+
+
 # ----------------------------------------------------------------------
 # exact-analysis report
 
@@ -816,6 +884,92 @@ def test_a_point_check_draws_no_layout(monkeypatch):
     assert layouts == []
     run_experiment(cfg)
     assert len(layouts) == 2
+
+
+def _no_layout(monkeypatch):
+    """Make any layout draw fail the test; returns the draws tried."""
+    layouts = []
+
+    def spy(*args):
+        layouts.append(args)
+        raise AssertionError("a layout was drawn")
+
+    monkeypatch.setattr(expmod, "generate_topology", spy)
+    return layouts
+
+
+def test_an_oversized_layout_is_refused_before_anything_is_drawn(
+        monkeypatch):
+    # 100,000 pairs passed: a 74.5 GiB gain matrix behind a 149 GiB
+    # (L, L, 2) distance temporary, with no profile count to refuse them
+    calls, layouts = _no_realization(monkeypatch), _no_layout(monkeypatch)
+    cfg = tiny_config(num_ued=100000, noise_model="none",
+                      track_optimum=False)
+    message = (r"the layout's L x L arrays would take 4\.8e\+11 bytes, more "
+               r"than the guard of 1\.07e\+09; it is set by num_uec=0, "
+               r"num_ued=100000")
+    with pytest.raises(ValueError, match=message):
+        expmod._check_point(cfg)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)
+    assert calls == [] and layouts == []
+
+
+def test_layout_guard_counts_48_bytes_per_link_pair(monkeypatch):
+    cfg = tiny_config(num_uec=1, num_ued=2)  # 3 links, 9 ordered pairs
+    monkeypatch.setattr(expmod, "_LAYOUT_BYTES_GUARD", 48 * 9)
+    expmod._check_point(cfg)
+    monkeypatch.setattr(expmod, "_LAYOUT_BYTES_GUARD", 48 * 9 - 1)
+    with pytest.raises(ValueError, match="the layout's L x L arrays"):
+        expmod._check_point(cfg)
+
+
+@pytest.mark.parametrize("num_ued, message", [
+    pytest.param(30000, r"the layout's L x L arrays would take 4\.32e\+10 "
+                 r"bytes.*num_ued=30000", id="layout"),
+    pytest.param(13, r"dense kernel of size 3\^13 exceeds the 4096 guard",
+                 id="dense-kernel"),
+])
+def test_analyze_stationary_refuses_before_it_draws(monkeypatch, num_ued,
+                                                    message):
+    # the layout of 30,000 pairs was drawn before any guard could refuse it
+    layouts = _no_layout(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        analyze_stationary(tiny_config(num_ued=num_ued, num_channels=3),
+                           (0.1, 0.05))
+    assert layouts == []
+
+
+def test_profile_count_refusals_stay_readable_at_any_size():
+    # the whole power was built and formatted: past 4,300 digits Python
+    # refused to format it, and 3^(3e6) took 0.35 s to build
+    count = expmod.analysis._profile_count
+    assert count(3, 12, 10 ** 6, "profile space") == 531441
+    assert count(5, 0, 1, "profile space") == 1
+    with pytest.raises(ValueError, match="^profile space of size 1594323 "
+                       "exceeds the 1000000 guard$"):
+        count(3, 13, 10 ** 6, "profile space")
+    t0 = time.perf_counter()
+    for players in (14, 10 ** 4, 3 * 10 ** 6):
+        with pytest.raises(ValueError, match=f"^dense kernel of size "
+                           f"3\\^{players} exceeds the 4096 guard$"):
+            count(3, players, 4096, "dense kernel")
+    assert time.perf_counter() - t0 < 0.1
+
+
+def test_cli_refuses_ten_thousand_pairs_by_name(tmp_path, monkeypatch,
+                                                capsys):
+    from d2dcap.cli import main
+
+    calls, layouts = _no_realization(monkeypatch), _no_layout(monkeypatch)
+    path = tmp_path / "pairs.cfg"
+    path.write_text("num_ued = 10000\nnoise_model = 'none'\nhorizon = 10\n")
+    assert main(["run-blla", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the layout's L x L arrays would take ")
+    assert "more than the guard of 1.07e+09" in err
+    assert "num_ued=10000" in err and "digits" not in err
+    assert calls == [] and layouts == []
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from d2dcap.analysis import enumerate_profiles
 from d2dcap.experiments import ExperimentConfig
 from d2dcap.game import CapGame, utility_mean
 from d2dcap.radio import (
@@ -88,6 +89,24 @@ def test_params_properties_and_guards():
         with pytest.raises(ValueError, match=repr(next(iter(bad)))):
             cell(**bad)
     cell(shadowing_sigma_db=0.0)  # no shadowing is a valid cell
+
+
+def test_channel_counts_int16_cannot_hold_are_refused():
+    # 40,000 channels validated, and brute force on a lone link then found
+    # 32,768 optimal profiles of 40,000: channels of 2^15 and above wrapped
+    # to negative values in the int16 profile vectors
+    with pytest.raises(ValueError, match=r"'num_channels' must lie in "
+                       r"1\.\.32768, the channels int16 holds, got 32769"):
+        cell(num_channels=2 ** 15 + 1)
+    with pytest.raises(ValueError, match="'num_channels'"):
+        ExperimentConfig(num_uec=0, num_ued=1, num_channels=40000).validate()
+    # at the bound every channel still fits
+    config = ExperimentConfig(num_uec=0, num_ued=1, num_channels=2 ** 15)
+    game = config.game(config.topology(0))
+    channels = enumerate_profiles(game)
+    assert (channels.min(), channels.max()) == (0, 2 ** 15 - 1)
+    start = game.initial_profile(np.random.default_rng(0))
+    assert 0 <= start.channels[0] < 2 ** 15
 
 
 def test_radio_params_are_config_keys_without_defaults():
