@@ -15,9 +15,10 @@ as a_active[j] = (k // num_channels**j) % num_channels.
 A weakly memoized table per game holds the profiles, as rows of one channel
 array, and their normalized potentials, all that brute force and Gibbs
 read, plus the neighbour index of every single-player switch and the exact
-utilities, filled when a kernel or the resistances first need them.  Both
-are gathered per distinct member set; the potentials add their channel
-columns through ``CapGame.rate_sum_bits``, the potential's one order.
+utilities, filled when a kernel or the resistances first need them.  The
+game gathers both over the channel array, one value per distinct member
+set (``CapGame.potentials_exact``, ``CapGame.utilities_exact``); this
+module reads no per-set value itself.
 Dense kernels refuse > 4096 profiles, counted without building a power
 more than one factor past the guard.
 The channel array is the one state space: a chain over it, kernel or
@@ -114,29 +115,12 @@ def enumerate_profiles(game: CapGame) -> np.ndarray:
     return channels
 
 
-def _member_sets(on: np.ndarray):
-    """Distinct rows of a boolean (profiles, links) array, as link indices,
-    and for each profile the position of its row among them."""
-    # each row packed into bytes and compared as one value: packbits is
-    # big-endian, so the values sort as the boolean rows do, and the zero
-    # column padded on keeps a row of no links one byte long
-    packed = np.packbits(np.pad(on, ((0, 0), (0, 1))), axis=1)
-    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
-    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
-    return [np.nonzero(r)[0] for r in on[first]], index
-
-
 class _ProfileTable:
     """One game's profile space; holds no reference to the game (weak memo)."""
 
     def __init__(self, game: CapGame):
         self.channels = enumerate_profiles(game)
-        columns = []  # per-channel rate sums, summed as the potential is
-        for c in range(game.num_channels):
-            sets, index = _member_sets(self.channels == c)
-            columns.append(np.array([game.set_rate_exact(m) if len(m) else 0.0
-                                     for m in sets])[index])
-        self.phi = game.rate_sum_bits(columns) / game.phi_max
+        self.phi = game.potentials_exact(self.channels) / game.phi_max
         # filled by _moves on first use: (n, active, channels), (n, active)
         self.neighbour = self.utility = None
 
@@ -161,14 +145,10 @@ def _moves(game: CapGame):
         k = np.arange(len(table.channels))[:, None, None]
         radix = c ** np.arange(len(game.active_players))[:, None]
         table.neighbour = k + radix * (np.arange(c) - k // radix % c)
-        # one utility per distinct co-channel set of each active player
         table.utility = np.empty((len(table.channels),
                                   len(game.active_players)))
         for j, i in enumerate(game.active_players):
-            sets, index = _member_sets(table.channels
-                                       == table.channels[:, i:i + 1])
-            table.utility[:, j] = np.array([game.set_utility_exact(m, i)
-                                            for m in sets])[index]
+            table.utility[:, j] = game.utilities_exact(table.channels, i)
     nb = table.neighbour
     frm, player, chan = np.nonzero(nb != np.arange(len(nb))[:, None, None])
     to = nb[frm, player, chan]
@@ -239,16 +219,15 @@ def exact_transition_matrix(game: CapGame, tau: float) -> np.ndarray:
     Off-diagonal mass exists only between single-active-coordinate
     neighbors: pick player (1/#active), pick that channel (1/#channels),
     accept with probability 1/(1 + exp(dU/tau)).  The diagonal absorbs
-    everything else, including self-trials.
+    everything else, including self-trials.  A game with no active player
+    has one profile and no move, so its kernel is [[1.0]].
     """
     if not tau > 0:
         raise ValueError("tau must be positive")
     n_active = len(game.active_players)
     n = _profile_count(game.num_channels, n_active, _DENSE_GUARD,
                        "dense kernel")
-    if n_active == 0:
-        raise ValueError("at least one active player is required")
-    pick = 1.0 / (n_active * game.num_channels)
+    pick = 1.0 / max(n_active * game.num_channels, 1)
     frm, to, drop = _moves(game)
     mat = np.zeros((n, n))
     mat[frm, to] = pick * acceptance_probability(drop, tau)

@@ -53,7 +53,8 @@ _DEFAULT_NOISE_DBM = float(watts_to_dbm(thermal_noise_watts(180e3)))
 # most fading coefficients that one utility estimate may draw, in chunks
 # of bounded memory: a cap on its work
 _FADING_COEFF_GUARD = 1 << 28
-# most bytes that one realization's records and a point's trace may take
+# most bytes that one realization's records and a point's trace may take,
+# and apart from those, a point's per-realization arrays
 _RUN_BYTES_GUARD = 1 << 30
 # most bytes that one layout's L x L arrays may take, counted at their
 # peak of 48 per ordered link pair in generate_topology: the (L, L, 2)
@@ -329,12 +330,14 @@ def _check_layout(config: ExperimentConfig) -> None:
 def _check_point(config: ExperimentConfig) -> None:
     """Refuse a point before anything is drawn: an invalid config, then T
     slots on L links whose records, T x (2 L + 41) bytes, and the point's
-    float64 trace exceed ``_RUN_BYTES_GUARD`` bytes, then a layout too
-    large for ``_check_layout``, then an estimate of m x m x N fading
-    coefficients over ``_FADING_COEFF_GUARD`` (m at most every D2D pair
-    plus one cellular link, N that of the last, coldest slot), then a
-    tracked optimum over more profiles, channels to the power of D2D
-    pairs, than brute force enumerates."""
+    float64 trace exceed ``_RUN_BYTES_GUARD`` bytes, then R realizations
+    whose own arrays exceed it (final-window means, final profiles and,
+    when tracked, occupancies: R x (2 L + 16) bytes, or 8 fewer each),
+    then a layout too large for ``_check_layout``, then an estimate of
+    m x m x N fading coefficients over ``_FADING_COEFF_GUARD`` (m at most
+    every D2D pair plus one cellular link, N that of the last, coldest
+    slot), then a tracked optimum over more profiles, channels to the
+    power of D2D pairs, than brute force enumerates."""
     config.validate()
     run_bytes = config.horizon * (2 * (config.num_uec + config.num_ued) + 49)
     if run_bytes > _RUN_BYTES_GUARD:
@@ -342,6 +345,14 @@ def _check_point(config: ExperimentConfig) -> None:
                          f"would take {run_bytes:.3g} bytes, more than the "
                          f"guard of {_RUN_BYTES_GUARD:.3g}"
                          + _set_by(config, ["horizon", "num_uec", "num_ued"]))
+    point_bytes = config.realizations * (
+        2 * (config.num_uec + config.num_ued)
+        + (16 if config.track_optimum else 8))
+    if point_bytes > _RUN_BYTES_GUARD:
+        raise ValueError(f"the point's per-realization arrays would take "
+                         f"{point_bytes:.3g} bytes, more than the guard of "
+                         f"{_RUN_BYTES_GUARD:.3g}" + _set_by(
+                             config, ["realizations", "num_uec", "num_ued"]))
     _check_layout(config)
     m_max = config.num_ued + (1 if config.num_uec else 0)
     keys = ["num_uec", "num_ued"]
@@ -395,7 +406,8 @@ def _realization(config: ExperimentConfig, best: float | None,
             best = analysis.brute_force_optimum(game).normalized_phi_star
         occupancy = analysis._optimal_share(
             game, traj.sum_rate[_window_start(traj.horizon):], best)
-    return _Record(traj.sum_rate, traj.profiles[-1], occupancy,
+    # a copy: a view would keep the whole (T, L) record alive
+    return _Record(traj.sum_rate, traj.profiles[-1].copy(), occupancy,
                    time.perf_counter() - t0)
 
 
@@ -446,7 +458,8 @@ def _point_result(config: ExperimentConfig, param: str, value,
     trace_sum = np.zeros(horizon)
     finals = np.zeros(reals)
     occupancies = np.zeros(reals) if config.track_optimum else None
-    final_profiles = []
+    final_profiles = np.zeros((reals, config.num_uec + config.num_ued),
+                              dtype=np.int16)
 
     best = None if shared_opt is None else shared_opt.normalized_phi_star
     run = functools.partial(_realization, config, best)
@@ -455,7 +468,7 @@ def _point_result(config: ExperimentConfig, param: str, value,
     for k, rec in enumerate(records):
         trace_sum += rec.sum_rate
         finals[k] = rec.sum_rate[start:].mean()
-        final_profiles.append(rec.final_channels)
+        final_profiles[k] = rec.final_channels
         if occupancies is not None:
             occupancies[k] = rec.occupancy
         _log.info("realization %d/%d (seed %d) done in %.3f s", k + 1, reals,
@@ -467,7 +480,7 @@ def _point_result(config: ExperimentConfig, param: str, value,
         seed_range=(config.base_seed, config.base_seed + reals - 1),
         window_slots=horizon - start, mean_trace=trace_sum / reals,
         per_realization_final=finals,
-        final_profiles=np.array(final_profiles, dtype=np.int16),
+        final_profiles=final_profiles,
         final_window_mean=float(finals.mean()), final_window_se=se,
         mean_occupancy=float(occupancies.mean())
         if occupancies is not None else None,
@@ -509,6 +522,10 @@ def _sweep(config: ExperimentConfig, param: str, key: str,
         raise ValueError("sweep needs at least one value")
     for v in values:  # a float or bool count would run as another int
         _check_type(key, v, f" in the {param} sweep")
+    for v in values:  # its points would write one set of tables twice
+        if values.count(v) > 1:
+            raise ValueError(f"the {param} sweep lists {key}={v!r} more "
+                             "than once")
     # points share the sweep's output directory
     return _run_points(config, param, values,
                        [replace(config, **{key: v, "out_dir": ""})

@@ -29,11 +29,14 @@ The exact values depend only on channel member sets: a utility on the
 player's co-channel set, the potential on each channel's set.  A game's two
 per-set methods therefore memoize them, one rate sum per member set and one
 utility per (member set, player), each computed by the kernel on first use.
-Every later call returns the same float, so the memo is exact.  The
-potential is a sum of per-channel terms (``channel_rate_exact``, 0.0 for an
-empty channel) added in ascending channel order by ``rate_sum_bits``;
-``potential_exact`` and the learning loop, which re-reads only the two
-channels a switch moves, both sum through it.
+Every later call returns the same float, so the memo is exact.  Two batch
+methods gather them over an (n, L) array of channel rows, one call per
+distinct set: ``utilities_exact`` a player's utility in each row, and
+``potentials_exact`` each row's potential, the per-channel rate sums (0.0
+for an empty channel) added in ascending channel order and scaled to
+bits/s, the potential's one summation order.  ``potential_exact`` is its
+one-row case; a learning run's sum rates and the analysis profile table
+are its batches.
 
 The kernel's set-up comes from per-game tables.  Once per dtype a game
 casts its received-power matrix, keeps the diagonal as the signal powers
@@ -114,6 +117,18 @@ def _bad_channels(raw: np.ndarray) -> str | None:
         return f"channels must be integers, not {raw.dtype}: " \
             f"link {i} holds {values[i]}"
     return None
+
+
+def _member_sets(on: np.ndarray):
+    """Distinct rows of a boolean (profiles, links) array, as link indices,
+    and for each profile the position of its row among them."""
+    # each row packed into bytes and compared as one value: packbits is
+    # big-endian, so the values sort as the boolean rows do, and the zero
+    # column padded on keeps a row of no links one byte long
+    packed = np.packbits(np.pad(on, ((0, 0), (0, 1))), axis=1)
+    keys = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, index = np.unique(keys, return_index=True, return_inverse=True)
+    return [np.nonzero(r)[0] for r in on[first]], index
 
 
 @dataclass(frozen=True)
@@ -321,31 +336,32 @@ class CapGame:
                 self._rate_kernel(members, unit, player)[0])
         return self._set_utility[key]
 
-    def channel_rate_exact(self, channels: np.ndarray, channel: int) -> float:
-        """Memoized frozen-fading natural-log rate sum of the links that
-        ``channels`` puts on ``channel``; exactly 0.0 for an empty one."""
-        members = np.flatnonzero(channels == channel)
-        return self.set_rate_exact(members) if len(members) else 0.0
-
-    def rate_sum_bits(self, rates) -> float:
-        """Sum rate in bits/s of per-channel natural-log rate sums, listed
-        by ascending channel: floats for one profile, or equal-length
-        arrays, one per channel, for many at once.  The one summation order
-        of the frozen-fading potential: ``potential_exact``, the learning
-        loop's running potential and the analysis profile table all add
-        their channel values here."""
+    def potentials_exact(self, channels: np.ndarray) -> np.ndarray:
+        """Frozen-fading sum rates, bits/s, of the rows of an (n, L) channel
+        array, rows that ``check_profile`` accepts (not checked): per
+        channel in ascending order, one rate sum per distinct member set,
+        exactly 0.0 for an empty one, added column by column."""
         total = 0.0
-        for r in rates:
-            total += r
+        for c in range(self.num_channels):
+            sets, index = _member_sets(channels == c)
+            total += np.array([self.set_rate_exact(m) if len(m) else 0.0
+                               for m in sets])[index]
         return total * self._bits_scale
+
+    def utilities_exact(self, channels: np.ndarray, player: int) -> np.ndarray:
+        """Exact utilities of an active player in each row of an (n, L)
+        channel array, as ``potentials_exact`` takes it: one per distinct
+        co-channel set."""
+        self._check_active(player)
+        sets, index = _member_sets(channels == channels[:, player:player + 1])
+        return np.array([self.set_utility_exact(m, player)
+                         for m in sets])[index]
 
     def potential_exact(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate over all links, bits/s, of a profile
-        that ``check_profile`` accepts."""
+        that ``check_profile`` accepts: ``potentials_exact`` on one row."""
         self.check_profile(profile)
-        return self.rate_sum_bits([
-            self.channel_rate_exact(profile.channels, c)
-            for c in range(self.num_channels)])
+        return float(self.potentials_exact(profile.channels[None])[0])
 
     def normalized_potential(self, profile: AssignmentProfile) -> float:
         """Frozen-fading sum rate divided by the phi_max bound, in [0, 1]."""

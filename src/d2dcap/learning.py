@@ -14,7 +14,10 @@ disturb the chain's long-run behavior; it is recomputed from tau(t) every
 slot, so decreasing schedules pay a growing per-slot cost that the
 trajectory records make visible.  A learner without a noise model has
 N = 0: it reads exact utilities and draws no fading.  A game with no
-active player keeps its starting assignment for the whole run.
+active player keeps its starting assignment for the whole run.  The loop
+carries no potential from slot to slot: a run's sum rates are its recorded
+profiles' potentials, gathered by the game in one batch after the last
+slot.
 """
 
 from __future__ import annotations
@@ -188,7 +191,8 @@ class Trajectory:
     ``profiles[k]`` is the channel vector after slot k+1; the starting
     assignment is kept separately.  ``sum_rate`` is the frozen-fading
     network sum rate of the post-slot profile, bits/s, from which its
-    optimal slots are counted by the potential; ``n_samples`` 0 means
+    optimal slots are counted by the potential: ``CapGame.potentials_exact``
+    of ``profiles``, so a pure function of them.  ``n_samples`` 0 means
     exact utilities.  A slot that estimates nothing (a self-trial, or no
     active player to propose) records ``delta_hat`` 0; with no active
     player, ``player`` and ``trial`` are -1.
@@ -248,11 +252,7 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
         player=np.full(horizon, -1, dtype=np.int32),
         trial=np.full(horizon, -1, dtype=np.int32),
         accepted=np.zeros(horizon, dtype=bool), delta_hat=np.zeros(horizon),
-        sum_rate=np.empty(horizon))
-    # the potential's per-channel terms; a switch re-reads the two it moves
-    rates = [game.channel_rate_exact(profile.channels, c)
-             for c in range(game.num_channels)]
-    rate = game.rate_sum_bits(rates)
+        sum_rate=None)  # the profiles' potentials, gathered after the loop
     for k in range(horizon):
         traj.tau[k], n, accept = slot(k + 1)
         traj.n_samples[k] = n
@@ -274,12 +274,9 @@ def _run(game: CapGame, horizon: int, rng_seed, initial_profile,
                 traj.delta_hat[k] = delta
                 if accept(delta, rng):
                     profile = proposal
-                    for c in (left, trial):
-                        rates[c] = game.channel_rate_exact(profile.channels, c)
-                    rate = game.rate_sum_bits(rates)
                     traj.accepted[k] = True
         traj.profiles[k] = profile.channels
-        traj.sum_rate[k] = rate
+    traj.sum_rate = game.potentials_exact(traj.profiles)
     return traj
 
 

@@ -5,7 +5,9 @@ The program computes every SINR -> rate value in one place,
 functions here are the test oracles for that kernel: a scalar float64
 SINR and Shannon rate per link (``sinr``, ``rate``), one sampled utility
 under an explicit (L, L) fading draw (``utility_sample``), and the Monte
-Carlo sum rate over full fading draws (``potential``).  No command,
+Carlo sum rate over full fading draws (``potential``), with
+``reference_potential`` the frozen-fading sum rate of one profile as the
+learner once summed it, channel by channel.  No command,
 learner or analysis function calls them.  ``chunked_utility_mean`` spells
 out the chunk-by-chunk estimate that ``utility_mean`` streams.
 ``gathered_rate_kernel`` is the rate kernel as it once ran, gathering each
@@ -87,6 +89,19 @@ def potential(game: CapGame, profile: AssignmentProfile, num_mc: int = 1,
         block = sample_fading_block(rng, (len(members), len(members), num_mc))
         total += game._rate_kernel(members, block)
     return float(total.mean() * game._bits_scale)
+
+
+def reference_potential(game: CapGame, profile: AssignmentProfile) -> float:
+    """Frozen-fading sum rate of one profile, bits/s, as the learner's
+    running potential once summed it: per channel in ascending order, the
+    memoized rate sum of its members or 0.0 for an empty one, added as
+    Python floats and scaled to bits/s; ``CapGame.potentials_exact`` must
+    equal it bit for bit."""
+    total = 0.0
+    for c in range(game.num_channels):
+        members = np.flatnonzero(profile.channels == c)
+        total += game.set_rate_exact(members) if len(members) else 0.0
+    return total * game._bits_scale
 
 
 def estimate_chunk(m: int) -> int:

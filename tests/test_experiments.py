@@ -289,6 +289,15 @@ def test_games_without_active_players_hold_their_start(
     trace = np.full(horizon, phi)
     assert expmod.analysis._optimal_share(
         game, trace, optimum.normalized_phi_star) == 1.0
+    # the one profile is its own chain: it stays put, by all three laws
+    assert expmod.analysis.exact_transition_matrix(game, 0.1).tolist() \
+        == [[1.0]]
+    assert expmod.analysis.game_resistance_kernel(game).tolist() \
+        == [[math.inf]]
+    report = analyze_stationary(config, (0.1, 0.05))
+    assert report.pi_direct.tolist() == report.pi_gibbs.tolist() \
+        == report.pi_tree.tolist() == [[1.0], [1.0]]
+    assert report.verdict is True
 
     point = run_experiment(config).points[0]
     np.testing.assert_array_equal(point.mean_trace, trace)
@@ -598,6 +607,33 @@ def test_sweeps_refuse_non_integer_counts_before_any_run(monkeypatch, sweep,
     assert calls == []
 
 
+@pytest.mark.parametrize("sweep, key, values", [
+    pytest.param(sweep_channels, "num_channels", [2, 2], id="channels"),
+    pytest.param(sweep_ues, "num_ued", [1, 3, 1], id="ueds"),
+])
+def test_sweeps_refuse_a_repeated_value_before_any_point_is_checked(
+        monkeypatch, sweep, key, values):
+    # a repeat runs one point twice: its tables overwrite each other and
+    # the manifest lists each of them twice
+    calls = _no_realization(monkeypatch)
+    checked = []
+    monkeypatch.setattr(expmod, "_check_point", checked.append)
+    with pytest.raises(ValueError, match=f"the .* sweep lists {key}="
+                                         f"{values[0]} more than once"):
+        sweep(tiny_config(), values)
+    assert calls == [] and checked == []
+
+
+def test_cli_refuses_a_repeated_sweep_value(tmp_path, capsys):
+    from d2dcap.cli import main
+
+    out = tmp_path / "out"
+    assert main(["sweep-channels", "--counts", "2,2", "--out", str(out)]) \
+        == 2
+    assert "lists num_channels=2 more than once" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_ues_runs():
     cfg = tiny_config(track_optimum=False, horizon=20)
     result = sweep_ues(cfg, (1, 2))
@@ -870,6 +906,58 @@ def test_horizon_guard_counts_slot_records_and_the_trace(monkeypatch):
     monkeypatch.setattr(expmod, "_RUN_BYTES_GUARD", 40 * 55 - 1)
     with pytest.raises(ValueError, match="more than the guard"):
         expmod._check_point(cfg)
+
+
+def test_an_oversized_realization_count_is_refused_before_anything_is_drawn(
+        tmp_path, monkeypatch, capsys):
+    # 10^12 realizations of one pair: 10^13 bytes of per-realization
+    # arrays; the final-window means alone were a 7.28 TiB allocation
+    from d2dcap.cli import main
+
+    calls = _no_realization(monkeypatch)
+    layouts, pools = [], []
+    monkeypatch.setattr(expmod, "generate_topology",
+                        lambda *args: layouts.append(args))
+    monkeypatch.setattr(expmod, "_realization_pool", pools.append)
+    message = (r"the point's per-realization arrays would take 1e\+13 "
+               r"bytes, more than the guard of 1\.07e\+09; it is set by "
+               r"realizations=1000000000000, num_uec=0, num_ued=1")
+    with pytest.raises(ValueError, match=message):
+        run_experiment(tiny_config(num_ued=1, horizon=1,
+                                   realizations=10 ** 12,
+                                   track_optimum=False))
+    path = tmp_path / "many.cfg"
+    path.write_text("noise_model = 'none'\nnum_uec = 0\nnum_ued = 1\n"
+                    "horizon = 1\ntrack_optimum = False\n")
+    assert main(["run-blla", "--config", str(path),
+                 "--realizations", "1000000000000"]) == 2
+    assert "set by realizations=1000000000000" in capsys.readouterr().err
+    assert calls == [] and layouts == [] and pools == []
+
+
+@pytest.mark.parametrize("track, size", [
+    pytest.param(True, 10 * (2 * 3 + 16), id="tracked"),
+    pytest.param(False, 10 * (2 * 3 + 8), id="untracked"),
+])
+def test_realization_guard_counts_finals_profiles_and_occupancies(
+        monkeypatch, track, size):
+    # one slot's records and trace, 55 bytes, stay under either size
+    cfg = tiny_config(num_uec=1, horizon=1, realizations=10,
+                      track_optimum=track)
+    monkeypatch.setattr(expmod, "_RUN_BYTES_GUARD", size)
+    expmod._check_point(cfg)
+    monkeypatch.setattr(expmod, "_RUN_BYTES_GUARD", size - 1)
+    with pytest.raises(ValueError, match="per-realization arrays"):
+        expmod._check_point(cfg)
+
+
+def test_a_realization_keeps_only_its_final_channels():
+    # a view of the last row would keep the run's whole (T, L) record alive
+    cfg = tiny_config()
+    rec = expmod._realization(cfg, None, 0)
+    traj = expmod._run_one(cfg, cfg.game(cfg.topology(0)), cfg.base_seed)
+    assert rec.final_channels.base is None
+    assert rec.final_channels.tolist() == traj.profiles[-1].tolist()
 
 
 def test_a_point_check_draws_no_layout(monkeypatch):

@@ -19,7 +19,8 @@ from d2dcap.radio import generate_topology, sample_fading_block
 
 from reference import (chunked_utility_mean, estimate_chunk,
                        gathered_rate_kernel, potential, rate,
-                       reference_kernel_weights, sinr, utility_sample)
+                       reference_kernel_weights, reference_potential, sinr,
+                       utility_sample)
 from test_radio import _state, cell, manual_topology
 
 DENSE_GAINS = [[1e-9, 2e-11, 3e-11],
@@ -213,6 +214,53 @@ def test_exact_evaluations_match_a_fresh_game(case):
         else:
             assert game.utility_exact(profile, player) \
                 == fresh.utility_exact(profile, player)
+
+
+@st.composite
+def channel_batches(draw):
+    """A seeded game, with or without links, and up to 30 rows that fit
+    it: cellular links on distinct channels, pairs anywhere, so that with
+    up to five channels some channels hold no link in any row."""
+    num_uec = draw(st.integers(0, 2))
+    num_ued = draw(st.integers(0, 4))
+    num_channels = draw(st.integers(max(1, num_uec), 5))
+    game = seeded_game(num_uec, num_ued, num_channels,
+                       seed=draw(st.integers(0, 2 ** 16)))
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        cellular = draw(st.permutations(range(num_channels)))[:num_uec]
+        pairs = draw(st.lists(st.integers(0, num_channels - 1),
+                              min_size=num_ued, max_size=num_ued))
+        rows.append(cellular + pairs)
+    return game, np.array(rows, dtype=np.int16).reshape(len(rows),
+                                                         num_uec + num_ued)
+
+
+@given(case=channel_batches())
+@example(case=(seeded_game(0, 0, 3, seed=4),
+               np.zeros((5, 0), dtype=np.int16)))
+@example(case=(seeded_game(2, 2, 5, seed=9),
+               np.array([[0, 1, 1, 1], [2, 0, 0, 2]], dtype=np.int16)))
+@settings(max_examples=150)
+def test_batch_exact_values_equal_the_per_profile_loops(case):
+    # the batch gathers one value per distinct member set; the oracles,
+    # on a game of their own, loop over profiles and channels
+    game, channels = case
+    oracle = CapGame(game.topology, game.params)
+    profiles = [AssignmentProfile(row) for row in channels]
+    got = game.potentials_exact(channels)
+    want = np.array([reference_potential(oracle, p) for p in profiles],
+                    dtype=np.float64)
+    assert got.dtype == np.float64 and got.shape == (len(channels),)
+    assert got.tobytes() == want.tobytes()
+    assert [game.potential_exact(p) for p in profiles] == want.tolist()
+    for i in game.active_players:
+        got = game.utilities_exact(channels, i)
+        want = np.array([oracle.set_utility_exact(
+            cochannel_set(p, int(p.channels[i])), i) for p in profiles],
+            dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (len(channels),)
+        assert got.tobytes() == want.tobytes()
 
 
 # ----------------------------------------------------------------------

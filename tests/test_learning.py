@@ -30,6 +30,7 @@ from d2dcap.learning import (
     run_br,
 )
 
+from reference import reference_potential
 from test_game import seeded_game
 
 
@@ -482,7 +483,7 @@ def reference_run(game, horizon, rng_seed, initial_profile, step):
         (profile, tau[k], n_samples[k], player[k], trial[k], accepted[k],
          delta_hat[k]) = step(profile, k + 1, rng=rng)
         profiles[k] = profile.channels
-        sum_rate[k] = game.potential_exact(profile)
+        sum_rate[k] = reference_potential(game, profile)
     return Trajectory(initial_channels=initial, profiles=profiles, tau=tau,
                       n_samples=n_samples, player=player, trial=trial,
                       accepted=accepted, delta_hat=delta_hat,
@@ -492,7 +493,7 @@ def reference_run(game, horizon, rng_seed, initial_profile, step):
 def reference_constant_trajectory(game, horizon):
     """What a run without active players recorded: the start, held."""
     profile = game.initial_profile()
-    rate = game.potential_exact(profile)
+    rate = reference_potential(game, profile)
     return Trajectory(initial_channels=profile.channels.copy(),
                       profiles=np.tile(profile.channels, (horizon, 1)),
                       tau=np.full(horizon, math.nan),
@@ -607,9 +608,10 @@ def _refilled(counts):
 ])
 def test_running_potential_matches_reference_at_its_corners(
         links, tau, horizon, seed, corner):
-    # the slot loop keeps one rate per channel and re-reads the two a
-    # switch moves; these runs take it through channels that empty and
-    # refill, and through one that never holds a link
+    # a run's sum rates are its profiles' potentials, gathered in one
+    # batch after the loop; these runs take the batch through channels
+    # that empty and refill, and through one that never holds a link, and
+    # the reference adds each profile's channels one by one
     game = seeded_game(*links, seed=seed)
     schedule, noise = FixedTemperature(tau), BoundedNoise(interval_width=1.0)
     got = run_blla(game, schedule, noise, 0.5, horizon, seed)
@@ -657,8 +659,8 @@ _GOLDEN_FIELDS = ("initial_channels", "profiles", "tau", "n_samples",
 def test_full_shaped_trajectory_matches_its_golden_digest():
     # 5 UEC + 15 UED on 5 channels, tau = 0.1 and N = 1645 per estimate:
     # 40 slots, 25 of them taken switches, hashed field by field, so any
-    # bit drift in the fading draw, the rate kernel or the running
-    # potential changes the digest
+    # bit drift in the fading draw, the rate kernel or the batch of the
+    # profiles' potentials changes the digest
     config = ExperimentConfig(num_uec=5, num_ued=15, num_channels=5,
                               cell_radius_m=200.0, tau=0.1, horizon=40,
                               realizations=1, track_optimum=False)
